@@ -13,6 +13,10 @@ from typing import Iterable, Iterator, Mapping
 
 ASSIGNMENT_CAP = 30
 
+# Incidence graphs number clause vertices from this id on (graphs.clause_vertex),
+# so variable ids stay below it.
+CLAUSE_VERTEX_STRIDE = 1_000_000
+
 
 class FormulaError(ValueError):
     """Invalid formula construction or misuse of a formula operation."""
@@ -258,7 +262,8 @@ def parse_dimacs(source) -> CnfFormula:
     Comment lines starting with 'c' are ignored anywhere; duplicate literals
     inside a clause collapse silently; a complementary pair is an error.
     Variables declared in the header but occurring in no clause are recorded
-    as free variables.
+    as free variables. A header declaring CLAUSE_VERTEX_STRIDE variables or
+    more is an error.
     """
     text = source.read() if hasattr(source, "read") else source
     num_vars = None
@@ -281,6 +286,11 @@ def parse_dimacs(source) -> CnfFormula:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
             if num_vars < 0:
                 raise DimacsError(f"line {lineno}: negative variable count")
+            if num_vars >= CLAUSE_VERTEX_STRIDE:
+                raise DimacsError(
+                    f"line {lineno}: variable count {num_vars} reaches the id limit "
+                    f"{CLAUSE_VERTEX_STRIDE}; variable ids must stay below it"
+                )
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before header")

@@ -10,13 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .formula import CnfFormula
+from .formula import CLAUSE_VERTEX_STRIDE, CnfFormula
 
 VAR = "var"
 CLAUSE = "clause"
 PLAIN = "plain"
-
-CLAUSE_VERTEX_STRIDE = 1_000_000
 
 
 def clause_vertex(cid: int) -> int:

@@ -1,5 +1,20 @@
 """Tree decompositions: validation, bounds, exact solving, PACE .td io.
 
+`treewidth_at_most(g, t)` climbs a ladder of rungs, cheapest first, and
+stops at the first that decides (n vertices, m edges, d the degree at
+elimination):
+
+1. degeneracy above t: Exceeds, with the (t+1)-core as certificate; a
+   bucket-queue peel, O(n+m);
+2. min-fill width at most t: AtMost, with the decomposition recorded during
+   the elimination; a lazy heap that re-scores only the vertices within
+   distance 2 of each eliminated vertex, roughly O(sum of d^2 log n);
+3. contraction bound (minor-min-width) above t: Exceeds; a lazy heap,
+   O(m log n) heap work plus the merged neighbourhoods;
+4. at or below the vertex cap, exact search, which stops once width above t
+   is proven; exponential in the worst case;
+5. otherwise Unknown.
+
 The exact solver searches elimination orderings: safe reductions (simplicial,
 almost-simplicial, degree-2) shrink the graph, then a depth-first decision
 search per target width with memoized dead states settles the rest. This is
@@ -8,6 +23,7 @@ practical to roughly fifty vertices, larger for structured graphs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -55,7 +71,8 @@ class TwVerdict:
 
     kind 'at_most' carries a witnessing decomposition; 'exceeds' carries a
     certificate (a vertex set of degeneracy above the target, or a note that
-    exact search ran); 'unknown' means the caps prevented a decision.
+    the contraction bound or the exact search ruled the target out); 'unknown'
+    means the caps prevented a decision.
     """
 
     kind: str
@@ -127,16 +144,32 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
 
 
 def _degeneracy_adj(adj: dict[int, set[int]]) -> int:
+    """Largest degree at removal in a smallest-degree-first peel; O(n+m).
+
+    Vertices sit in buckets by current degree. A removal lowers the minimum
+    degree by at most one, so the scan pointer steps back at most once per
+    removal.
+    """
     if not adj:
         return -1
-    work = {v: set(s) for v, s in adj.items()}
-    best = 0
-    while work:
-        v = min(work, key=lambda u: (len(work[u]), u))
-        best = max(best, len(work[v]))
-        for u in work[v]:
-            work[u].discard(v)
-        del work[v]
+    deg = {v: len(s) for v, s in adj.items()}
+    buckets: list[set[int]] = [set() for _ in range(max(deg.values()) + 1)]
+    for v, d in deg.items():
+        buckets[d].add(v)
+    best = d = 0
+    for _ in range(len(adj)):
+        while not buckets[d]:
+            d += 1
+        v = buckets[d].pop()
+        best = max(best, d)
+        del deg[v]
+        for u in adj[v]:
+            du = deg.get(u)
+            if du is not None:
+                buckets[du].remove(u)
+                buckets[du - 1].add(u)
+                deg[u] = du - 1
+        d = max(d - 1, 0)
     return best
 
 
@@ -155,40 +188,50 @@ def minor_min_width(g: Graph) -> int:
 
 def _mmw_adj(adj: dict[int, set[int]]) -> int:
     """Contraction-based lower bound: contract a min-degree vertex into its
-    least-degree neighbor, tracking the largest min degree seen."""
+    least-degree neighbor, tracking the largest min degree seen.
+
+    Ties go to the smaller vertex id. A lazy heap of (degree, vertex) picks
+    the next vertex: a contraction changes only the degrees of the contracted
+    vertex's neighbours, which get fresh entries, and stale entries are
+    skipped when popped.
+    """
     work = {v: set(s) for v, s in adj.items()}
+    heap = [(len(s), v) for v, s in work.items()]
+    heapq.heapify(heap)
     best = 0
-    while work:
-        v = min(work, key=lambda u: (len(work[u]), u))
-        d = len(work[v])
-        best = max(best, d)
-        if d == 0:
-            del work[v]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in work or len(work[v]) != d:
             continue
-        u = min(work[v], key=lambda x: (len(work[x]), x))
+        best = max(best, d)
         nbrs = work.pop(v)
+        if d == 0:
+            continue
+        u = min(nbrs, key=lambda x: (len(work[x]), x))
         for w in nbrs:
             work[w].discard(v)
-        merged = (work[u] | nbrs) - {u, v}
+        merged = (work[u] | nbrs) - {u}
         work[u] = merged
         for w in merged:
             work[w].add(u)
+        for w in nbrs:
+            heapq.heappush(heap, (len(work[w]), w))
     return best
 
 
 def _core_vertices(g: Graph, k: int) -> frozenset[int]:
-    """The k-core: repeatedly strip vertices of degree below k."""
-    adj = g.adjacency()
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if len(adj[v]) < k:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                del adj[v]
-                changed = True
-    return frozenset(adj)
+    """The k-core: repeatedly strip vertices of degree below k; O(n+m)."""
+    deg = {v: g.degree(v) for v in g.vertices()}
+    stack = [v for v, d in deg.items() if d < k]
+    stripped = set(stack)
+    while stack:
+        for u in g.neighbors(stack.pop()):
+            if u not in stripped:
+                deg[u] -= 1
+                if deg[u] < k:
+                    stripped.add(u)
+                    stack.append(u)
+    return frozenset(deg.keys() - stripped)
 
 
 # ---------------------------------------------------------------------------
@@ -223,72 +266,124 @@ def _undo(adj: dict[int, set[int]], journal: list, mark: int) -> None:
 
 
 def _fill_in(adj: dict[int, set[int]], v: int) -> int:
-    nbrs = list(adj[v])
-    missing = 0
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in adj[a]:
-                missing += 1
-    return missing
+    """Number of non-adjacent pairs among v's neighbours."""
+    nbrs = adj[v]
+    d = len(nbrs)
+    if d < 2:
+        return 0
+    return (d * (d - 1) - sum(len(nbrs & adj[a]) for a in nbrs)) // 2
 
 
 def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
     return _fill_in(adj, v) == 0
 
 
-def _greedy_order(adj: dict[int, set[int]], key) -> tuple[list[int], int]:
+def _greedy_order(
+    adj: dict[int, set[int]], by_fill: bool
+) -> tuple[list[int], int, list[set[int]]]:
+    """Eliminate the vertex of least (fill-in or degree, vertex id) first.
+
+    Returns the order, its width and each vertex's neighbours when it was
+    eliminated. A lazy heap of (score, vertex) picks the next vertex. After
+    eliminating v with neighbours N, only vertices within distance 2 of v
+    change score: a vertex x outside N loses one fill-in per added edge with
+    both ends adjacent to x, and a vertex of N is re-scored from scratch.
+    Changed vertices get fresh entries; stale entries are skipped when popped.
+    """
     work = {v: set(s) for v, s in adj.items()}
+    score = {v: _fill_in(work, v) if by_fill else len(s) for v, s in work.items()}
+    heap = [(s, v) for v, s in score.items()]
+    heapq.heapify(heap)
     order: list[int] = []
+    bags: list[set[int]] = []
     width = -1 if not work else 0
-    while work:
-        v = min(work, key=lambda u: key(work, u))
+    while heap:
+        s, v = heapq.heappop(heap)
+        if score.get(v) != s:
+            continue
+        del score[v]
+        nbrs = work.pop(v)
         order.append(v)
-        width = max(width, _eliminate(work, v))
-    return order, width
+        bags.append(nbrs)
+        width = max(width, len(nbrs))
+        for a in nbrs:
+            work[a].discard(v)
+        touched = set(nbrs)
+        nlist = list(nbrs)
+        for i, a in enumerate(nlist):
+            wa = work[a]
+            for b in nlist[i + 1:]:
+                if b not in wa:
+                    wa.add(b)
+                    work[b].add(a)
+                    if by_fill:
+                        for x in wa & work[b]:
+                            score[x] -= 1
+                            touched.add(x)
+        for x in nbrs:
+            score[x] = _fill_in(work, x) if by_fill else len(work[x])
+        for x in touched:
+            heapq.heappush(heap, (score[x], x))
+    return order, width, bags
 
 
 def _min_fill_order(adj) -> tuple[list[int], int]:
-    return _greedy_order(adj, lambda w, u: (_fill_in(w, u), u))
+    order, width, _ = _greedy_order(adj, by_fill=True)
+    return order, width
 
 
 def _min_degree_order(adj) -> tuple[list[int], int]:
-    return _greedy_order(adj, lambda w, u: (len(w[u]), u))
+    order, width, _ = _greedy_order(adj, by_fill=False)
+    return order, width
+
+
+def _decomposition(order: list[int], bags: list[set[int]]) -> TreeDecomposition:
+    """Tree decomposition from an elimination order and each vertex's
+    neighbours at its elimination.
+
+    Each vertex's bag is itself plus those neighbours; the bag attaches to the
+    bag of its earliest-eliminated such neighbor. Roots of separate components
+    get chained so the index set forms one tree.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    out: dict[int, frozenset[int]] = {}
+    edges: list[tuple[int, int]] = []
+    roots: list[int] = []
+    for i, (v, nbrs) in enumerate(zip(order, bags), start=1):
+        out[i] = frozenset(nbrs) | {v}
+        if nbrs:
+            edges.append((i, pos[min(nbrs, key=pos.__getitem__)] + 1))
+        else:
+            roots.append(i)
+    edges.extend(zip(roots, roots[1:]))
+    return TreeDecomposition(out, tuple(edges))
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Run the elimination game along `order` and collect bags.
-
-    Each vertex's bag is itself plus its neighbors at elimination time; the
-    bag attaches to the bag of its earliest-eliminated such neighbor. Roots of
-    separate components get chained so the index set forms one tree.
-    """
+    """Run the elimination game along `order` and collect bags (see `_decomposition`)."""
     adj = g.adjacency()
     if set(order) != set(adj):
         raise ValueError("order must cover the graph's vertices exactly")
-    pos = {v: i for i, v in enumerate(order)}
-    bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
-    roots: list[int] = []
+    bags = []
     for v in order:
-        nbrs = set(adj[v])
-        bags[pos[v] + 1] = frozenset(nbrs | {v})
-        if nbrs:
-            parent = min(nbrs, key=lambda u: pos[u])
-            edges.append((pos[v] + 1, pos[parent] + 1))
-        else:
-            roots.append(pos[v] + 1)
+        bags.append(set(adj[v]))
         _eliminate(adj, v)
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-    return TreeDecomposition(bags, tuple(edges))
+    return _decomposition(order, bags)
 
 
-def upper_bound_heuristic(g: Graph) -> tuple[int, TreeDecomposition]:
-    """Min-fill elimination ordering turned into a decomposition."""
+def upper_bound_heuristic(
+    g: Graph, limit: int | None = None
+) -> tuple[int, TreeDecomposition | None]:
+    """Min-fill elimination ordering turned into a decomposition.
+
+    With a limit, a width above it comes back without a decomposition.
+    """
     if g.num_vertices() == 0:
         return -1, single_bag_decomposition(())
-    order, width = _min_fill_order(g.adjacency())
-    return width, decomposition_from_order(g, order)
+    order, width, bags = _greedy_order(g.adjacency(), by_fill=True)
+    if limit is not None and width > limit:
+        return width, None
+    return width, _decomposition(order, bags)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +479,14 @@ def _decide(adj: dict[int, set[int]], w: int, comp_lb: int) -> list[int] | None:
     return order if dfs() else None
 
 
-def _solve_component(adj: dict[int, set[int]]) -> tuple[int, list[int]]:
+def _solve_component(
+    adj: dict[int, set[int]], limit: int | None = None
+) -> tuple[int, list[int] | None]:
+    """Treewidth of a connected graph and an optimal elimination order.
+
+    With a limit, the search stops once width above it is proven and returns
+    that lower bound with no order.
+    """
     # Invariant of the safe reductions: tw(component) = max(lb, tw(core)).
     lb = max(_degeneracy_adj(adj), _mmw_adj(adj))
     prefix, pwidth, lb = _preprocess(adj, lb)
@@ -398,10 +500,13 @@ def _solve_component(adj: dict[int, set[int]]) -> tuple[int, list[int]]:
     )
     lo = max(lb_core, lb, 0)
     hi = max(ub_width, lb)
-    for w in range(lo, hi):
+    top = hi if limit is None else min(hi, limit + 1)
+    for w in range(lo, top):
         found = _decide({v: set(s) for v, s in adj.items()}, w, lb_core)
         if found is not None:
             return w, prefix + found
+    if top < hi:
+        return max(lo, top), None
     return hi, prefix + ub_order
 
 
@@ -424,8 +529,15 @@ def _components(g: Graph) -> list[set[int]]:
     return comps
 
 
-def exact_treewidth(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, TreeDecomposition]:
-    """Optimal width and a witnessing decomposition, per-component."""
+def exact_treewidth(
+    g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP, limit: int | None = None
+) -> tuple[int, TreeDecomposition | None]:
+    """Optimal width and a witnessing decomposition, per-component.
+
+    With a limit, the search stops as soon as width above the limit is
+    proven, and returns a lower bound above the limit with no decomposition.
+    Widths up to the limit come back exactly as without one.
+    """
     n = g.num_vertices()
     if n > vertex_cap:
         raise VertexCapExceeded(f"{n} vertices exceed the exact-solver cap {vertex_cap}")
@@ -435,7 +547,9 @@ def exact_treewidth(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> tuple[int
     full_order: list[int] = []
     for comp in _components(g):
         adj = {v: {u for u in g.neighbors(v) if u in comp} for v in comp}
-        w, order = _solve_component(adj)
+        w, order = _solve_component(adj, limit)
+        if limit is not None and w > limit:
+            return w, None
         width = max(width, w)
         full_order.extend(order)
     return width, decomposition_from_order(g, full_order)
@@ -444,19 +558,25 @@ def exact_treewidth(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> tuple[int
 def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> TwVerdict:
     """Decide tw(g) <= t; decisive at or below the cap, best-effort above.
 
-    Above the cap the answer is AtMost when the heuristic width fits, Exceeds
-    when the degeneracy bound already rules t out, and Unknown otherwise.
+    The rungs, cheapest first: degeneracy above t (O(n+m)) is Exceeds with
+    the (t+1)-core as certificate; min-fill width at most t is AtMost with
+    its decomposition; the contraction bound above t is Exceeds; at or below
+    the vertex cap, exact search decides, stopping once width above t is
+    proven; above the cap the answer is Unknown.
     """
     if g.num_vertices() == 0:
         return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg, None, _core_vertices(g, t + 1))
-    ub, td = upper_bound_heuristic(g)
+    ub, td = upper_bound_heuristic(g, limit=t)
     if ub <= t:
         return TwVerdict(AT_MOST, ub, td)
+    mmw = minor_min_width(g)
+    if mmw > t:
+        return TwVerdict(EXCEEDS, mmw, None, "contraction bound above t")
     if g.num_vertices() <= vertex_cap:
-        w, etd = exact_treewidth(g, vertex_cap)
+        w, etd = exact_treewidth(g, vertex_cap, limit=t)
         if w <= t:
             return TwVerdict(AT_MOST, w, etd)
         return TwVerdict(EXCEEDS, w, None, "exact search exhausted orderings")

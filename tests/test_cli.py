@@ -77,6 +77,15 @@ def test_count_sb_exceeded_exit_3(capsys, grid_file):
     assert rep["count"] is None
 
 
+def test_count_variable_id_limit_exit_2(capsys, tmp_path):
+    p = tmp_path / "big.cnf"
+    p.write_text("p cnf 1000001 1\n1000001 0\n")
+    assert main(["count", str(p), "--t", "1", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1000000" in captured.err
+
+
 def test_count_brute_unsat(capsys, tmp_path):
     p = tmp_path / "unsat.cnf"
     p.write_text("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,13 @@ from twcount.counting import (
     solve,
 )
 from twcount.formula import Assignment, Clause, CnfFormula, clause_of, reduce
-from twcount.generators import DetRng, gen_grid_formula, gen_grid_formula_x, gen_random_cnf
+from twcount.generators import (
+    DetRng,
+    gen_grid_formula,
+    gen_grid_formula_x,
+    gen_planted,
+    gen_random_cnf,
+)
 from twcount.graphs import build_incidence
 from twcount.treewidth import TreeDecomposition, upper_bound_heuristic
 
@@ -149,10 +157,36 @@ def test_solve_notes_zero_literal_clause():
 def test_solve_inconclusive_above_caps():
     from twcount.generators import gen_wall_formula
 
-    f = gen_wall_formula(6)  # 78 incidence vertices
+    f = gen_wall_formula(6)  # 78 incidence vertices, contraction bound above 2
     res = solve(f, 2, 1, tw_threshold=2, vertex_cap=10)
+    assert res.outcome == "sb_exceeded"
+    assert res.count is None
+    # 95 incidence vertices, contraction bound 8, min-fill width 15: no rung
+    # decides width <= 10 above the default cap.
+    res = solve(gen_random_cnf(40, 55, 3, 0), 1, 1, tw_threshold=10)
     assert res.outcome == "inconclusive"
     assert res.count is None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_planted_above_cap_counted(seed):
+    f, planted = gen_planted(30, 2, 2, seed)  # 80 and 88 incidence vertices
+    res = solve(f, 2, 2, tw_threshold=2, vertex_cap=64)
+    assert res.outcome == "counted" and res.mode == "backdoor"
+    direct = solve(f, 2, 2, tw_threshold=4, vertex_cap=64)
+    assert direct.mode == "td"
+    assert res.count == direct.count
+
+
+def test_planted_t3_counted_quickly():
+    f, _ = gen_planted(16, 3, 2, 2)
+    start = time.perf_counter()
+    res = solve(f, 3, 2, tw_threshold=3, vertex_cap=64)
+    assert time.perf_counter() - start < 5
+    assert res.outcome == "counted" and res.mode == "backdoor"
+    direct = solve(f, 3, 2, tw_threshold=5, vertex_cap=64)
+    assert direct.mode == "td"
+    assert res.count == direct.count
 
 
 @given(st.integers(0, 1000))

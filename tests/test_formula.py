@@ -55,6 +55,8 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n0\n")  # empty clause
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 1\n1 2\n")  # unterminated
+    with pytest.raises(DimacsError):
+        parse_dimacs("p cnf 1000000 1\n1 0\n")  # ids would reach clause vertices
 
 
 def test_comments_ignored_anywhere():

@@ -3,8 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twcount.formula import Assignment, reduce
-from twcount.generators import DetRng, gen_grid_formula, gen_grid_formula_x
+from twcount.generators import (
+    DetRng,
+    gen_grid_formula,
+    gen_grid_formula_x,
+    gen_planted,
+    gen_random_cnf,
+)
 from twcount.graphs import Graph, build_incidence, make_wall
+from twcount import treewidth as tw
 from twcount.treewidth import (
     AT_MOST,
     EXCEEDS,
@@ -187,7 +194,12 @@ def test_at_most_above_cap():
     v = treewidth_at_most(g, 4, vertex_cap=10)
     assert v.kind == AT_MOST  # heuristic width 4 certifies
     v = treewidth_at_most(g, 3, vertex_cap=10)
-    assert v.kind == UNKNOWN
+    assert v.kind == EXCEEDS and v.bound == 4  # contraction bound 4 rules out t=3
+    assert not isinstance(v.certificate, frozenset)
+    g = build_incidence(gen_random_cnf(40, 55, 3, 0))  # 95 vertices
+    assert (minor_min_width(g), upper_bound_heuristic(g)[0]) == (8, 15)
+    v = treewidth_at_most(g, 10)
+    assert v.kind == UNKNOWN and v.bound == 15
 
 
 def test_empty_graph_verdict():
@@ -253,3 +265,181 @@ def test_td_roundtrip():
     back = read_td(text)
     assert validate_decomposition(g, back).ok
     assert back.width == td.width
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the O(n^2) bound and heuristic rungs, kept verbatim in
+# behaviour, that the bucket-queue and lazy-heap versions must reproduce
+# exactly (values, elimination orders and decompositions).
+
+
+def ref_degeneracy_adj(adj):
+    if not adj:
+        return -1
+    work = {v: set(s) for v, s in adj.items()}
+    best = 0
+    while work:
+        v = min(work, key=lambda u: (len(work[u]), u))
+        best = max(best, len(work[v]))
+        for u in work[v]:
+            work[u].discard(v)
+        del work[v]
+    return best
+
+
+def ref_core_vertices(g, k):
+    adj = g.adjacency()
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adj):
+            if len(adj[v]) < k:
+                for u in adj[v]:
+                    adj[u].discard(v)
+                del adj[v]
+                changed = True
+    return frozenset(adj)
+
+
+def ref_mmw_adj(adj):
+    work = {v: set(s) for v, s in adj.items()}
+    best = 0
+    while work:
+        v = min(work, key=lambda u: (len(work[u]), u))
+        d = len(work[v])
+        best = max(best, d)
+        if d == 0:
+            del work[v]
+            continue
+        u = min(work[v], key=lambda x: (len(work[x]), x))
+        nbrs = work.pop(v)
+        for w in nbrs:
+            work[w].discard(v)
+        merged = (work[u] | nbrs) - {u, v}
+        work[u] = merged
+        for w in merged:
+            work[w].add(u)
+    return best
+
+
+def ref_eliminate(adj, v):
+    nbrs = sorted(adj.pop(v))
+    for i, a in enumerate(nbrs):
+        adj[a].discard(v)
+        for b in nbrs[i + 1:]:
+            adj[a].add(b)
+            adj[b].add(a)
+    return len(nbrs)
+
+
+def ref_fill_in(adj, v):
+    nbrs = list(adj[v])
+    missing = 0
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if b not in adj[a]:
+                missing += 1
+    return missing
+
+
+def ref_greedy_order(adj, key):
+    work = {v: set(s) for v, s in adj.items()}
+    order = []
+    width = -1 if not work else 0
+    while work:
+        v = min(work, key=lambda u: key(work, u))
+        order.append(v)
+        width = max(width, ref_eliminate(work, v))
+    return order, width
+
+
+def ref_min_fill_order(adj):
+    return ref_greedy_order(adj, lambda w, u: (ref_fill_in(w, u), u))
+
+
+def ref_min_degree_order(adj):
+    return ref_greedy_order(adj, lambda w, u: (len(w[u]), u))
+
+
+def ref_decomposition_from_order(g, order):
+    adj = g.adjacency()
+    pos = {v: i for i, v in enumerate(order)}
+    bags, edges, roots = {}, [], []
+    for v in order:
+        nbrs = set(adj[v])
+        bags[pos[v] + 1] = frozenset(nbrs | {v})
+        if nbrs:
+            parent = min(nbrs, key=lambda u: pos[u])
+            edges.append((pos[v] + 1, pos[parent] + 1))
+        else:
+            roots.append(pos[v] + 1)
+        ref_eliminate(adj, v)
+    for a, b in zip(roots, roots[1:]):
+        edges.append((a, b))
+    return TreeDecomposition(bags, tuple(edges))
+
+
+def _family_graph(family, a, b, seed):
+    if family == "gnm":
+        n = 2 + a % 30
+        return random_gnm(n, b % (n * (n - 1) // 2 + 1), seed)
+    if family == "wall":
+        return make_wall(2 + a % 6)[0]
+    if family == "planted":
+        t = 1 + b % 3
+        return build_incidence(gen_planted(4 + a % 24, t, 1 + seed % 3, seed)[0])
+    n = 3 + a % 30
+    return build_incidence(gen_random_cnf(n, 1 + b % (2 * n), 1 + seed % 3, seed))
+
+
+graph_cases = st.builds(
+    _family_graph,
+    st.sampled_from(("gnm", "wall", "planted", "random")),
+    st.integers(0, 200),
+    st.integers(0, 400),
+    st.integers(0, 1000),
+)
+
+
+@given(graph_cases)
+@settings(max_examples=120, deadline=None)
+def test_bounds_match_reference(g):
+    adj = g.adjacency()
+    assert degeneracy(g) == ref_degeneracy_adj(adj)
+    assert minor_min_width(g) == ref_mmw_adj(adj)
+    for k in range(0, 5):
+        assert tw._core_vertices(g, k) == ref_core_vertices(g, k)
+
+
+@given(graph_cases)
+@settings(max_examples=120, deadline=None)
+def test_orders_match_reference(g):
+    adj = g.adjacency()
+    assert tw._min_fill_order(adj) == ref_min_fill_order(adj)
+    assert tw._min_degree_order(adj) == ref_min_degree_order(adj)
+    assert adj == g.adjacency()  # the orderings work on a copy
+    width, td = upper_bound_heuristic(g)
+    order, ref_width = ref_min_fill_order(adj)
+    assert width == ref_width
+    if g.num_vertices():
+        ref_td = ref_decomposition_from_order(g, order)
+        assert td == ref_td and list(td.bags) == list(ref_td.bags)
+        assert decomposition_from_order(g, order) == ref_td
+    assert upper_bound_heuristic(g, limit=width) == (width, td)
+    if width >= 0:
+        assert upper_bound_heuristic(g, limit=width - 1) == (width, None)
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=30, deadline=None)
+def test_exact_limit_stops_above_t(seed):
+    rng = DetRng(seed)
+    n = rng.randint(3, 12)
+    g = random_gnm(n, rng.randint(n, 3 * n), seed + 3)
+    exact, td = exact_treewidth(g)
+    for t in range(-1, exact + 2):
+        w, ltd = exact_treewidth(g, limit=t)
+        if exact <= t:
+            assert (w, ltd) == (exact, td)
+        else:
+            assert t < w <= exact and ltd is None
