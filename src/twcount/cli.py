@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -105,8 +104,7 @@ def cmd_count(args) -> int:
                     result = counting.SolveResult("sb_exceeded", None, "backdoor", args.t, args.k)
                 else:
                     count_val = counting.count_via_backdoor(
-                        f, report.variables, args.t, verify=False,
-                        vertex_cap=args.exact_cap, jobs=args.jobs,
+                        f, report.variables, args.t, verify=False, vertex_cap=args.exact_cap
                     )
                     result = counting.SolveResult(
                         "counted", count_val, "backdoor", args.t, args.k, backdoor=report.variables
@@ -119,7 +117,7 @@ def cmd_count(args) -> int:
             backdoor_vars = list(result.backdoor) if result.backdoor else None
             widths = result.branch_widths
             note = result.note
-    except (counting.VariableCapExceeded, FormulaError) as exc:
+    except (counting.VariableCapExceeded, counting.TableBudgetExceeded, FormulaError) as exc:
         return _fail(str(exc))
     except bd.InconclusiveTreewidth as exc:
         _emit({"verdict": "inconclusive", "reason": str(exc), "t": args.t, "k": args.k})
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--tw-threshold", type=int, default=8)
     cnt.add_argument("--exact-cap", type=int, default=treewidth.DEFAULT_VERTEX_CAP)
     cnt.add_argument("--brute-cap", type=int, default=counting.BRUTE_FORCE_CAP)
-    cnt.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     cnt.set_defaults(func=cmd_count)
 
     b = sub.add_parser("backdoor", help="find or verify strong backdoor sets")

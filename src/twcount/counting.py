@@ -1,6 +1,11 @@
 """#SAT engines: brute-force oracle, tree-decomposition DP, backdoor-driven counting.
 
 Counts are Python ints, so they are arbitrary precision by construction.
+The decomposition DP keeps one dense table per bag of the incidence graph's
+tree decomposition, with clause bits in the "still unsatisfied" form of
+Slivovsky & Szeider (SAT 2020), and walks the bags iteratively, so deep
+decompositions are fine. A bag wider than the table budget (DP_TABLE_CAP
+entries) raises TableBudgetExceeded before any table is allocated.
 Free variables of a formula appear as isolated vertices of its incidence
 graph; the decomposition DP therefore doubles the count once per free
 variable without special handling.
@@ -9,10 +14,11 @@ variable without special handling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from . import backdoor as _backdoor
 from .formula import Assignment, CnfFormula, assignments, reduce
-from .graphs import CLAUSE, VAR, Graph, build_incidence
+from .graphs import VAR, Graph, build_incidence
 from .treewidth import (
     AT_MOST,
     DEFAULT_VERTEX_CAP,
@@ -65,163 +71,158 @@ def count_bruteforce(f: CnfFormula, cap: int = BRUTE_FORCE_CAP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# nice-decomposition DP
+# decomposition DP
+#
+# A table holds one exact int per assignment to the bits of a bag, bit i
+# standing for the i-th vertex of the bag in id order. A variable bit is the
+# variable's value. A clause bit of 1 means "this clause must still be
+# unsatisfied": entry (alpha, U) counts the assignments to the variables
+# forgotten below the bag that extend alpha, satisfy every clause forgotten
+# below, and satisfy no clause of U by any variable of the subtree. In this
+# form the tables of two subtrees multiply pointwise (they share only the bag
+# variables), a variable is forgotten by adding its two halves, and a clause
+# by subtracting its "unsatisfied" half from the other. Introducing a vertex
+# copies the table into both halves of the new bit; an edge between a
+# variable x and a clause c then zeroes the entries in which x takes the
+# value its literal in c makes true while c must stay unsatisfied. Zeroing
+# twice changes nothing, so an edge seen in several bags needs no bookkeeping.
+#
+# Each bit operation below is a loop of slice or strided-slice operations
+# over whichever index dimensions are shortest, so its Python-level steps are
+# O(sqrt(table)) and the elementwise work runs in C.
+
+DP_TABLE_CAP = 1 << 22  # entries of one table; a few live tables stay well under 2 GB
 
 
-@dataclass(eq=False)
-class _NiceNode:
-    kind: str  # leaf / introduce_var / introduce_cla / forget_var / forget_cla / join
-    bag_vars: tuple[int, ...]
-    bag_clas: tuple[int, ...]
-    vertex: int | None = None
-    children: tuple["_NiceNode", ...] = ()
+class TableBudgetExceeded(RuntimeError):
+    """A decomposition bag is too wide for the DP's table budget."""
+
+    def __init__(self, bag_size: int):
+        self.bag_size = bag_size
+        super().__init__(
+            f"a bag of {bag_size} vertices needs a DP table of 2^{bag_size} entries, "
+            f"above the budget of {DP_TABLE_CAP} entries"
+        )
 
 
-def _split_bag(g: Graph, bag) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    vs = tuple(sorted(v for v in bag if g.kind(v) == VAR))
-    cs = tuple(sorted(v for v in bag if g.kind(v) == CLAUSE))
-    return vs, cs
+def _fold(t: list[int], p: int, op) -> list[int]:
+    """Remove bit p, combining each pair of entries as op(bit 0, bit 1)."""
+    lo = 1 << p
+    step = lo << 1
+    if lo * lo <= len(t):
+        res = [0] * (len(t) >> 1)
+        for j in range(lo):
+            res[j::lo] = map(op, t[j::step], t[j + lo :: step])
+        return res
+    res = []
+    for h in range(0, len(t), step):
+        res += map(op, t[h : h + lo], t[h + lo : h + step])
+    return res
 
 
-def _chain(g: Graph, node: _NiceNode, current: set[int], target: set[int]) -> _NiceNode:
-    """Forget current-minus-target, then introduce target-minus-current."""
-    cur = set(current)
-    for v in sorted(cur - target):
-        cur.remove(v)
-        kind = "forget_var" if g.kind(v) == VAR else "forget_cla"
-        node = _NiceNode(kind, *_split_bag(g, cur), vertex=v, children=(node,))
-    for v in sorted(target - cur):
-        cur.add(v)
-        kind = "introduce_var" if g.kind(v) == VAR else "introduce_cla"
-        node = _NiceNode(kind, *_split_bag(g, cur), vertex=v, children=(node,))
-    return node
+def _spread(t: list[int], p: int) -> list[int]:
+    """Insert bit p, copying every entry to both of its values."""
+    lo = 1 << p
+    step = lo << 1
+    if lo * lo <= len(t):
+        res = [0] * (len(t) << 1)
+        for j in range(lo):
+            res[j::step] = res[j + lo :: step] = t[j::lo]
+        return res
+    res = []
+    for h in range(0, len(t), lo):
+        res += t[h : h + lo] * 2
+    return res
 
 
-def _nice_tree(g: Graph, td: TreeDecomposition) -> _NiceNode:
-    if not td.bags:
-        return _NiceNode("leaf", (), ())
-    nbrs: dict[int, list[int]] = {i: [] for i in td.bags}
-    for (i, j) in td.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    root_id = min(td.bags)
-
-    def build(i: int, parent: int | None) -> _NiceNode:
-        bag = set(td.bags[i])
-        kids = sorted(j for j in nbrs[i] if j != parent)
-        if not kids:
-            return _chain(g, _NiceNode("leaf", (), ()), set(), bag)
-        subs = [_chain(g, build(j, i), set(td.bags[j]), bag) for j in kids]
-        node = subs[0]
-        for s in subs[1:]:
-            node = _NiceNode("join", *_split_bag(g, bag), children=(node, s))
-        return node
-
-    top = build(root_id, None)
-    return _chain(g, top, set(td.bags[root_id]), set())
-
-
-def _insert_bit(mask: int, pos: int, bit: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    return ((mask >> pos) << (pos + 1)) | (bit << pos) | low
+def _zero(t: list[int], a: int, va: int, b: int, vb: int) -> None:
+    """Zero, in place, the entries with bit a equal to va and bit b to vb (a < b)."""
+    # index = high * 2^(b+1) + vb * 2^b + mid * 2^(a+1) + va * 2^a + low
+    n_low, n_mid, n_high = 1 << a, 1 << (b - a - 1), len(t) >> (b + 1)
+    a_step, b_step = 2 << a, 2 << b
+    off = (vb << b) + (va << a)
+    if n_low >= n_mid and n_low >= n_high:
+        z = [0] * n_low
+        for h in range(off, len(t), b_step):
+            for m in range(h, h + (1 << b), a_step):
+                t[m : m + n_low] = z
+    elif n_mid >= n_high:
+        z = [0] * n_mid
+        for h in range(off, len(t), b_step):
+            for l in range(h, h + n_low):
+                t[l : l + (1 << b) : a_step] = z
+    else:
+        z = [0] * n_high
+        for m in range(off, off + (1 << b), a_step):
+            for l in range(m, m + n_low):
+                t[l::b_step] = z
 
 
-def _remove_bit(mask: int, pos: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    return ((mask >> (pos + 1)) << pos) | low
+def _to_bag(g: Graph, t: list[int], have: list[int], bag: list[int]) -> list[int]:
+    """Bring a table over the sorted vertices `have` to the sorted `bag`."""
+    keep = set(bag)
+    for p in reversed(range(len(have))):
+        if have[p] not in keep:
+            t = _fold(t, p, add if g.kind(have[p]) == VAR else sub)
+    kept = set(have)
+    for p, v in enumerate(bag):
+        if v not in kept:
+            t = _spread(t, p)
+    return t
 
 
 def _run_dp(g: Graph, td: TreeDecomposition) -> int:
     """Count satisfying assignments over all variable vertices of g.
 
-    Table state per node: (assignment bits over bag variables, bits over bag
-    clauses already satisfied from below). A clause may only be forgotten once
-    satisfied; a variable forget sums out its two values.
+    Walks the bags of td children first. Each child table is brought to the
+    bag by forgetting the vertices the bag lacks and introducing those the
+    child lacks (a leaf starts from [1]); the children are multiplied, and
+    the edges of the bag that no child bag holds are zeroed. Forgetting the
+    root bag leaves the count.
     """
-    root = _nice_tree(g, td)
-    postorder: list[_NiceNode] = []
-    stack: list[tuple[_NiceNode, bool]] = [(root, False)]
+    if not td.bags:
+        return 1
+    widest = max(len(bag) for bag in td.bags.values())
+    if 1 << widest > DP_TABLE_CAP:
+        raise TableBudgetExceeded(widest)
+    nbrs: dict[int, list[int]] = {i: [] for i in td.bags}
+    for i, j in td.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    root = min(td.bags)
+    order = []
+    children: dict[int, list[int]] = {}
+    stack = [root]
+    seen = {root}
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            postorder.append(node)
-        else:
-            stack.append((node, True))
-            for ch in node.children:
-                stack.append((ch, False))
-    tables: dict[int, dict[tuple[int, int], int]] = {}
-    for node in postorder:
-        if node.kind == "leaf":
-            t = {(0, 0): 1}
-        elif node.kind == "join":
-            t1 = tables.pop(id(node.children[0]))
-            t2 = tables.pop(id(node.children[1]))
-            by_alpha: dict[int, list[tuple[int, int]]] = {}
-            for (a, s), v in t2.items():
-                by_alpha.setdefault(a, []).append((s, v))
-            t = {}
-            for (a, s1), v1 in t1.items():
-                for s2, v2 in by_alpha.get(a, ()):
-                    key = (a, s1 | s2)
-                    t[key] = t.get(key, 0) + v1 * v2
-        elif node.kind == "introduce_var":
-            child = node.children[0]
-            tc = tables.pop(id(child))
-            x = node.vertex
-            xi = node.bag_vars.index(x)
-            sat_true = sat_false = 0
-            for ci, cv in enumerate(node.bag_clas):
-                sign = g.sign(x, cv)
-                if sign is True:
-                    sat_true |= 1 << ci
-                elif sign is False:
-                    sat_false |= 1 << ci
-            t = {}
-            for (a, s), v in tc.items():
-                for val, extra in ((0, sat_false), (1, sat_true)):
-                    key = (_insert_bit(a, xi, val), s | extra)
-                    t[key] = t.get(key, 0) + v
-        elif node.kind == "introduce_cla":
-            child = node.children[0]
-            tc = tables.pop(id(child))
-            c = node.vertex
-            ci = node.bag_clas.index(c)
-            pos_idx = []
-            neg_idx = []
-            for vi, x in enumerate(node.bag_vars):
-                sign = g.sign(x, c)
-                if sign is True:
-                    pos_idx.append(vi)
-                elif sign is False:
-                    neg_idx.append(vi)
-            t = {}
-            for (a, s), v in tc.items():
-                sat = any((a >> i) & 1 for i in pos_idx) or any(
-                    not ((a >> i) & 1) for i in neg_idx
-                )
-                key = (a, _insert_bit(s, ci, 1 if sat else 0))
-                t[key] = t.get(key, 0) + v
-        elif node.kind == "forget_var":
-            child = node.children[0]
-            tc = tables.pop(id(child))
-            xi = child.bag_vars.index(node.vertex)
-            t = {}
-            for (a, s), v in tc.items():
-                key = (_remove_bit(a, xi), s)
-                t[key] = t.get(key, 0) + v
-        elif node.kind == "forget_cla":
-            child = node.children[0]
-            tc = tables.pop(id(child))
-            ci = child.bag_clas.index(node.vertex)
-            t = {}
-            for (a, s), v in tc.items():
-                if (s >> ci) & 1:
-                    key = (a, _remove_bit(s, ci))
-                    t[key] = t.get(key, 0) + v
-        else:  # pragma: no cover
-            raise AssertionError(node.kind)
-        tables[id(node)] = t
-    return tables[id(root)].get((0, 0), 0)
+        i = stack.pop()
+        order.append(i)
+        children[i] = kids = [j for j in nbrs[i] if j not in seen]
+        seen.update(kids)
+        stack.extend(kids)
+    tables: dict[int, list[int]] = {}
+    for i in reversed(order):
+        bag = sorted(td.bags[i])
+        kid_bags = [td.bags[j] for j in children[i]]
+        t = None
+        for j in children[i]:
+            ct = _to_bag(g, tables.pop(j), sorted(td.bags[j]), bag)
+            t = ct if t is None else list(map(mul, t, ct))
+        if t is None:
+            t = [1] * (1 << len(bag))
+        pos = {v: p for p, v in enumerate(bag)}
+        for c in bag:
+            if g.kind(c) == VAR:
+                continue
+            for x in g.neighbors(c):
+                if x in pos and not any(x in kb and c in kb for kb in kid_bags):
+                    px, pc, vx = pos[x], pos[c], int(g.sign(x, c))
+                    if px < pc:
+                        _zero(t, px, vx, pc, 1)
+                    else:
+                        _zero(t, pc, 1, px, vx)
+        tables[i] = t
+    return _to_bag(g, tables.pop(root), sorted(td.bags[root]), [])[0]
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
@@ -268,25 +269,12 @@ def backdoor_branch_counts(
     return out
 
 
-def _branch_worker(args) -> tuple[int, int]:
-    f, tau_items, t, vertex_cap = args
-    tau = Assignment(dict(tau_items))
-    fr = reduce(f, tau)
-    g = build_incidence(fr)
-    verdict = treewidth_at_most(g, t, vertex_cap)
-    if verdict.kind != AT_MOST:
-        raise BackdoorInvalidError(tau, verdict.bound)
-    vanished = len(f.variables - tau.domain - fr.variables)
-    return vanished, _run_dp(g, verdict.decomposition)
-
-
 def count_via_backdoor(
     f: CnfFormula,
     b,
     t: int,
     verify: bool = True,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    jobs: int = 1,
 ) -> int:
     """Sum 2^vanished * count(F[tau]) over all assignments tau to the backdoor."""
     bset = frozenset(b)
@@ -294,12 +282,6 @@ def count_via_backdoor(
         report = _backdoor.is_strong_backdoor(f, bset, t, vertex_cap=vertex_cap)
         if not report.valid:
             raise BackdoorInvalidError(report.failing_assignment, report.failing_bound)
-    if jobs > 1 and len(bset) >= 2:
-        from concurrent.futures import ProcessPoolExecutor
-
-        work = [(f, tau.items(), t, vertex_cap) for tau in assignments(bset, cap=20)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum((1 << vanished) * cnt for vanished, cnt in pool.map(_branch_worker, work))
     return sum((1 << br.vanished) * br.count for br in backdoor_branch_counts(f, bset, t, vertex_cap))
 
 

@@ -1,10 +1,11 @@
 import json
+import time
 
 import pytest
 
 from twcount.cli import main
 from twcount.formula import parse_dimacs
-from twcount.generators import gen_grid_formula, gen_grid_formula_x
+from twcount.generators import gen_grid_formula, gen_grid_formula_x, gen_random_cnf
 from twcount.formula import write_dimacs
 
 
@@ -62,7 +63,7 @@ def test_tw_parse_error_exit_2(capsys, tmp_path):
 
 def test_count_auto_backdoor(capsys, grid_x_file):
     code, rep = run(capsys, "count", grid_x_file, "--t", "1", "--k", "1",
-                    "--tw-threshold", "1", "--jobs", "1")
+                    "--tw-threshold", "1")
     assert code == 0
     assert rep["count"] == "250"
     assert rep["mode"] == "backdoor"
@@ -71,7 +72,7 @@ def test_count_auto_backdoor(capsys, grid_x_file):
 
 def test_count_sb_exceeded_exit_3(capsys, grid_file):
     code, rep = run(capsys, "count", grid_file, "--t", "1", "--k", "0",
-                    "--tw-threshold", "1", "--jobs", "1")
+                    "--tw-threshold", "1")
     assert code == 3
     assert rep["verdict"] == "sb_exceeded"
     assert rep["count"] is None
@@ -84,6 +85,35 @@ def test_count_variable_id_limit_exit_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "1000000" in captured.err
+
+
+def test_count_deep_decompositions(capsys, tmp_path):
+    # 1498 free variables: their bags chain into a path of about 1500 bags.
+    p = tmp_path / "free.cnf"
+    p.write_text("p cnf 1500 1\n1 2 0\n")
+    code, rep = run(capsys, "count", str(p))
+    assert code == 0
+    assert rep["count"] == str(3 * 2**1498)
+    # A 2-CNF chain of 1200 variables: no two consecutive zeros, Fib(1202).
+    p = tmp_path / "chain.cnf"
+    p.write_text("p cnf 1200 1199\n" + "".join(f"{i} {i + 1} 0\n" for i in range(1, 1200)))
+    code, rep = run(capsys, "count", str(p))
+    assert code == 0
+    fib = [0, 1]
+    while len(fib) <= 1202:
+        fib.append(fib[-1] + fib[-2])
+    assert rep["count"] == str(fib[1202])
+
+
+def test_count_table_budget_exit_2(capsys, tmp_path):
+    p = tmp_path / "wide.cnf"
+    p.write_text(write_dimacs(gen_random_cnf(120, 300, 3, 0)))  # min-fill width about 64
+    start = time.perf_counter()
+    assert main(["count", str(p), "--mode", "td"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
 
 
 def test_count_brute_unsat(capsys, tmp_path):
@@ -101,8 +131,8 @@ def test_count_td_mode(capsys, grid_file):
 
 
 def test_count_deterministic_json(capsys, grid_x_file):
-    code1, rep1 = run(capsys, "count", grid_x_file, "--t", "1", "--k", "1", "--jobs", "1")
-    code2, rep2 = run(capsys, "count", grid_x_file, "--t", "1", "--k", "1", "--jobs", "1")
+    code1, rep1 = run(capsys, "count", grid_x_file, "--t", "1", "--k", "1")
+    code2, rep2 = run(capsys, "count", grid_x_file, "--t", "1", "--k", "1")
     rep1.pop("wall_clock_ms")
     rep2.pop("wall_clock_ms")
     assert (code1, rep1) == (code2, rep2)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,10 @@ from hypothesis import strategies as st
 
 from twcount.counting import (
     BackdoorInvalidError,
+    DP_TABLE_CAP,
+    TableBudgetExceeded,
     VariableCapExceeded,
+    _run_dp,
     backdoor_branch_counts,
     count_bruteforce,
     count_td,
@@ -21,8 +25,15 @@ from twcount.generators import (
     gen_planted,
     gen_random_cnf,
 )
-from twcount.graphs import build_incidence
-from twcount.treewidth import TreeDecomposition, upper_bound_heuristic
+from twcount.graphs import CLAUSE, VAR, build_incidence, write_gr
+from twcount.treewidth import (
+    TreeDecomposition,
+    exact_treewidth,
+    read_td,
+    single_bag_decomposition,
+    upper_bound_heuristic,
+    write_td,
+)
 
 
 def td_of(f):
@@ -88,6 +99,14 @@ def test_td_counts_free_vars():
     assert count_td(f, td_of(f)) == 4
 
 
+def test_td_table_budget_checked_before_allocation():
+    n = DP_TABLE_CAP.bit_length()  # one vertex more than the widest table allowed
+    f = CnfFormula((), free_vars=frozenset(range(1, n + 1)))
+    with pytest.raises(TableBudgetExceeded):
+        count_td(f, single_bag_decomposition(range(1, n + 1)))
+    assert count_td(f, td_of(f)) == 1 << n
+
+
 def test_via_backdoor_d_factor():
     f = CnfFormula((clause_of(1, 1, 2), clause_of(2, 1, -2)))
     branches = backdoor_branch_counts(f, {1}, 1)
@@ -112,9 +131,9 @@ def test_via_backdoor_rejects_invalid():
         count_via_backdoor(f, {1}, 1)
 
 
-def test_via_backdoor_parallel_jobs():
+def test_via_backdoor_two_variables():
     f = gen_grid_formula_x(3)
-    assert count_via_backdoor(f, {10, 1}, 2, jobs=2) == 250
+    assert count_via_backdoor(f, {10, 1}, 2) == 250
 
 
 def test_branch_sum_order_independent():
@@ -219,3 +238,204 @@ def test_fresh_free_variable_doubles_backdoor_count(seed):
     fresh = f.num_vars + 1
     doubled = CnfFormula(f.clauses, f.free_vars | {fresh})
     assert count_via_backdoor(doubled, planted, 1) == 2 * count_via_backdoor(f, planted, 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the dict-keyed DP over a nice tree decomposition, with a
+# clause bit meaning "already satisfied from below", kept verbatim in
+# behaviour. The dense bag-level DP must give the same counts on every
+# decomposition. The tree is built recursively, so keep inputs shallow.
+
+
+@dataclass(eq=False)
+class _NiceNode:
+    kind: str  # leaf / introduce_var / introduce_cla / forget_var / forget_cla / join
+    bag_vars: tuple[int, ...]
+    bag_clas: tuple[int, ...]
+    vertex: int | None = None
+    children: tuple["_NiceNode", ...] = ()
+
+
+def _split_bag(g, bag):
+    vs = tuple(sorted(v for v in bag if g.kind(v) == VAR))
+    cs = tuple(sorted(v for v in bag if g.kind(v) == CLAUSE))
+    return vs, cs
+
+
+def _chain(g, node, current, target):
+    """Forget current-minus-target, then introduce target-minus-current."""
+    cur = set(current)
+    for v in sorted(cur - target):
+        cur.remove(v)
+        kind = "forget_var" if g.kind(v) == VAR else "forget_cla"
+        node = _NiceNode(kind, *_split_bag(g, cur), vertex=v, children=(node,))
+    for v in sorted(target - cur):
+        cur.add(v)
+        kind = "introduce_var" if g.kind(v) == VAR else "introduce_cla"
+        node = _NiceNode(kind, *_split_bag(g, cur), vertex=v, children=(node,))
+    return node
+
+
+def _nice_tree(g, td):
+    if not td.bags:
+        return _NiceNode("leaf", (), ())
+    nbrs = {i: [] for i in td.bags}
+    for (i, j) in td.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    root_id = min(td.bags)
+
+    def build(i, parent):
+        bag = set(td.bags[i])
+        kids = sorted(j for j in nbrs[i] if j != parent)
+        if not kids:
+            return _chain(g, _NiceNode("leaf", (), ()), set(), bag)
+        subs = [_chain(g, build(j, i), set(td.bags[j]), bag) for j in kids]
+        node = subs[0]
+        for s in subs[1:]:
+            node = _NiceNode("join", *_split_bag(g, bag), children=(node, s))
+        return node
+
+    top = build(root_id, None)
+    return _chain(g, top, set(td.bags[root_id]), set())
+
+
+def _insert_bit(mask, pos, bit):
+    low = mask & ((1 << pos) - 1)
+    return ((mask >> pos) << (pos + 1)) | (bit << pos) | low
+
+
+def _remove_bit(mask, pos):
+    low = mask & ((1 << pos) - 1)
+    return ((mask >> (pos + 1)) << pos) | low
+
+
+def ref_run_dp(g, td):
+    root = _nice_tree(g, td)
+    postorder = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            postorder.append(node)
+        else:
+            stack.append((node, True))
+            for ch in node.children:
+                stack.append((ch, False))
+    tables = {}
+    for node in postorder:
+        if node.kind == "leaf":
+            t = {(0, 0): 1}
+        elif node.kind == "join":
+            t1 = tables.pop(id(node.children[0]))
+            t2 = tables.pop(id(node.children[1]))
+            by_alpha = {}
+            for (a, s), v in t2.items():
+                by_alpha.setdefault(a, []).append((s, v))
+            t = {}
+            for (a, s1), v1 in t1.items():
+                for s2, v2 in by_alpha.get(a, ()):
+                    key = (a, s1 | s2)
+                    t[key] = t.get(key, 0) + v1 * v2
+        elif node.kind == "introduce_var":
+            tc = tables.pop(id(node.children[0]))
+            x = node.vertex
+            xi = node.bag_vars.index(x)
+            sat_true = sat_false = 0
+            for ci, cv in enumerate(node.bag_clas):
+                sign = g.sign(x, cv)
+                if sign is True:
+                    sat_true |= 1 << ci
+                elif sign is False:
+                    sat_false |= 1 << ci
+            t = {}
+            for (a, s), v in tc.items():
+                for val, extra in ((0, sat_false), (1, sat_true)):
+                    key = (_insert_bit(a, xi, val), s | extra)
+                    t[key] = t.get(key, 0) + v
+        elif node.kind == "introduce_cla":
+            tc = tables.pop(id(node.children[0]))
+            c = node.vertex
+            ci = node.bag_clas.index(c)
+            pos_idx = []
+            neg_idx = []
+            for vi, x in enumerate(node.bag_vars):
+                sign = g.sign(x, c)
+                if sign is True:
+                    pos_idx.append(vi)
+                elif sign is False:
+                    neg_idx.append(vi)
+            t = {}
+            for (a, s), v in tc.items():
+                sat = any((a >> i) & 1 for i in pos_idx) or any(
+                    not ((a >> i) & 1) for i in neg_idx
+                )
+                key = (a, _insert_bit(s, ci, 1 if sat else 0))
+                t[key] = t.get(key, 0) + v
+        elif node.kind == "forget_var":
+            child = node.children[0]
+            tc = tables.pop(id(child))
+            xi = child.bag_vars.index(node.vertex)
+            t = {}
+            for (a, s), v in tc.items():
+                key = (_remove_bit(a, xi), s)
+                t[key] = t.get(key, 0) + v
+        else:  # forget_cla
+            child = node.children[0]
+            tc = tables.pop(id(child))
+            ci = child.bag_clas.index(node.vertex)
+            t = {}
+            for (a, s), v in tc.items():
+                if (s >> ci) & 1:
+                    key = (a, _remove_bit(s, ci))
+                    t[key] = t.get(key, 0) + v
+        tables[id(node)] = t
+    return tables[id(root)].get((0, 0), 0)
+
+
+# ---------------------------------------------------------------------------
+# The dense DP against the reference oracle and brute force, on formulas with
+# empty, unit and repeated clauses and free variables, and on decompositions
+# min-fill does not produce.
+
+
+@st.composite
+def small_formulas(draw):
+    n = draw(st.integers(1, 7))
+    clause_lits = st.lists(st.integers(1, n), max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    raw = draw(st.lists(clause_lits, max_size=9))
+    if raw:
+        raw += draw(st.lists(st.sampled_from(raw), max_size=2))  # repeated clauses
+    used = {abs(x) for lits in raw for x in lits}
+    free = draw(st.sets(st.integers(1, n + 2))) - used
+    clauses = tuple(clause_of(i, *lits) for i, lits in enumerate(raw, start=1))
+    return CnfFormula(clauses, frozenset(free))
+
+
+def decompositions(g):
+    """Min-fill, exact, one bag, a PACE round trip, and a duplicated leaf bag."""
+    _, td = upper_bound_heuristic(g)
+    yield td
+    yield exact_treewidth(g)[1]
+    yield single_bag_decomposition(g.vertices())
+    _, id_map = write_gr(g)
+    back = {i: v for v, i in id_map.items()}
+    pace = read_td(write_td(td, id_map))
+    yield TreeDecomposition(
+        {i: frozenset(back[v] for v in bag) for i, bag in pace.bags.items()}, pace.edges
+    )
+    last = max(td.bags)
+    yield TreeDecomposition({**td.bags, last + 1: td.bags[last]}, td.edges + ((last, last + 1),))
+
+
+@given(small_formulas())
+@settings(max_examples=150, deadline=None)
+def test_dense_dp_matches_reference(f):
+    g = build_incidence(f)
+    expected = count_bruteforce(f)
+    for td in decompositions(g):
+        assert ref_run_dp(g, td) == expected
+        assert _run_dp(g, td) == expected
+        assert count_td(f, td) == expected
