@@ -263,6 +263,9 @@ def approx_backdoor(
     candidate from the provider is set both ways and the halves are solved
     with budget k-1; the provider must return a set intersecting every strong
     backdoor of size at most k (the default uses one witness's killers).
+    {x} | B0 | B1 is not re-checked: width is monotone under the subgraphs that
+    more assignments leave, and counting's branch pass is the verifier. Stats
+    include the nested exact searches that found a set (others report none).
     """
     if not 0 <= k <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
@@ -277,7 +280,11 @@ def approx_backdoor(
             raise InconclusiveTreewidth("treewidth undecided during approximation")
         if verdict.kind == AT_MOST:
             report = find_smallest_strong_backdoor(cur, t, budget, vertex_cap)
-            return frozenset(report.variables) if report is not None else None
+            if report is None:
+                return None
+            stats.nodes += report.stats.nodes
+            stats.checks += report.stats.checks
+            return frozenset(report.variables)
         if budget == 0:
             return None
         for x in sorted(set(provider(cur, t, budget))):
@@ -293,8 +300,4 @@ def approx_backdoor(
     found = rec(f, k)
     if found is None:
         return None
-    report = is_strong_backdoor(f, found, t, vertex_cap)
-    if not report.valid:  # pragma: no cover - guards the assembly argument
-        raise AssertionError("assembled backdoor failed verification")
-    stats.checks += report.stats.checks if report.stats else 0
-    return BackdoorReport(report.variables, "strong", t, True, stats=stats)
+    return BackdoorReport(tuple(sorted(found)), "strong", t, True, stats=stats)

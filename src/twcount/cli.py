@@ -96,32 +96,14 @@ def cmd_count(args) -> int:
             count, mode, verdict = counting.count_td(f, td), "td", "counted"
             backdoor_vars, widths = None, (width,)
         else:
-            if args.mode == "backdoor":
-                report = bd.approx_backdoor(
-                    f, args.t, args.k, tw_threshold=args.tw_threshold, vertex_cap=args.exact_cap
-                )
-                if report is None:
-                    result = counting.SolveResult("sb_exceeded", None, "backdoor", args.t, args.k)
-                else:
-                    count_val = counting.count_via_backdoor(
-                        f, report.variables, args.t, verify=False, vertex_cap=args.exact_cap
-                    )
-                    result = counting.SolveResult(
-                        "counted", count_val, "backdoor", args.t, args.k, backdoor=report.variables
-                    )
-            else:
-                result = counting.solve(
-                    f, args.t, args.k, tw_threshold=args.tw_threshold, vertex_cap=args.exact_cap
-                )
+            run = counting.solve_by_backdoor if args.mode == "backdoor" else counting.solve
+            result = run(f, args.t, args.k, tw_threshold=args.tw_threshold, vertex_cap=args.exact_cap)
             count, mode, verdict = result.count, result.mode, result.outcome
             backdoor_vars = list(result.backdoor) if result.backdoor else None
             widths = result.branch_widths
             note = result.note
     except (counting.VariableCapExceeded, counting.TableBudgetExceeded, FormulaError) as exc:
         return _fail(str(exc))
-    except bd.InconclusiveTreewidth as exc:
-        _emit({"verdict": "inconclusive", "reason": str(exc), "t": args.t, "k": args.k})
-        return EXIT_INCONCLUSIVE
     report = {
         "mode": mode,
         "verdict": verdict,
@@ -167,7 +149,10 @@ def cmd_backdoor(args) -> int:
         if args.action == "verify":
             if not args.vars:
                 return _fail("verify needs --vars")
-            b = frozenset(int(x) for x in args.vars.split(","))
+            try:
+                b = frozenset(int(x) for x in args.vars.split(","))
+            except ValueError:
+                return _fail(f"--vars takes comma-separated variable ids, got {args.vars!r}")
             if args.deletion:
                 report = bd.is_deletion_backdoor(f, b, args.t, vertex_cap=args.exact_cap)
             else:

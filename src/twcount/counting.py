@@ -253,15 +253,21 @@ class BranchCount:
 def backdoor_branch_counts(
     f: CnfFormula, b, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> list[BranchCount]:
-    """Per-assignment counts for a strong backdoor; raises if a branch is too wide."""
+    """Per-assignment counts for a strong backdoor, which this pass verifies.
+
+    One width query per branch gives the decomposition the DP runs on; the first
+    branch above t raises BackdoorInvalidError, an undecided one InconclusiveTreewidth.
+    """
     bset = frozenset(b)
     out = []
-    for tau in assignments(bset, cap=20):
+    for tau in assignments(bset, cap=_backdoor.STRONG_CHECK_CAP):
         fr = reduce(f, tau)
         g = build_incidence(fr)
         verdict = treewidth_at_most(g, t, vertex_cap)
-        if verdict.kind != AT_MOST:
+        if verdict.kind == EXCEEDS:
             raise BackdoorInvalidError(tau, verdict.bound)
+        if verdict.kind != AT_MOST:
+            raise _backdoor.InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
         vanished = len(f.variables - bset - fr.variables)
         out.append(
             BranchCount(tau, verdict.decomposition.width, vanished, _run_dp(g, verdict.decomposition))
@@ -269,20 +275,12 @@ def backdoor_branch_counts(
     return out
 
 
-def count_via_backdoor(
-    f: CnfFormula,
-    b,
-    t: int,
-    verify: bool = True,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> int:
-    """Sum 2^vanished * count(F[tau]) over all assignments tau to the backdoor."""
-    bset = frozenset(b)
-    if verify:
-        report = _backdoor.is_strong_backdoor(f, bset, t, vertex_cap=vertex_cap)
-        if not report.valid:
-            raise BackdoorInvalidError(report.failing_assignment, report.failing_bound)
-    return sum((1 << br.vanished) * br.count for br in backdoor_branch_counts(f, bset, t, vertex_cap))
+def count_via_backdoor(f: CnfFormula, b, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> int:
+    """Sum 2^vanished * count(F[tau]) over all assignments tau to the backdoor.
+
+    The branch pass is the verifier: an invalid b raises BackdoorInvalidError.
+    """
+    return sum((1 << br.vanished) * br.count for br in backdoor_branch_counts(f, b, t, vertex_cap))
 
 
 @dataclass(frozen=True)
@@ -297,6 +295,12 @@ class SolveResult:
     note: str | None = None
 
 
+def _note(f: CnfFormula) -> str | None:
+    if any(len(c) == 0 for c in f.clauses):
+        return "zero-literal clause present; formula unsatisfiable"
+    return None
+
+
 def solve(
     f: CnfFormula,
     t: int,
@@ -307,32 +311,39 @@ def solve(
     """Count satisfying assignments, or conclude no small strong backdoor exists.
 
     Small incidence treewidth (at most tw_threshold) is counted directly by
-    the decomposition DP. Otherwise a strong backdoor of size at most 2^k - 1
-    is searched; failure to find one is the machine-readable 'sb_exceeded'
-    outcome, meaning every strong backdoor into width t has size above k.
+    the decomposition DP. Otherwise solve_by_backdoor searches and counts.
     """
-    note = "zero-literal clause present; formula unsatisfiable" if any(
-        len(c) == 0 for c in f.clauses
-    ) else None
     g = build_incidence(f)
     verdict = treewidth_at_most(g, max(tw_threshold, t), vertex_cap)
     if verdict.kind == AT_MOST:
-        return SolveResult("counted", _run_dp(g, verdict.decomposition), "td", t, k, note=note)
+        return SolveResult("counted", _run_dp(g, verdict.decomposition), "td", t, k, note=_note(f))
     if verdict.kind != EXCEEDS:
-        return SolveResult("inconclusive", None, None, t, k, note=note)
+        return SolveResult("inconclusive", None, None, t, k, note=_note(f))
+    return solve_by_backdoor(f, t, k, tw_threshold, vertex_cap)
+
+
+def solve_by_backdoor(
+    f: CnfFormula, t: int, k: int, tw_threshold: int = 8, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> SolveResult:
+    """solve without the direct-DP shortcut: search a strong backdoor, count its branches.
+
+    Finding none of size at most 2^k - 1 is the machine-readable 'sb_exceeded'
+    outcome, meaning every strong backdoor into width t has size above k. A
+    width query left undecided, in the search or the branch pass, ends 'inconclusive'.
+    """
+    note = _note(f)
     try:
         report = _backdoor.approx_backdoor(
             f, t, k, tw_threshold=tw_threshold, vertex_cap=vertex_cap
         )
+        if report is None:
+            return SolveResult("sb_exceeded", None, "backdoor", t, k, note=note)
+        branches = backdoor_branch_counts(f, report.variables, t, vertex_cap)
     except _backdoor.InconclusiveTreewidth:
         return SolveResult("inconclusive", None, None, t, k, note=note)
-    if report is None:
-        return SolveResult("sb_exceeded", None, "backdoor", t, k, note=note)
-    branches = backdoor_branch_counts(f, report.variables, t, vertex_cap)
-    total = sum((1 << br.vanished) * br.count for br in branches)
     return SolveResult(
         "counted",
-        total,
+        sum((1 << br.vanished) * br.count for br in branches),
         "backdoor",
         t,
         k,

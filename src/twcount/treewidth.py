@@ -82,59 +82,51 @@ class TwVerdict:
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """Check tree-ness, vertex coverage, edge coverage, and occurrence connectivity."""
+    """Check tree-ness, vertex coverage, edge coverage, and occurrence connectivity.
+
+    Near-linear: each vertex's bags are indexed once. In a tree, the bags holding
+    v are connected iff one fewer tree edge than bags has v at both ends.
+    """
     violations: list[tuple[str, object]] = []
     idx = set(td.bags)
     for (i, j) in td.edges:
         if i not in idx or j not in idx:
             violations.append(("tree", (i, j)))
     if not violations and idx:
-        parent = {}
-        seen = set()
         adj: dict[int, set[int]] = {i: set() for i in idx}
         for (i, j) in td.edges:
             adj[i].add(j)
             adj[j].add(i)
         root = min(idx)
         stack = [root]
-        seen.add(root)
+        seen = {root}
         while stack:
             u = stack.pop()
             for w in adj[u]:
                 if w not in seen:
                     seen.add(w)
-                    parent[w] = u
                     stack.append(w)
         if len(seen) != len(idx) or len(td.edges) != len(idx) - 1:
             violations.append(("tree", "not a connected acyclic index set"))
-    covered: set[int] = set()
-    for b in td.bags.values():
-        covered |= b
+    holding: dict[int, set[int]] = {v: set() for v in g.vertices()}
+    for i, b in td.bags.items():
+        for v in b:
+            if v in holding:
+                holding[v].add(i)
     for v in g.sorted_vertices():
-        if v not in covered:
+        if not holding[v]:
             violations.append(("vertex-coverage", v))
     for (u, v) in g.edges():
-        if not any(u in b and v in b for b in td.bags.values()):
+        if holding[u].isdisjoint(holding[v]):
             violations.append(("edge-coverage", (u, v)))
     if not any(code == "tree" for code, _ in violations):
-        adj = {i: set() for i in idx}
+        shared = dict.fromkeys(holding, 0)
         for (i, j) in td.edges:
-            adj[i].add(j)
-            adj[j].add(i)
+            for v in td.bags[i] & td.bags[j]:
+                if v in shared:
+                    shared[v] += 1
         for v in g.sorted_vertices():
-            holding = {i for i, b in td.bags.items() if v in b}
-            if not holding:
-                continue
-            start = min(holding)
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in holding and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if seen != holding:
+            if holding[v] and shared[v] != len(holding[v]) - 1:
                 violations.append(("connectivity", v))
     return ValidationReport(not violations, tuple(violations))
 

@@ -71,7 +71,7 @@ def test_criterion_01_oracle_equivalence():
         checked += 1
         report = find_smallest_strong_backdoor(f, 1, 2)
         if report is not None:
-            assert count_via_backdoor(f, report.variables, 1, verify=False) == brute, (
+            assert count_via_backdoor(f, report.variables, 1) == brute, (
                 f"seed {seed}: backdoor count mismatch"
             )
             backdoored += 1

@@ -70,6 +70,15 @@ def test_count_auto_backdoor(capsys, grid_x_file):
     assert rep["backdoor"] == [10]
 
 
+def test_count_mode_backdoor(capsys, grid_x_file):
+    code, rep = run(capsys, "count", grid_x_file, "--t", "1", "--k", "1", "--mode", "backdoor")
+    assert code == 0
+    assert rep["count"] == "250"
+    assert rep["mode"] == "backdoor"
+    assert rep["backdoor"] == [10]
+    assert rep["branch_widths"] == [1, 1]
+
+
 def test_count_sb_exceeded_exit_3(capsys, grid_file):
     code, rep = run(capsys, "count", grid_file, "--t", "1", "--k", "0",
                     "--tw-threshold", "1")
@@ -116,6 +125,16 @@ def test_count_table_budget_exit_2(capsys, tmp_path):
     assert "budget" in captured.err
 
 
+def test_count_td_mode_long_chain(capsys, tmp_path):
+    # Decomposition validation is near-linear: 4000 variables, about 8000 bags.
+    p = tmp_path / "chain.cnf"
+    p.write_text("p cnf 4000 3999\n" + "".join(f"{i} {i + 1} 0\n" for i in range(1, 4000)))
+    start = time.perf_counter()
+    code, rep = run(capsys, "count", str(p), "--mode", "td")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and rep["branch_widths"] == [1]
+
+
 def test_count_brute_unsat(capsys, tmp_path):
     p = tmp_path / "unsat.cnf"
     p.write_text("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
@@ -149,6 +168,8 @@ def test_backdoor_find_approx(capsys, grid_x_file):
                     "--mode", "approx", "--tw-threshold", "1")
     assert code == 0
     assert rep["variables"] == [10]
+    assert rep["stats"]["nodes"] >= 1
+    assert rep["stats"]["checks"] >= 1
 
 
 def test_backdoor_verify(capsys, grid_x_file):
@@ -157,6 +178,14 @@ def test_backdoor_verify(capsys, grid_x_file):
     code, rep = run(capsys, "backdoor", grid_x_file, "verify", "--t", "1", "--vars", "1")
     assert code == 3 and not rep["valid"]
     assert rep["failing_assignment"] is not None
+
+
+@pytest.mark.parametrize("bad", ["abc", "1,,2", "10,x"])
+def test_backdoor_verify_malformed_vars_exit_2(capsys, grid_x_file, bad):
+    assert main(["backdoor", grid_x_file, "verify", "--t", "1", "--vars", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--vars" in captured.err
 
 
 def test_backdoor_verify_deletion(capsys, tmp_path):

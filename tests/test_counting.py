@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twcount import counting
+from twcount.backdoor import InconclusiveTreewidth, approx_backdoor, is_strong_backdoor
+from twcount.cli import main
 from twcount.counting import (
     BackdoorInvalidError,
     DP_TABLE_CAP,
@@ -17,7 +20,7 @@ from twcount.counting import (
     count_via_backdoor,
     solve,
 )
-from twcount.formula import Assignment, Clause, CnfFormula, clause_of, reduce
+from twcount.formula import Assignment, Clause, CnfFormula, clause_of, reduce, write_dimacs
 from twcount.generators import (
     DetRng,
     gen_grid_formula,
@@ -27,7 +30,10 @@ from twcount.generators import (
 )
 from twcount.graphs import CLAUSE, VAR, build_incidence, write_gr
 from twcount.treewidth import (
+    DEFAULT_VERTEX_CAP,
+    UNKNOWN,
     TreeDecomposition,
+    TwVerdict,
     exact_treewidth,
     read_td,
     single_bag_decomposition,
@@ -126,9 +132,42 @@ def test_via_backdoor_empty_set_in_class():
 
 
 def test_via_backdoor_rejects_invalid():
-    f = gen_grid_formula(3)
-    with pytest.raises(BackdoorInvalidError):
-        count_via_backdoor(f, {1}, 1)
+    cases = [
+        (gen_grid_formula(3), {1}),
+        # x4 = 0 satisfies the triangle, x4 = 1 leaves it: the second branch fails.
+        (CnfFormula((clause_of(1, 1, 2, -4), clause_of(2, 2, 3, -4), clause_of(3, 3, 1, -4))), {4}),
+    ]
+    for f, b in cases:
+        report = is_strong_backdoor(f, b, 1)
+        assert not report.valid
+        with pytest.raises(BackdoorInvalidError) as exc:
+            count_via_backdoor(f, b, 1)
+        assert exc.value.assignment == report.failing_assignment
+        assert exc.value.bound == report.failing_bound
+
+
+def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
+    f = gen_grid_formula_x(3)
+    full = build_incidence(f).num_vertices()
+    query = counting.treewidth_at_most
+
+    def undecided_branches(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+        # inc(F) itself is decided; every reduction of it is left Unknown.
+        if g.num_vertices() == full:
+            return query(g, t, vertex_cap)
+        return TwVerdict(UNKNOWN, t)
+
+    monkeypatch.setattr(counting, "treewidth_at_most", undecided_branches)
+    with pytest.raises(InconclusiveTreewidth):
+        count_via_backdoor(f, {10}, 1)
+    res = solve(f, 1, 1, tw_threshold=1)
+    assert res.outcome == "inconclusive" and res.count is None
+    p = tmp_path / "f3x.cnf"
+    p.write_text(write_dimacs(f))
+    for mode in ("auto", "backdoor"):
+        assert main(["count", str(p), "--t", "1", "--k", "1", "--tw-threshold", "1",
+                     "--mode", mode]) == 4
+        assert '"verdict": "inconclusive"' in capsys.readouterr().out
 
 
 def test_via_backdoor_two_variables():
@@ -159,6 +198,30 @@ def test_solve_paths():
     res = solve(f, 1, 0, tw_threshold=1)
     assert res.outcome == "counted" and res.mode == "td"
     assert res.count == count_bruteforce(f)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_solve_matches_bruteforce_and_backdoors_verify(seed):
+    # approx_backdoor does not re-check the set it assembles: this property
+    # and the branch pass stand in for that check.
+    rng = DetRng(seed)
+    n, k = rng.randint(4, 9), rng.randint(1, 2)
+    if seed % 2:
+        f, _ = gen_planted(n, 1, k, seed)
+    else:
+        f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), rng.randint(2, 3), seed)
+    report = approx_backdoor(f, 1, k, tw_threshold=1)
+    if report is not None:
+        assert is_strong_backdoor(f, report.variables, 1).valid
+    res = solve(f, 1, k, tw_threshold=1)
+    if res.mode == "td":
+        assert res.count == count_bruteforce(f)
+    elif report is None:
+        assert res.outcome == "sb_exceeded"
+    else:
+        assert res.outcome == "counted" and res.backdoor == report.variables
+        assert res.count == count_bruteforce(f)
 
 
 def test_solve_default_threshold_counts_directly():

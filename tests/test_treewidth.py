@@ -379,6 +379,61 @@ def ref_decomposition_from_order(g, order):
     return TreeDecomposition(bags, tuple(edges))
 
 
+def ref_validate_decomposition(g, td):
+    violations = []
+    idx = set(td.bags)
+    for (i, j) in td.edges:
+        if i not in idx or j not in idx:
+            violations.append(("tree", (i, j)))
+    if not violations and idx:
+        seen = set()
+        adj = {i: set() for i in idx}
+        for (i, j) in td.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        root = min(idx)
+        stack = [root]
+        seen.add(root)
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(idx) or len(td.edges) != len(idx) - 1:
+            violations.append(("tree", "not a connected acyclic index set"))
+    covered = set()
+    for b in td.bags.values():
+        covered |= b
+    for v in g.sorted_vertices():
+        if v not in covered:
+            violations.append(("vertex-coverage", v))
+    for (u, v) in g.edges():
+        if not any(u in b and v in b for b in td.bags.values()):
+            violations.append(("edge-coverage", (u, v)))
+    if not any(code == "tree" for code, _ in violations):
+        adj = {i: set() for i in idx}
+        for (i, j) in td.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        for v in g.sorted_vertices():
+            holding = {i for i, b in td.bags.items() if v in b}
+            if not holding:
+                continue
+            start = min(holding)
+            seen = {start}
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if w in holding and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if seen != holding:
+                violations.append(("connectivity", v))
+    return tw.ValidationReport(not violations, tuple(violations))
+
+
 def _family_graph(family, a, b, seed):
     if family == "gnm":
         n = 2 + a % 30
@@ -443,3 +498,47 @@ def test_exact_limit_stops_above_t(seed):
             assert (w, ltd) == (exact, td)
         else:
             assert t < w <= exact and ltd is None
+
+
+def _broken(td, g, how, pick):
+    """td damaged in one way: a vertex dropped from every bag, an edge of g
+    left uncovered, a vertex added to one more bag, or a tree edge dropped,
+    added or pointed at a missing bag."""
+    bags = {i: set(b) for i, b in td.bags.items()}
+    edges = list(td.edges)
+    ids = sorted(bags)
+    verts = g.sorted_vertices()
+    g_edges = sorted(g.edges())
+    if how == "vertex" and verts:
+        for b in bags.values():
+            b.discard(verts[pick % len(verts)])
+    elif how == "edge" and g_edges:
+        u, v = g_edges[pick % len(g_edges)]
+        for b in bags.values():
+            if u in b:
+                b.discard(v)
+    elif how == "occurrence" and verts:
+        bags[ids[pick % len(ids)]].add(verts[(pick // len(ids)) % len(verts)])
+    elif how == "drop-tree-edge" and edges:
+        del edges[pick % len(edges)]
+    elif how == "add-tree-edge":
+        edges.append((ids[pick % len(ids)], ids[(pick // 7) % len(ids)]))
+    elif how == "missing-bag":
+        edges.append((ids[pick % len(ids)], max(ids) + 1))
+    return TreeDecomposition({i: frozenset(b) for i, b in bags.items()}, tuple(edges))
+
+
+@given(
+    graph_cases,
+    st.sampled_from(
+        ("none", "vertex", "edge", "occurrence", "drop-tree-edge", "add-tree-edge", "missing-bag")
+    ),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_reference(g, how, pick):
+    _, td = upper_bound_heuristic(g)
+    bad = _broken(td, g, how, pick)
+    assert validate_decomposition(g, bad) == ref_validate_decomposition(g, bad)
+    if how == "none":
+        assert validate_decomposition(g, bad).ok
