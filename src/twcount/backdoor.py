@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 from .formula import Assignment, CnfFormula, FormulaError, assignments, delete_vars, reduce
 from .graphs import Graph, build_incidence, clause_id, is_clause_vertex
-from .treewidth import AT_MOST, DEFAULT_VERTEX_CAP, EXCEEDS, UNKNOWN, TwVerdict, treewidth_at_most
+from .treewidth import (
+    AT_MOST,
+    DEFAULT_VERTEX_CAP,
+    EXCEEDS,
+    UNKNOWN,
+    TwVerdict,
+    _greedy_order,
+    treewidth_at_most,
+)
 
 STRONG_CHECK_CAP = 20
 EXACT_SEARCH_CAP = 6
@@ -176,7 +184,9 @@ def extract_witness(
 
     Seeded from a cheap certificate (a cycle for t=1, the high-degeneracy core
     otherwise), then shrunk by greedy vertex deletion while the width stays
-    above t.
+    above t. For t <= 2 each deletion trial plays the min-degree game, stopped
+    above t, on the induced adjacency: it is the exact test of the ladder's
+    t <= 2 rung, without building a subgraph.
     """
     g = build_incidence(reduce(f, tau))
     verdict = treewidth_at_most(g, t, vertex_cap)
@@ -190,12 +200,18 @@ def extract_witness(
         seed = verdict.certificate
     else:
         seed = frozenset(g.vertices())
+    adj = g.adjacency() if t <= 2 else None
     w = set(seed)
     for u in sorted(seed):
         if len(w) <= 2:
             break
         trial = w - {u}
-        if treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS:
+        if t <= 2:
+            order, _, _ = _greedy_order({v: adj[v] & trial for v in trial}, False, limit=t)
+            exceeds = len(order) < len(trial)
+        else:
+            exceeds = treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS
+        if exceeds:
             w = trial
     return frozenset(w)
 
@@ -208,8 +224,8 @@ def find_smallest_strong_backdoor(
     Iterative deepening over target sizes; each node branches on the killer
     set of a witness extracted from its first failing assignment.
     """
-    if k_max > EXACT_SEARCH_CAP:
-        raise FormulaError(f"k_max {k_max} exceeds the desk-scale cap {EXACT_SEARCH_CAP}")
+    if not 0 <= k_max <= EXACT_SEARCH_CAP:
+        raise FormulaError(f"k_max must be between 0 and the desk-scale cap {EXACT_SEARCH_CAP}")
     stats = SearchStats()
 
     def dfs(b: frozenset[int], size: int) -> frozenset[int] | None:

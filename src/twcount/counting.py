@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 
 from . import backdoor as _backdoor
-from .formula import Assignment, CnfFormula, assignments, reduce
+from .formula import Assignment, CnfFormula, FormulaError, assignments, reduce
 from .graphs import VAR, Graph, build_incidence
 from .treewidth import (
     AT_MOST,
@@ -301,6 +301,13 @@ def _note(f: CnfFormula) -> str | None:
     return None
 
 
+def _check_parameters(t: int, k: int) -> None:
+    if t < 0:
+        raise FormulaError(f"t must be at least 0, got {t}")
+    if not 0 <= k <= _backdoor.EXACT_SEARCH_CAP:
+        raise FormulaError(f"k must be between 0 and {_backdoor.EXACT_SEARCH_CAP}, got {k}")
+
+
 def solve(
     f: CnfFormula,
     t: int,
@@ -312,7 +319,9 @@ def solve(
 
     Small incidence treewidth (at most tw_threshold) is counted directly by
     the decomposition DP. Otherwise solve_by_backdoor searches and counts.
+    Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
+    _check_parameters(t, k)
     g = build_incidence(f)
     verdict = treewidth_at_most(g, max(tw_threshold, t), vertex_cap)
     if verdict.kind == AT_MOST:
@@ -330,7 +339,9 @@ def solve_by_backdoor(
     Finding none of size at most 2^k - 1 is the machine-readable 'sb_exceeded'
     outcome, meaning every strong backdoor into width t has size above k. A
     width query left undecided, in the search or the branch pass, ends 'inconclusive'.
+    Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
+    _check_parameters(t, k)
     note = _note(f)
     try:
         report = _backdoor.approx_backdoor(

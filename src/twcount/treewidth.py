@@ -6,14 +6,23 @@ elimination):
 
 1. degeneracy above t: Exceeds, with the (t+1)-core as certificate; a
    bucket-queue peel, O(n+m);
-2. min-fill width at most t: AtMost, with the decomposition recorded during
+2. for t <= 2, the min-degree elimination game, stopped once the least
+   degree exceeds t: AtMost with its decomposition if it empties the graph,
+   otherwise Exceeds with bound t + 1; a lazy heap, O((n+m) log n). This is
+   exact: eliminating a vertex of degree at most 2 leaves a minor of the
+   graph, so the game empties every graph of width at most t, and a graph
+   it cannot empty has a minor of minimum degree above t (the reduction
+   rules for partial 2-trees; Arnborg & Proskurowski, 1986; Wald & Colbourn,
+   1983). Its width is then the treewidth. The rungs below, and the vertex
+   cap, only matter for t >= 3;
+3. min-fill width at most t: AtMost, with the decomposition recorded during
    the elimination; a lazy heap that re-scores only the vertices within
    distance 2 of each eliminated vertex, roughly O(sum of d^2 log n);
-3. contraction bound (minor-min-width) above t: Exceeds; a lazy heap,
+4. contraction bound (minor-min-width) above t: Exceeds; a lazy heap,
    O(m log n) heap work plus the merged neighbourhoods;
-4. at or below the vertex cap, exact search, which stops once width above t
+5. at or below the vertex cap, exact search, which stops once width above t
    is proven; exponential in the worst case;
-5. otherwise Unknown.
+6. otherwise Unknown.
 
 The exact solver searches elimination orderings: safe reductions (simplicial,
 almost-simplicial, degree-2) shrink the graph, then a depth-first decision
@@ -69,9 +78,12 @@ class ValidationReport:
 class TwVerdict:
     """Outcome of a treewidth-at-most query.
 
-    kind 'at_most' carries a witnessing decomposition; 'exceeds' carries a
-    certificate (a vertex set of degeneracy above the target, or a note that
-    the contraction bound or the exact search ruled the target out); 'unknown'
+    kind 'at_most' carries a witnessing decomposition and its width as
+    bound; 'exceeds' carries a certificate (a vertex set of degeneracy above
+    the target, or a note naming the rung that ruled the target out) and, as
+    bound, a proven lower bound above the target, not the width: each rung
+    reports what it proved, so the min-degree rung for t <= 2 says t + 1
+    where the contraction bound or the exact search may say more; 'unknown'
     means the caps prevented a decision.
     """
 
@@ -271,16 +283,18 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
 
 
 def _greedy_order(
-    adj: dict[int, set[int]], by_fill: bool
+    adj: dict[int, set[int]], by_fill: bool, limit: int | None = None
 ) -> tuple[list[int], int, list[set[int]]]:
     """Eliminate the vertex of least (fill-in or degree, vertex id) first.
 
     Returns the order, its width and each vertex's neighbours when it was
-    eliminated. A lazy heap of (score, vertex) picks the next vertex. After
-    eliminating v with neighbours N, only vertices within distance 2 of v
-    change score: a vertex x outside N loses one fill-in per added edge with
-    both ends adjacent to x, and a vertex of N is re-scored from scratch.
-    Changed vertices get fresh entries; stale entries are skipped when popped.
+    eliminated. With a limit, the game stops once the least score exceeds it,
+    and the order covers only the vertices eliminated until then. A lazy heap
+    of (score, vertex) picks the next vertex. After eliminating v with
+    neighbours N, only vertices within distance 2 of v change score: a vertex
+    x outside N loses one fill-in per added edge with both ends adjacent to
+    x, and a vertex of N is re-scored from scratch. Changed vertices get
+    fresh entries; stale entries are skipped when popped.
     """
     work = {v: set(s) for v, s in adj.items()}
     score = {v: _fill_in(work, v) if by_fill else len(s) for v, s in work.items()}
@@ -293,6 +307,8 @@ def _greedy_order(
         s, v = heapq.heappop(heap)
         if score.get(v) != s:
             continue
+        if limit is not None and s > limit:
+            break
         del score[v]
         nbrs = work.pop(v)
         order.append(v)
@@ -548,19 +564,29 @@ def exact_treewidth(
 
 
 def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> TwVerdict:
-    """Decide tw(g) <= t; decisive at or below the cap, best-effort above.
+    """Decide tw(g) <= t; always decisive for t <= 2, and for larger t
+    decisive at or below the cap and best-effort above.
 
     The rungs, cheapest first: degeneracy above t (O(n+m)) is Exceeds with
-    the (t+1)-core as certificate; min-fill width at most t is AtMost with
-    its decomposition; the contraction bound above t is Exceeds; at or below
-    the vertex cap, exact search decides, stopping once width above t is
-    proven; above the cap the answer is Unknown.
+    the (t+1)-core as certificate. For t <= 2 the min-degree elimination
+    game, stopped once the least degree exceeds t, then decides exactly:
+    AtMost with its decomposition, whose width is the treewidth, when it
+    empties the graph, else Exceeds with bound t + 1. For t >= 3, min-fill
+    width at most t is AtMost with its decomposition; the contraction bound
+    above t is Exceeds; at or below the vertex cap, exact search decides,
+    stopping once width above t is proven; above the cap the answer is
+    Unknown. vertex_cap therefore only matters for t >= 3.
     """
     if g.num_vertices() == 0:
         return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg, None, _core_vertices(g, t + 1))
+    if t <= 2:
+        order, width, bags = _greedy_order(g.adjacency(), by_fill=False, limit=t)
+        if len(order) < g.num_vertices():
+            return TwVerdict(EXCEEDS, t + 1, None, "min-degree elimination stuck above t")
+        return TwVerdict(AT_MOST, width, _decomposition(order, bags))
     ub, td = upper_bound_heuristic(g, limit=t)
     if ub <= t:
         return TwVerdict(AT_MOST, ub, td)

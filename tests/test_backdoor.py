@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twcount import treewidth as tw
 from twcount.backdoor import (
+    _find_cycle,
     approx_backdoor,
     extract_witness,
     find_smallest_strong_backdoor,
@@ -13,10 +15,22 @@ from twcount.backdoor import (
     killer_set,
     killer_union_candidates,
 )
-from twcount.formula import Assignment, CnfFormula, FormulaError, assignments, clause_of
+from twcount.formula import Assignment, CnfFormula, FormulaError, assignments, clause_of, reduce
 from twcount.generators import DetRng, gen_grid_formula, gen_grid_formula_x, gen_planted, gen_random_cnf
 from twcount.graphs import build_incidence, clause_vertex
-from twcount.treewidth import EXCEEDS, exact_treewidth, treewidth_at_most
+from twcount.treewidth import (
+    AT_MOST,
+    DEFAULT_VERTEX_CAP,
+    EXCEEDS,
+    UNKNOWN,
+    TwVerdict,
+    degeneracy,
+    exact_treewidth,
+    minor_min_width,
+    single_bag_decomposition,
+    treewidth_at_most,
+    upper_bound_heuristic,
+)
 
 
 def exhaustive_smallest(f, t, k_max):
@@ -25,8 +39,6 @@ def exhaustive_smallest(f, t, k_max):
         for combo in combinations(sorted(f.variables), size):
             ok = True
             for tau in assignments(set(combo)):
-                from twcount.formula import reduce
-
                 verdict = treewidth_at_most(build_incidence(reduce(f, tau)), t)
                 if verdict.kind != "at_most":
                     ok = False
@@ -131,6 +143,77 @@ def test_extract_witness_precondition():
     f = CnfFormula((clause_of(1, 1, 2),))
     with pytest.raises(ValueError):
         extract_witness(f, Assignment(), 1)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the witness shrink with one ladder query per trial
+
+
+def ref_treewidth_at_most(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+    """The width ladder as it was before its min-degree rung for t <= 2."""
+    if g.num_vertices() == 0:
+        return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
+    deg = degeneracy(g)
+    if deg > t:
+        return TwVerdict(EXCEEDS, deg, None, tw._core_vertices(g, t + 1))
+    ub, td = upper_bound_heuristic(g, limit=t)
+    if ub <= t:
+        return TwVerdict(AT_MOST, ub, td)
+    mmw = minor_min_width(g)
+    if mmw > t:
+        return TwVerdict(EXCEEDS, mmw, None, "contraction bound above t")
+    if g.num_vertices() <= vertex_cap:
+        w, etd = exact_treewidth(g, vertex_cap, limit=t)
+        if w <= t:
+            return TwVerdict(AT_MOST, w, etd)
+        return TwVerdict(EXCEEDS, w, None, "exact search exhausted orderings")
+    return TwVerdict(UNKNOWN, ub)
+
+
+def ref_extract_witness(f, tau, t, vertex_cap=DEFAULT_VERTEX_CAP):
+    """extract_witness as it was: every deletion trial is a ladder query on a
+    freshly built subgraph."""
+    g = build_incidence(reduce(f, tau))
+    verdict = ref_treewidth_at_most(g, t, vertex_cap)
+    if verdict.kind != EXCEEDS:
+        raise ValueError("witness extraction needs a reduction of width above t")
+    if t == 1:
+        seed = _find_cycle(g)
+        if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
+            seed = frozenset(g.vertices())
+    elif isinstance(verdict.certificate, frozenset):
+        seed = verdict.certificate
+    else:
+        seed = frozenset(g.vertices())
+    w = set(seed)
+    for u in sorted(seed):
+        if len(w) <= 2:
+            break
+        trial = w - {u}
+        if ref_treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS:
+            w = trial
+    return frozenset(w)
+
+
+@given(st.integers(0, 5000))
+@settings(max_examples=80, deadline=None)
+def test_extract_witness_matches_reference(seed):
+    rng = DetRng(seed)
+    t = 1 + seed % 2
+    n = rng.randint(4, 12)
+    if seed % 3 == 0:
+        f, _ = gen_planted(n, t, rng.randint(1, 3), seed)
+    else:
+        f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), rng.randint(2, 3), seed)
+    fixed = rng.sample(sorted(f.variables), min(rng.randint(0, 2), len(f.variables)))
+    tau = Assignment({x: rng.bit() for x in fixed})
+    g = build_incidence(reduce(f, tau))
+    assert g.num_vertices() <= 64  # below the cap, the reference never ends Unknown
+    if ref_treewidth_at_most(g, t, 64).kind == AT_MOST:
+        with pytest.raises(ValueError):
+            extract_witness(f, tau, t, 64)
+    else:
+        assert extract_witness(f, tau, t, 64) == ref_extract_witness(f, tau, t, 64)
 
 
 def test_find_smallest_grid_x():

@@ -87,6 +87,22 @@ def test_count_sb_exceeded_exit_3(capsys, grid_file):
     assert rep["count"] is None
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--t", "-1", "--k", "1", "--mode", "backdoor"),
+        ("--t", "-1", "--k", "1"),
+        ("--t", "1", "--k", "-1"),
+        ("--t", "1", "--k", "7"),
+    ],
+)
+def test_count_invalid_t_or_k_exit_2(capsys, grid_x_file, args):
+    assert main(["count", grid_x_file, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
+
+
 def test_count_variable_id_limit_exit_2(capsys, tmp_path):
     p = tmp_path / "big.cnf"
     p.write_text("p cnf 1000001 1\n1000001 0\n")
@@ -186,6 +202,22 @@ def test_backdoor_verify_malformed_vars_exit_2(capsys, grid_x_file, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--vars" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("find", "--t", "-1", "--kmax", "1"),
+        ("find", "--t", "-1", "--kmax", "1", "--mode", "approx"),
+        ("verify", "--t", "-1", "--vars", "10"),
+        ("find", "--t", "1", "--kmax", "-1"),
+    ],
+)
+def test_backdoor_invalid_t_or_kmax_exit_2(capsys, grid_x_file, args):
+    assert main(["backdoor", grid_x_file, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
 
 
 def test_backdoor_verify_deletion(capsys, tmp_path):

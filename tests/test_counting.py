@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twcount import counting
-from twcount.backdoor import InconclusiveTreewidth, approx_backdoor, is_strong_backdoor
+from twcount.backdoor import (
+    InconclusiveTreewidth,
+    approx_backdoor,
+    find_smallest_strong_backdoor,
+    is_strong_backdoor,
+)
 from twcount.cli import main
 from twcount.counting import (
     BackdoorInvalidError,
@@ -217,8 +222,9 @@ def test_solve_matches_bruteforce_and_backdoors_verify(seed):
     res = solve(f, 1, k, tw_threshold=1)
     if res.mode == "td":
         assert res.count == count_bruteforce(f)
-    elif report is None:
-        assert res.outcome == "sb_exceeded"
+    elif res.outcome == "sb_exceeded":
+        # the paper's claim (1): no strong backdoor of size at most k exists
+        assert find_smallest_strong_backdoor(f, 1, k) is None
     else:
         assert res.outcome == "counted" and res.backdoor == report.variables
         assert res.count == count_bruteforce(f)

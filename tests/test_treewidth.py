@@ -542,3 +542,93 @@ def test_validate_matches_reference(g, how, pick):
     assert validate_decomposition(g, bad) == ref_validate_decomposition(g, bad)
     if how == "none":
         assert validate_decomposition(g, bad).ok
+
+
+# ---------------------------------------------------------------------------
+# the min-degree rung for t <= 2
+
+
+def _low_width_graph(family, a, b, seed):
+    """A random graph or incidence graph of at most 40 vertices."""
+    if family == "gnm":
+        n = 2 + a % 39
+        return random_gnm(n, b % (3 * n // 2 + 1), seed)
+    if family == "planted":
+        return build_incidence(gen_planted(4 + a % 9, 1 + b % 2, 1 + seed % 3, seed)[0])
+    n = 3 + a % 13
+    return build_incidence(gen_random_cnf(n, 1 + b % (n + 10), 1 + seed % 3, seed))
+
+
+low_width_cases = st.builds(
+    _low_width_graph,
+    st.sampled_from(("gnm", "planted", "random")),
+    st.integers(0, 200),
+    st.integers(0, 400),
+    st.integers(0, 1000),
+)
+
+
+@given(low_width_cases)
+@settings(max_examples=150, deadline=None)
+def test_min_degree_rung_matches_exact(g):
+    n = g.num_vertices()
+    assert n <= 40
+    full_order, _, _ = tw._greedy_order(g.adjacency(), by_fill=False)
+    for t in (0, 1, 2):
+        order, width, bags = tw._greedy_order(g.adjacency(), by_fill=False, limit=t)
+        assert order == full_order[: len(order)]
+        exact, _ = exact_treewidth(g, vertex_cap=40, limit=t)
+        assert (len(order) == n) == (exact <= t)
+        verdict = treewidth_at_most(g, t, vertex_cap=0)
+        if exact <= t:
+            assert width == exact
+            assert verdict.kind == AT_MOST and verdict.bound == exact
+            assert verdict.decomposition == tw._decomposition(order, bags)
+            assert verdict.decomposition.width == exact
+            assert validate_decomposition(g, verdict.decomposition).ok
+        else:
+            assert verdict.kind == EXCEEDS and verdict.bound > t
+
+
+def series_parallel_graph(n, seed):
+    """A random simple series-parallel graph on n >= 2 vertices, grown from one
+    edge: a series step subdivides an edge, a parallel step joins a new vertex
+    to both ends of an edge. Both steps keep the treewidth at most 2."""
+    rng = DetRng(seed)
+    edges = [(1, 2)]
+    for v in range(3, n + 1):
+        i = rng.randrange(len(edges))
+        a, b = edges[i]
+        if rng.bit():
+            edges[i] = (a, v)
+            edges.append((v, b))
+        else:
+            edges.extend([(a, v), (v, b)])
+    g = Graph()
+    for v in range(1, n + 1):
+        g.add_vertex(v)
+    for a, b in edges:
+        g.add_edge(a, b)
+    return g
+
+
+def test_low_width_rung_decides_above_cap(monkeypatch):
+    def later_rung(*args, **kwargs):
+        raise AssertionError("a rung after the min-degree game ran for t <= 2")
+
+    for name in ("upper_bound_heuristic", "minor_min_width", "exact_treewidth"):
+        monkeypatch.setattr(tw, name, later_rung)
+    v = treewidth_at_most(make_wall(10)[0], 2, vertex_cap=8)
+    assert v.kind == EXCEEDS and v.bound == 3
+    tree = Graph()
+    for v in range(1, 301):
+        tree.add_vertex(v)
+    for v in range(2, 301):
+        tree.add_edge(DetRng(v).randint(1, v - 1), v)
+    sp = series_parallel_graph(240, 5)
+    for g, t, width in ((tree, 1, 1), (cycle_graph(300), 2, 2), (sp, 2, 2)):
+        v = treewidth_at_most(g, t, vertex_cap=8)
+        assert v.kind == AT_MOST and v.bound == width == v.decomposition.width
+        assert validate_decomposition(g, v.decomposition).ok
+        v = treewidth_at_most(g, t - 1, vertex_cap=8)
+        assert v.kind == EXCEEDS and v.bound == t
