@@ -6,10 +6,18 @@ small high-treewidth subgraph is extracted and every way of destroying it
 (containing one of its variables, or satisfying one of its clauses under
 every assignment) yields a child branch. Any strong backdoor must intersect
 that killer set, so the search is complete.
+
+Every width query on a reduced formula goes through one `_Oracle`, which
+`counting.solve` creates per solve and hands to the search, the witness
+extraction and the branch pass. It keeps each verdict, never the graph,
+keyed by (reduced formula, t): reductions reached along different paths
+are equal formulas, so each is decided once. A public function called on
+its own starts a fresh oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .formula import Assignment, CnfFormula, FormulaError, assignments, delete_vars, reduce
@@ -19,7 +27,9 @@ from .treewidth import (
     DEFAULT_VERTEX_CAP,
     EXCEEDS,
     UNKNOWN,
+    TreeDecomposition,
     TwVerdict,
+    _core_vertices,
     _greedy_order,
     treewidth_at_most,
 )
@@ -62,24 +72,106 @@ class KillerSet:
     external: tuple[int, ...]
 
 
-def _reduction_verdict(
-    f: CnfFormula, tau: Assignment, t: int, vertex_cap: int, stats: SearchStats | None
-) -> TwVerdict:
-    if stats is not None:
-        stats.checks += 1
-    verdict = treewidth_at_most(build_incidence(reduce(f, tau)), t, vertex_cap)
-    if verdict.kind == UNKNOWN:
-        raise InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
-    return verdict
+def _formula_key(f: CnfFormula) -> bytes:
+    """The formula packed into one bytes object: equal keys iff equal formulas.
+
+    Free variables, then each clause as id, length and signed literals.
+    """
+    packed = array("q", sorted(f.free_vars))
+    packed.append(-1)
+    for c in f.clauses:
+        packed.append(c.id)
+        packed.append(len(c.literals))
+        packed.extend([lit.var if lit.positive else -lit.var for lit in c.literals])
+    return packed.tobytes()
+
+
+def _pack(td: TreeDecomposition | None) -> array | None:
+    """A decomposition as one int array: bag count, each bag as index, size
+    and members, then the tree edges' ends."""
+    if td is None:
+        return None
+    packed = array("q", [len(td.bags)])
+    for i, bag in td.bags.items():
+        packed.append(i)
+        packed.append(len(bag))
+        packed.extend(bag)
+    for i, j in td.edges:
+        packed.append(i)
+        packed.append(j)
+    return packed
+
+
+def _unpack(packed: array | None) -> TreeDecomposition | None:
+    if packed is None:
+        return None
+    bags = {}
+    pos = 1
+    for _ in range(packed[0]):
+        size = packed[pos + 1]
+        bags[packed[pos]] = frozenset(packed[pos + 2 : pos + 2 + size])
+        pos += 2 + size
+    ends = iter(packed[pos:])
+    return TreeDecomposition(bags, tuple(zip(ends, ends)))
+
+
+class _Oracle:
+    """The width verdicts of one solve, keyed by (reduced formula, t).
+
+    reduce(reduce(f, a), b) equals reduce(f, a | b), so a reduction reached
+    along different paths is one entry, and the ladder decides it once. Only
+    verdicts are kept, never graphs: whoever needs inc(F) rebuilds it. The
+    formula and an AtMost verdict's decomposition are kept packed into flat
+    int arrays, not as the many small objects of a CnfFormula or a
+    TreeDecomposition, so a solve's memory stays close to what it was
+    without the oracle.
+    """
+
+    __slots__ = ("vertex_cap", "_verdicts")
+
+    def __init__(self, vertex_cap: int) -> None:
+        self.vertex_cap = vertex_cap
+        # (formula key, t) -> (kind, bound, certificate, packed decomposition)
+        self._verdicts: dict[tuple[bytes, int], tuple] = {}
+
+    def _entry(self, f: CnfFormula, t: int, g: Graph | None) -> tuple[tuple, TwVerdict | None]:
+        """The stored entry, and the verdict itself if the ladder was just asked."""
+        key = (_formula_key(f), t)
+        entry = self._verdicts.get(key)
+        if entry is not None:
+            return entry, None
+        verdict = treewidth_at_most(build_incidence(f) if g is None else g, t, self.vertex_cap)
+        entry = self._verdicts[key] = (
+            verdict.kind, verdict.bound, verdict.certificate, _pack(verdict.decomposition)
+        )
+        return entry, verdict
+
+    def kind(self, f: CnfFormula, t: int) -> str:
+        """The kind of f's verdict at t, without unpacking a decomposition."""
+        return self._entry(f, t, None)[0][0]
+
+    def verdict(self, f: CnfFormula, t: int, g: Graph | None = None) -> TwVerdict:
+        """tw(inc(f)) <= t, decided on g (inc(f), built if not given) at the first ask."""
+        entry, verdict = self._entry(f, t, g)
+        if verdict is None:
+            kind, bound, certificate, packed = entry
+            verdict = TwVerdict(kind, bound, _unpack(packed), certificate)
+        return verdict
 
 
 def _first_failing(
-    f: CnfFormula, b: frozenset[int], t: int, vertex_cap: int, stats: SearchStats | None
-) -> tuple[Assignment, TwVerdict] | None:
+    f: CnfFormula, b: frozenset[int], t: int, oracle: _Oracle, stats: SearchStats | None
+) -> tuple[Assignment, CnfFormula] | None:
+    """The first assignment to b whose reduction exceeds t, with that reduction."""
     for tau in assignments(b, cap=STRONG_CHECK_CAP):
-        verdict = _reduction_verdict(f, tau, t, vertex_cap, stats)
-        if verdict.kind == EXCEEDS:
-            return tau, verdict
+        if stats is not None:
+            stats.checks += 1
+        fr = reduce(f, tau)
+        kind = oracle.kind(fr, t)
+        if kind == UNKNOWN:
+            raise InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
+        if kind == EXCEEDS:
+            return tau, fr
     return None
 
 
@@ -93,13 +185,14 @@ def is_strong_backdoor(
     if len(bset) > STRONG_CHECK_CAP:
         raise FormulaError(f"backdoor of size {len(bset)} exceeds the check cap {STRONG_CHECK_CAP}")
     stats = SearchStats()
-    failing = _first_failing(f, bset, t, vertex_cap, stats)
+    oracle = _Oracle(vertex_cap)
+    failing = _first_failing(f, bset, t, oracle, stats)
     if failing is None:
         return BackdoorReport(tuple(sorted(bset)), "strong", t, True, stats=stats)
-    tau, verdict = failing
+    tau, fr = failing
     return BackdoorReport(
         tuple(sorted(bset)), "strong", t, False,
-        failing_assignment=tau, failing_bound=verdict.bound, stats=stats,
+        failing_assignment=tau, failing_bound=oracle.verdict(fr, t).bound, stats=stats,
     )
 
 
@@ -182,20 +275,28 @@ def extract_witness(
 ) -> frozenset[int]:
     """A small vertex set of inc(F[tau]) whose induced subgraph has width above t.
 
-    Seeded from a cheap certificate (a cycle for t=1, the high-degeneracy core
+    Seeded from a cheap certificate (a cycle for t=1, the (t+1)-core
     otherwise), then shrunk by greedy vertex deletion while the width stays
     above t. For t <= 2 each deletion trial plays the min-degree game, stopped
     above t, on the induced adjacency: it is the exact test of the ladder's
     t <= 2 rung, without building a subgraph.
     """
-    g = build_incidence(reduce(f, tau))
-    verdict = treewidth_at_most(g, t, vertex_cap)
+    return _witness(reduce(f, tau), t, _Oracle(vertex_cap))
+
+
+def _witness(fr: CnfFormula, t: int, oracle: _Oracle) -> frozenset[int]:
+    """extract_witness on the reduction fr, asking the oracle for its verdict."""
+    g = build_incidence(fr)
+    verdict = oracle.verdict(fr, t, g)
     if verdict.kind != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
     if t == 1:
         seed = _find_cycle(g)
         if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
             seed = frozenset(g.vertices())
+    elif t <= 2:
+        # The (t+1)-core is nonempty exactly when degeneracy rules out t.
+        seed = _core_vertices(g, t + 1) or frozenset(g.vertices())
     elif isinstance(verdict.certificate, frozenset):
         seed = verdict.certificate
     else:
@@ -210,7 +311,7 @@ def extract_witness(
             order, _, _ = _greedy_order({v: adj[v] & trial for v in trial}, False, limit=t)
             exceeds = len(order) < len(trial)
         else:
-            exceeds = treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS
+            exceeds = treewidth_at_most(g.subgraph(trial), t, oracle.vertex_cap).kind == EXCEEDS
         if exceeds:
             w = trial
     return frozenset(w)
@@ -226,18 +327,22 @@ def find_smallest_strong_backdoor(
     """
     if not 0 <= k_max <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k_max must be between 0 and the desk-scale cap {EXACT_SEARCH_CAP}")
+    return _smallest(f, t, k_max, _Oracle(vertex_cap))
+
+
+def _smallest(f: CnfFormula, t: int, k_max: int, oracle: _Oracle) -> BackdoorReport | None:
+    """find_smallest_strong_backdoor, asking the oracle for every verdict."""
     stats = SearchStats()
 
     def dfs(b: frozenset[int], size: int) -> frozenset[int] | None:
         stats.nodes += 1
-        failing = _first_failing(f, b, t, vertex_cap, stats)
+        failing = _first_failing(f, b, t, oracle, stats)
         if failing is None:
             return b
         if len(b) >= size:
             return None
-        tau, _ = failing
-        fr = reduce(f, tau)
-        witness = extract_witness(f, tau, t, vertex_cap)
+        _, fr = failing
+        witness = _witness(fr, t, oracle)
         killers = killer_set(fr, witness, t)
         for x in killers.internal + killers.external:
             res = dfs(b | {x}, size)
@@ -260,8 +365,11 @@ def killer_union_candidates(
     Every strong backdoor (of any size) must contain one of these, since it
     must destroy the witness.
     """
-    witness = extract_witness(f, Assignment(), t, vertex_cap)
-    killers = killer_set(f, witness, t)
+    return _killer_union(f, t, _Oracle(vertex_cap))
+
+
+def _killer_union(f: CnfFormula, t: int, oracle: _Oracle) -> tuple[int, ...]:
+    killers = killer_set(f, _witness(f, t, oracle), t)
     return killers.internal + killers.external
 
 
@@ -285,17 +393,24 @@ def approx_backdoor(
     """
     if not 0 <= k <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
+    return _approx(f, t, k, tw_threshold, _Oracle(vertex_cap), s_provider)
+
+
+def _approx(
+    f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle, s_provider=None
+) -> BackdoorReport | None:
+    """approx_backdoor, asking the oracle for every verdict."""
     threshold = max(tw_threshold, t)
-    provider = s_provider or (lambda ff, tt, kk: killer_union_candidates(ff, tt, vertex_cap))
+    provider = s_provider or (lambda ff, tt, kk: _killer_union(ff, tt, oracle))
     stats = SearchStats()
 
     def rec(cur: CnfFormula, budget: int) -> frozenset[int] | None:
         stats.nodes += 1
-        verdict = treewidth_at_most(build_incidence(cur), threshold, vertex_cap)
-        if verdict.kind == UNKNOWN:
+        kind = oracle.kind(cur, threshold)
+        if kind == UNKNOWN:
             raise InconclusiveTreewidth("treewidth undecided during approximation")
-        if verdict.kind == AT_MOST:
-            report = find_smallest_strong_backdoor(cur, t, budget, vertex_cap)
+        if kind == AT_MOST:
+            report = _smallest(cur, t, budget, oracle)
             if report is None:
                 return None
             stats.nodes += report.stats.nodes

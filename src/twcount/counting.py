@@ -9,6 +9,12 @@ entries) raises TableBudgetExceeded before any table is allocated.
 Free variables of a formula appear as isolated vertices of its incidence
 graph; the decomposition DP therefore doubles the count once per free
 variable without special handling.
+
+`solve` creates one width oracle (`backdoor._Oracle`) per call and asks it
+every width query of the call: the root query, the backdoor search and the
+branch pass. It keeps verdicts only, keyed by the reduced formula and t, so
+no reduction is decided twice and no graph outlives its query; whoever
+needs a graph rebuilds it.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ from .treewidth import (
     DEFAULT_VERTEX_CAP,
     EXCEEDS,
     TreeDecomposition,
-    treewidth_at_most,
+    treewidth_at_most,  # noqa: F401 - still importable here; queries go through backdoor._Oracle
     validate_decomposition,
 )
 
-BRUTE_FORCE_CAP = 30
+BRUTE_FORCE_CAP = 22
 
 
 class VariableCapExceeded(RuntimeError):
@@ -258,12 +264,18 @@ def backdoor_branch_counts(
     One width query per branch gives the decomposition the DP runs on; the first
     branch above t raises BackdoorInvalidError, an undecided one InconclusiveTreewidth.
     """
-    bset = frozenset(b)
+    return _branch_counts(f, frozenset(b), t, _backdoor._Oracle(vertex_cap))
+
+
+def _branch_counts(
+    f: CnfFormula, bset: frozenset[int], t: int, oracle: _backdoor._Oracle
+) -> list[BranchCount]:
+    """backdoor_branch_counts, asking the oracle for every verdict."""
     out = []
     for tau in assignments(bset, cap=_backdoor.STRONG_CHECK_CAP):
         fr = reduce(f, tau)
         g = build_incidence(fr)
-        verdict = treewidth_at_most(g, t, vertex_cap)
+        verdict = oracle.verdict(fr, t, g)
         if verdict.kind == EXCEEDS:
             raise BackdoorInvalidError(tau, verdict.bound)
         if verdict.kind != AT_MOST:
@@ -322,13 +334,14 @@ def solve(
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
+    oracle = _backdoor._Oracle(vertex_cap)
     g = build_incidence(f)
-    verdict = treewidth_at_most(g, max(tw_threshold, t), vertex_cap)
+    verdict = oracle.verdict(f, max(tw_threshold, t), g)
     if verdict.kind == AT_MOST:
         return SolveResult("counted", _run_dp(g, verdict.decomposition), "td", t, k, note=_note(f))
     if verdict.kind != EXCEEDS:
         return SolveResult("inconclusive", None, None, t, k, note=_note(f))
-    return solve_by_backdoor(f, t, k, tw_threshold, vertex_cap)
+    return _solve_by_backdoor(f, t, k, tw_threshold, oracle)
 
 
 def solve_by_backdoor(
@@ -342,14 +355,19 @@ def solve_by_backdoor(
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
+    return _solve_by_backdoor(f, t, k, tw_threshold, _backdoor._Oracle(vertex_cap))
+
+
+def _solve_by_backdoor(
+    f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _backdoor._Oracle
+) -> SolveResult:
+    """solve_by_backdoor, with the search and the branch pass sharing the oracle."""
     note = _note(f)
     try:
-        report = _backdoor.approx_backdoor(
-            f, t, k, tw_threshold=tw_threshold, vertex_cap=vertex_cap
-        )
+        report = _backdoor._approx(f, t, k, tw_threshold, oracle)
         if report is None:
             return SolveResult("sb_exceeded", None, "backdoor", t, k, note=note)
-        branches = backdoor_branch_counts(f, report.variables, t, vertex_cap)
+        branches = _branch_counts(f, frozenset(report.variables), t, oracle)
     except _backdoor.InconclusiveTreewidth:
         return SolveResult("inconclusive", None, None, t, k, note=note)
     return SolveResult(

@@ -260,16 +260,19 @@ def parse_dimacs(source) -> CnfFormula:
     """Parse DIMACS CNF text (or a file-like object yielding it).
 
     Comment lines starting with 'c' are ignored anywhere; duplicate literals
-    inside a clause collapse silently; a complementary pair is an error.
-    Variables declared in the header but occurring in no clause are recorded
-    as free variables. A header declaring CLAUSE_VERTEX_STRIDE variables or
-    more is an error.
+    inside a clause collapse silently. A clause with a complementary pair is
+    true under every assignment, so it is dropped and takes no clause id.
+    Variables declared in the header but occurring in no clause (including
+    one that occurred only in dropped clauses) are recorded as free
+    variables. A header declaring CLAUSE_VERTEX_STRIDE variables or more is
+    an error.
     """
     text = source.read() if hasattr(source, "read") else source
     num_vars = None
     clauses: list[Clause] = []
     pending: list[int] = []
     pending_seen: dict[int, int] = {}
+    tautology = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -302,18 +305,20 @@ def parse_dimacs(source) -> CnfFormula:
             if lit == 0:
                 if not pending:
                     raise DimacsError(f"line {lineno}: empty clause (0 with no literals)")
-                clauses.append(
-                    Clause(len(clauses) + 1, tuple(Literal.from_int(x) for x in pending))
-                )
+                if not tautology:
+                    clauses.append(
+                        Clause(len(clauses) + 1, tuple(Literal.from_int(x) for x in pending))
+                    )
                 pending = []
                 pending_seen = {}
+                tautology = False
                 continue
             var = abs(lit)
             if var > num_vars:
                 raise DimacsError(f"line {lineno}: variable {var} exceeds declared {num_vars}")
             if var in pending_seen:
                 if pending_seen[var] != lit:
-                    raise DimacsError(f"line {lineno}: complementary pair on {var}")
+                    tautology = True
                 continue
             pending_seen[var] = lit
             pending.append(lit)

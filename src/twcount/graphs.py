@@ -139,15 +139,32 @@ class Graph:
 
 
 def build_incidence(f: CnfFormula) -> Graph:
-    """Signed bipartite incidence graph; free variables become isolated vertices."""
+    """Signed bipartite incidence graph; free variables become isolated vertices.
+
+    Fills the graph's tables directly, in the order add_vertex / add_edge
+    would: variables by id, then each clause vertex followed by its edges.
+    A clause's literals are over distinct variables and clause ids are
+    unique, so no edge repeats; only a clause vertex that lands on a variable
+    id needs checking.
+    """
     g = Graph()
+    adj, kind, sign = g._adj, g._kind, g._sign
     for v in sorted(f.variables | f.free_vars):
-        g.add_vertex(v, VAR)
+        adj[v] = set()
+        kind[v] = VAR
+    edges = 0
     for c in f.clauses:
         cv = clause_vertex(c.id)
-        g.add_vertex(cv, CLAUSE)
+        if cv in adj:
+            raise ValueError(f"vertex {cv} already present with kind {kind[cv]}")
+        nbrs = adj[cv] = set()
+        kind[cv] = CLAUSE
         for lit in c.literals:
-            g.add_edge(lit.var, cv, lit.positive)
+            adj[lit.var].add(cv)
+            nbrs.add(lit.var)
+            sign[frozenset((lit.var, cv))] = lit.positive
+        edges += len(c.literals)
+    g._num_edges = edges
     return g
 
 

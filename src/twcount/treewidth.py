@@ -4,9 +4,7 @@
 stops at the first that decides (n vertices, m edges, d the degree at
 elimination):
 
-1. degeneracy above t: Exceeds, with the (t+1)-core as certificate; a
-   bucket-queue peel, O(n+m);
-2. for t <= 2, the min-degree elimination game, stopped once the least
+1. for t <= 2, the min-degree elimination game, stopped once the least
    degree exceeds t: AtMost with its decomposition if it empties the graph,
    otherwise Exceeds with bound t + 1; a lazy heap, O((n+m) log n). This is
    exact: eliminating a vertex of degree at most 2 leaves a minor of the
@@ -15,6 +13,8 @@ elimination):
    rules for partial 2-trees; Arnborg & Proskurowski, 1986; Wald & Colbourn,
    1983). Its width is then the treewidth. The rungs below, and the vertex
    cap, only matter for t >= 3;
+2. degeneracy above t: Exceeds, with the (t+1)-core as certificate; a
+   bucket-queue peel, O(n+m);
 3. min-fill width at most t: AtMost, with the decomposition recorded during
    the elimination; a lazy heap that re-scores only the vertices within
    distance 2 of each eliminated vertex, roughly O(sum of d^2 log n);
@@ -567,26 +567,26 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     """Decide tw(g) <= t; always decisive for t <= 2, and for larger t
     decisive at or below the cap and best-effort above.
 
-    The rungs, cheapest first: degeneracy above t (O(n+m)) is Exceeds with
-    the (t+1)-core as certificate. For t <= 2 the min-degree elimination
-    game, stopped once the least degree exceeds t, then decides exactly:
-    AtMost with its decomposition, whose width is the treewidth, when it
-    empties the graph, else Exceeds with bound t + 1. For t >= 3, min-fill
-    width at most t is AtMost with its decomposition; the contraction bound
-    above t is Exceeds; at or below the vertex cap, exact search decides,
-    stopping once width above t is proven; above the cap the answer is
-    Unknown. vertex_cap therefore only matters for t >= 3.
+    For t <= 2 the min-degree elimination game, stopped once the least
+    degree exceeds t, decides alone and exactly: AtMost with its
+    decomposition, whose width is the treewidth, when it empties the graph,
+    else Exceeds with bound t + 1. For t >= 3 the rungs run cheapest first:
+    degeneracy above t (O(n+m)) is Exceeds with the (t+1)-core as
+    certificate; min-fill width at most t is AtMost with its decomposition;
+    the contraction bound above t is Exceeds; at or below the vertex cap,
+    exact search decides, stopping once width above t is proven; above the
+    cap the answer is Unknown. vertex_cap therefore only matters for t >= 3.
     """
     if g.num_vertices() == 0:
         return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
-    deg = degeneracy(g)
-    if deg > t:
-        return TwVerdict(EXCEEDS, deg, None, _core_vertices(g, t + 1))
     if t <= 2:
         order, width, bags = _greedy_order(g.adjacency(), by_fill=False, limit=t)
         if len(order) < g.num_vertices():
             return TwVerdict(EXCEEDS, t + 1, None, "min-degree elimination stuck above t")
         return TwVerdict(AT_MOST, width, _decomposition(order, bags))
+    deg = degeneracy(g)
+    if deg > t:
+        return TwVerdict(EXCEEDS, deg, None, _core_vertices(g, t + 1))
     ub, td = upper_bound_heuristic(g, limit=t)
     if ub <= t:
         return TwVerdict(AT_MOST, ub, td)

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from twcount import treewidth as tw
 from twcount.backdoor import (
     _find_cycle,
+    _formula_key,
+    _pack,
+    _unpack,
     approx_backdoor,
     extract_witness,
     find_smallest_strong_backdoor,
@@ -23,6 +26,7 @@ from twcount.treewidth import (
     DEFAULT_VERTEX_CAP,
     EXCEEDS,
     UNKNOWN,
+    TreeDecomposition,
     TwVerdict,
     degeneracy,
     exact_treewidth,
@@ -315,3 +319,47 @@ def test_killer_union_candidates_hit_all_backdoors():
     f = gen_grid_formula_x(3)
     cands = set(killer_union_candidates(f, 1))
     assert 10 in cands  # the switch kills every obstruction externally
+
+
+# ---------------------------------------------------------------------------
+# the oracle's packed storage
+
+
+@given(st.integers(0, 5000))
+@settings(max_examples=60, deadline=None)
+def test_formula_key_is_exact(seed):
+    # Reductions of one formula under random assignments meet often; their
+    # keys must agree exactly when the formulas do.
+    rng = DetRng(seed)
+    n = rng.randint(3, 7)
+    f = gen_random_cnf(n, rng.randint(2, 2 * n), rng.randint(1, 3), seed)
+    vs = sorted(f.variables | f.free_vars)
+    reductions = [
+        reduce(f, Assignment({x: rng.bit() for x in rng.sample(vs, rng.randint(0, len(vs)))}))
+        for _ in range(12)
+    ]
+    for a, b in combinations(reductions, 2):
+        assert (_formula_key(a) == _formula_key(b)) == (a == b)
+    # A free variable, a clause id or a sign alone tells formulas apart.
+    g = CnfFormula((clause_of(1, 1, -2),))
+    for other in (
+        CnfFormula((clause_of(1, 1, -2),), free_vars=frozenset({3})),
+        CnfFormula((clause_of(2, 1, -2),)),
+        CnfFormula((clause_of(1, 1, 2),)),
+        CnfFormula((clause_of(1, 1), clause_of(2, -2))),
+    ):
+        assert _formula_key(other) != _formula_key(g)
+
+
+@given(st.integers(0, 5000))
+@settings(max_examples=60, deadline=None)
+def test_packed_decomposition_round_trips(seed):
+    rng = DetRng(seed)
+    n = rng.randint(2, 6)
+    f = gen_random_cnf(n, rng.randint(1, n + 2), rng.randint(1, min(3, n)), seed)
+    g = build_incidence(f)  # at most 14 vertices: the exact search stays quick
+    for td in (upper_bound_heuristic(g)[1], exact_treewidth(g)[1]):
+        assert _unpack(_pack(td)) == td
+    for td in (single_bag_decomposition(()), TreeDecomposition({}, ())):
+        assert _unpack(_pack(td)) == td
+    assert _unpack(_pack(None)) is None

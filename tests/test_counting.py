@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twcount import counting
+from twcount import backdoor, counting, graphs, treewidth
 from twcount.backdoor import (
     InconclusiveTreewidth,
     approx_backdoor,
@@ -69,6 +69,9 @@ def test_brute_cap():
     f = CnfFormula((), free_vars=frozenset(range(1, 40)))
     with pytest.raises(VariableCapExceeded):
         count_bruteforce(f)
+    # 2^23 pure-Python iterations would take minutes: the cap is 22.
+    with pytest.raises(VariableCapExceeded):
+        count_bruteforce(CnfFormula((), free_vars=frozenset(range(1, 24))))
 
 
 def test_brute_zero_literal_clause():
@@ -154,7 +157,9 @@ def test_via_backdoor_rejects_invalid():
 def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
     f = gen_grid_formula_x(3)
     full = build_incidence(f).num_vertices()
-    query = counting.treewidth_at_most
+    # Every width query reaches the ladder through the solve's oracle, and the
+    # oracle reaches it through this one name.
+    query = backdoor.treewidth_at_most
 
     def undecided_branches(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
         # inc(F) itself is decided; every reduction of it is left Unknown.
@@ -162,7 +167,7 @@ def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
             return query(g, t, vertex_cap)
         return TwVerdict(UNKNOWN, t)
 
-    monkeypatch.setattr(counting, "treewidth_at_most", undecided_branches)
+    monkeypatch.setattr(backdoor, "treewidth_at_most", undecided_branches)
     with pytest.raises(InconclusiveTreewidth):
         count_via_backdoor(f, {10}, 1)
     res = solve(f, 1, 1, tw_threshold=1)
@@ -275,6 +280,112 @@ def test_planted_t3_counted_quickly():
     direct = solve(f, 3, 2, tw_threshold=5, vertex_cap=64)
     assert direct.mode == "td"
     assert res.count == direct.count
+
+
+# ---------------------------------------------------------------------------
+# the per-solve width oracle
+
+
+class LadderLog:
+    """Wraps the width ladder, and build_incidence, in the modules that call
+    them, and logs each (formula, t) the ladder is asked about. Only graphs
+    built by build_incidence count: witness shrink trials for t >= 3 ask the
+    ladder about subgraphs, not about reduced formulas."""
+
+    def __init__(self, mp: pytest.MonkeyPatch):
+        self.asked: list[tuple[CnfFormula, int]] = []
+        built: dict[int, tuple] = {}  # id -> (graph, formula); the graph is kept so ids stay unique
+
+        def build(f):
+            g = graphs.build_incidence(f)
+            built[id(g)] = (g, f)
+            return g
+
+        def ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+            if id(g) in built:
+                self.asked.append((built[id(g)][1], t))
+            return treewidth.treewidth_at_most(g, t, vertex_cap)
+
+        for module in (backdoor, counting):
+            mp.setattr(module, "build_incidence", build)
+            mp.setattr(module, "treewidth_at_most", ladder)
+
+    def repeats(self) -> list:
+        seen: set = set()
+        out = []
+        for key in self.asked:
+            if key in seen:
+                out.append(key)
+            seen.add(key)
+        return out
+
+
+def assert_each_query_once(f, t, k, tw_threshold):
+    expected = solve(f, t, k, tw_threshold=tw_threshold)
+    with pytest.MonkeyPatch.context() as mp:
+        log = LadderLog(mp)
+        res = solve(f, t, k, tw_threshold=tw_threshold)
+    assert res == expected
+    assert log.asked and not log.repeats()
+
+
+# The base instances of the benchmark's grid-switch and planted workloads
+# (perfbench/suite.py), as (formula, t, k, tw_threshold).
+def grid_switch_bases():
+    return [(gen_grid_formula_x(n), 1, 1, 1) for n in range(6, 13)]
+
+
+def planted_bases():
+    return [
+        (gen_planted(n, t, k, s)[0], t, k, t)
+        for t, bases, ks in ((1, (40, 50, 60), (1, 2, 3, 4)), (2, (12, 16, 20), (1, 2, 3)))
+        for n, s in zip(bases, (0, 1, 2))
+        for k in ks
+    ]
+
+
+@pytest.mark.parametrize("bases", [grid_switch_bases, planted_bases])
+def test_solve_decides_each_reduction_once_on_bench_bases(bases):
+    for f, t, k, threshold in bases():
+        assert_each_query_once(f, t, k, threshold)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_solve_decides_each_reduction_once(seed):
+    rng = DetRng(seed)
+    t = 1 + seed % 3
+    n, k = rng.randint(5, 8 if t == 3 else 10), rng.randint(1, 3)
+    if seed % 2:
+        f, _ = gen_planted(n, t, k, seed)
+    else:
+        f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), rng.randint(2, 3), seed)
+    assert_each_query_once(f, t, k, t + rng.choice((0, 0, 1)))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_shared_oracle_matches_unshared_composition(seed):
+    # solve_by_backdoor shares one oracle between the search and the branch
+    # pass; the public functions called one after the other share nothing.
+    rng = DetRng(seed)
+    t = 1 + seed % 3
+    n, k = rng.randint(5, 8 if t == 3 else 10), rng.randint(1, 3)
+    threshold = t + rng.choice((0, 0, 1))
+    if seed % 2:
+        f, _ = gen_planted(n, t, k, seed)
+    else:
+        f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), rng.randint(2, 3), seed)
+    res = counting.solve_by_backdoor(f, t, k, tw_threshold=threshold)
+    report = approx_backdoor(f, t, k, tw_threshold=threshold)
+    if report is None:
+        assert res.outcome == "sb_exceeded"
+        return
+    branches = backdoor_branch_counts(f, report.variables, t)
+    assert res.outcome == "counted"
+    assert res.backdoor == report.variables
+    assert res.count == sum((1 << br.vanished) * br.count for br in branches)
+    assert res.branch_widths == tuple(br.width for br in branches)
 
 
 @given(st.integers(0, 1000))

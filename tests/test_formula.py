@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twcount.counting import count_bruteforce, solve
 from twcount.formula import (
     Assignment,
     Clause,
@@ -28,9 +29,20 @@ def test_parse_basic():
     assert f.clauses[1].literals == (Literal(1, False), Literal(2))
 
 
-def test_parse_complementary_pair_rejected():
-    with pytest.raises(DimacsError):
-        parse_dimacs("p cnf 1 1\n1 -1 0\n")
+def test_parse_drops_tautological_clause():
+    # 1 -1 is true under every assignment: the clause goes, and variable 1,
+    # which occurs nowhere else, becomes free.
+    f = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
+    assert f.clauses == (Clause(1, (Literal(2),)),)
+    assert f.free_vars == {1}
+    assert count_bruteforce(f) == 2
+    assert solve(f, 1, 1).count == 2
+    # A variable of a dropped clause that occurs elsewhere is not free, and a
+    # repeated literal in the same clause does not hide the pair.
+    f = parse_dimacs("p cnf 3 3\n1 2 -1 1 0\n-2 3 0\n3 -3 0\n")
+    assert [c.id for c in f.clauses] == [1]
+    assert f.variables == {2, 3} and f.free_vars == {1}
+    assert count_bruteforce(f) == solve(f, 1, 1).count == 6
 
 
 def test_parse_free_vars():

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twcount.formula import Assignment, CnfFormula, clause_of, formula_size, reduce
+from twcount.formula import Assignment, Clause, CnfFormula, Literal, clause_of, formula_size, reduce
 from twcount.generators import DetRng, gen_grid_formula, gen_random_cnf
 from twcount.graphs import (
+    CLAUSE,
+    VAR,
     Graph,
     build_incidence,
     clause_vertex,
@@ -46,6 +48,52 @@ def test_incidence_free_vars_isolated():
     f = CnfFormula((clause_of(1, 1),), free_vars=frozenset({5}))
     g = build_incidence(f)
     assert g.has_vertex(5) and g.degree(5) == 0
+
+
+def ref_build_incidence(f):
+    """The incidence graph built through add_vertex / add_edge and their checks."""
+    g = Graph()
+    for v in sorted(f.variables | f.free_vars):
+        g.add_vertex(v, VAR)
+    for c in f.clauses:
+        cv = clause_vertex(c.id)
+        g.add_vertex(cv, CLAUSE)
+        for lit in c.literals:
+            g.add_edge(lit.var, cv, lit.positive)
+    return g
+
+
+@st.composite
+def formulas_with_free_vars(draw):
+    """Clauses over 1..n, some empty, ids in any order; unused ids up to n are free."""
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(1, 60), unique=True, max_size=14))
+    clauses = []
+    for cid in ids:
+        vs = draw(st.lists(st.integers(1, n), unique=True, max_size=min(n, 5))) if n else []
+        clauses.append(Clause(cid, tuple(Literal(v, draw(st.booleans())) for v in vs)))
+    used = frozenset().union(*(c.variables for c in clauses))
+    free = frozenset(range(1, n + 1)) - used
+    return CnfFormula(tuple(clauses), frozenset(v for v in free if draw(st.booleans())))
+
+
+@given(formulas_with_free_vars())
+@settings(max_examples=200, deadline=None)
+def test_build_incidence_matches_reference(f):
+    g, ref = build_incidence(f), ref_build_incidence(f)
+    # Same tables in the same insertion order, so every iteration order agrees.
+    assert list(g._adj) == list(ref._adj)
+    assert all(list(g._adj[v]) == list(ref._adj[v]) for v in ref._adj)
+    assert list(g._kind.items()) == list(ref._kind.items())
+    assert list(g._sign.items()) == list(ref._sign.items())
+    assert g.num_edges() == ref.num_edges() == sum(len(c) for c in f.clauses)
+
+
+def test_build_incidence_rejects_clause_vertex_on_a_variable():
+    f = CnfFormula((clause_of(1 - clause_vertex(0), 1, 2),))  # clause vertex id 1
+    for build in (build_incidence, ref_build_incidence):
+        with pytest.raises(ValueError):
+            build(f)
 
 
 def test_make_wall_2():

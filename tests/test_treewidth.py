@@ -614,9 +614,9 @@ def series_parallel_graph(n, seed):
 
 def test_low_width_rung_decides_above_cap(monkeypatch):
     def later_rung(*args, **kwargs):
-        raise AssertionError("a rung after the min-degree game ran for t <= 2")
+        raise AssertionError("a rung other than the min-degree game ran for t <= 2")
 
-    for name in ("upper_bound_heuristic", "minor_min_width", "exact_treewidth"):
+    for name in ("degeneracy", "upper_bound_heuristic", "minor_min_width", "exact_treewidth"):
         monkeypatch.setattr(tw, name, later_rung)
     v = treewidth_at_most(make_wall(10)[0], 2, vertex_cap=8)
     assert v.kind == EXCEEDS and v.bound == 3
