@@ -134,13 +134,14 @@ class _Oracle:
         # (formula key, t) -> (kind, bound, certificate, packed decomposition)
         self._verdicts: dict[tuple[bytes, int], tuple] = {}
 
-    def _entry(self, f: CnfFormula, t: int, g: Graph | None) -> tuple[tuple, TwVerdict | None]:
+    def _entry(self, f: CnfFormula, t: int, g: Graph | None, ladder) -> tuple[tuple, TwVerdict | None]:
         """The stored entry, and the verdict itself if the ladder was just asked."""
         key = (_formula_key(f), t)
         entry = self._verdicts.get(key)
         if entry is not None:
             return entry, None
-        verdict = treewidth_at_most(build_incidence(f) if g is None else g, t, self.vertex_cap)
+        ladder = ladder or treewidth_at_most
+        verdict = ladder(build_incidence(f) if g is None else g, t, self.vertex_cap)
         entry = self._verdicts[key] = (
             verdict.kind, verdict.bound, verdict.certificate, _pack(verdict.decomposition)
         )
@@ -148,11 +149,16 @@ class _Oracle:
 
     def kind(self, f: CnfFormula, t: int) -> str:
         """The kind of f's verdict at t, without unpacking a decomposition."""
-        return self._entry(f, t, None)[0][0]
+        return self._entry(f, t, None, None)[0][0]
 
-    def verdict(self, f: CnfFormula, t: int, g: Graph | None = None) -> TwVerdict:
-        """tw(inc(f)) <= t, decided on g (inc(f), built if not given) at the first ask."""
-        entry, verdict = self._entry(f, t, g)
+    def verdict(self, f: CnfFormula, t: int, g: Graph | None = None, ladder=None) -> TwVerdict:
+        """tw(inc(f)) <= t, decided on g (inc(f), built if not given) at the first ask.
+
+        A miss calls `ladder`, by default this module's treewidth_at_most; the
+        counting layer passes its own name for the queries whose decomposition
+        its DP runs on, so each layer's queries can be told apart.
+        """
+        entry, verdict = self._entry(f, t, g, ladder)
         if verdict is None:
             kind, bound, certificate, packed = entry
             verdict = TwVerdict(kind, bound, _unpack(packed), certificate)

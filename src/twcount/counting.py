@@ -14,7 +14,9 @@ variable without special handling.
 every width query of the call: the root query, the backdoor search and the
 branch pass. It keeps verdicts only, keyed by the reduced formula and t, so
 no reduction is decided twice and no graph outlives its query; whoever
-needs a graph rebuilds it.
+needs a graph rebuilds it. The root query and the branch pass, whose
+decompositions go to the DP, reach the ladder through this module's
+`treewidth_at_most`; the search reaches it through `backdoor`'s.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .treewidth import (
     DEFAULT_VERTEX_CAP,
     EXCEEDS,
     TreeDecomposition,
-    treewidth_at_most,  # noqa: F401 - still importable here; queries go through backdoor._Oracle
+    treewidth_at_most,
     validate_decomposition,
 )
 
@@ -275,7 +277,7 @@ def _branch_counts(
     for tau in assignments(bset, cap=_backdoor.STRONG_CHECK_CAP):
         fr = reduce(f, tau)
         g = build_incidence(fr)
-        verdict = oracle.verdict(fr, t, g)
+        verdict = oracle.verdict(fr, t, g, treewidth_at_most)
         if verdict.kind == EXCEEDS:
             raise BackdoorInvalidError(tau, verdict.bound)
         if verdict.kind != AT_MOST:
@@ -336,7 +338,7 @@ def solve(
     _check_parameters(t, k)
     oracle = _backdoor._Oracle(vertex_cap)
     g = build_incidence(f)
-    verdict = oracle.verdict(f, max(tw_threshold, t), g)
+    verdict = oracle.verdict(f, max(tw_threshold, t), g, treewidth_at_most)
     if verdict.kind == AT_MOST:
         return SolveResult("counted", _run_dp(g, verdict.decomposition), "td", t, k, note=_note(f))
     if verdict.kind != EXCEEDS:

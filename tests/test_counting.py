@@ -157,9 +157,9 @@ def test_via_backdoor_rejects_invalid():
 def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
     f = gen_grid_formula_x(3)
     full = build_incidence(f).num_vertices()
-    # Every width query reaches the ladder through the solve's oracle, and the
-    # oracle reaches it through this one name.
-    query = backdoor.treewidth_at_most
+    # Every width query reaches the ladder through the solve's oracle, under
+    # the ladder's name in the layer that asks: counting or backdoor.
+    query = treewidth.treewidth_at_most
 
     def undecided_branches(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
         # inc(F) itself is decided; every reduction of it is left Unknown.
@@ -167,7 +167,8 @@ def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
             return query(g, t, vertex_cap)
         return TwVerdict(UNKNOWN, t)
 
-    monkeypatch.setattr(backdoor, "treewidth_at_most", undecided_branches)
+    for module in (backdoor, counting):
+        monkeypatch.setattr(module, "treewidth_at_most", undecided_branches)
     with pytest.raises(InconclusiveTreewidth):
         count_via_backdoor(f, {10}, 1)
     res = solve(f, 1, 1, tw_threshold=1)
@@ -178,6 +179,19 @@ def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
         assert main(["count", str(p), "--t", "1", "--k", "1", "--tw-threshold", "1",
                      "--mode", mode]) == 4
         assert '"verdict": "inconclusive"' in capsys.readouterr().out
+
+
+def test_dp_queries_reach_the_ladder_through_counting(monkeypatch):
+    # The root query and the branch pass ask under counting's name, so the
+    # decompositions the DP runs on can be told apart from the search's.
+    def search_ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+        raise AssertionError("a DP query went through backdoor.treewidth_at_most")
+
+    monkeypatch.setattr(backdoor, "treewidth_at_most", search_ladder)
+    f = gen_grid_formula_x(3)
+    assert count_via_backdoor(f, {10}, 1) == 250
+    res = solve(f, 1, 1, tw_threshold=8)
+    assert (res.outcome, res.mode, res.count) == ("counted", "td", 250)
 
 
 def test_via_backdoor_two_variables():
