@@ -11,8 +11,8 @@ Every width query on a reduced formula goes through one `_Oracle`, which
 `counting.solve` creates per solve and hands to the search, the witness
 extraction and the branch pass. It keeps each verdict, never the graph,
 keyed by (reduced formula, t): reductions reached along different paths
-are equal formulas, so each is decided once. A public function called on
-its own starts a fresh oracle.
+are equal formulas, so each is decided once, and inc(F) is built only to
+decide it. A public function called on its own starts a fresh oracle.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class _Oracle:
     """The width verdicts of one solve, keyed by (reduced formula, t).
 
     reduce(reduce(f, a), b) equals reduce(f, a | b), so a reduction reached
-    along different paths is one entry, and the ladder decides it once. Only
-    verdicts are kept, never graphs: whoever needs inc(F) rebuilds it. The
+    along different paths is one entry, and the ladder decides it once, on
+    inc(F) built for that miss. Only verdicts are kept, never graphs. The
     formula and an AtMost verdict's decomposition are kept packed into flat
     int arrays, not as the many small objects of a CnfFormula or a
     TreeDecomposition, so a solve's memory stays close to what it was
@@ -134,14 +134,14 @@ class _Oracle:
         # (formula key, t) -> (kind, bound, certificate, packed decomposition)
         self._verdicts: dict[tuple[bytes, int], tuple] = {}
 
-    def _entry(self, f: CnfFormula, t: int, g: Graph | None, ladder) -> tuple[tuple, TwVerdict | None]:
+    def _entry(self, f: CnfFormula, t: int, ladder) -> tuple[tuple, TwVerdict | None]:
         """The stored entry, and the verdict itself if the ladder was just asked."""
         key = (_formula_key(f), t)
         entry = self._verdicts.get(key)
         if entry is not None:
             return entry, None
         ladder = ladder or treewidth_at_most
-        verdict = ladder(build_incidence(f) if g is None else g, t, self.vertex_cap)
+        verdict = ladder(build_incidence(f), t, self.vertex_cap)
         entry = self._verdicts[key] = (
             verdict.kind, verdict.bound, verdict.certificate, _pack(verdict.decomposition)
         )
@@ -149,16 +149,16 @@ class _Oracle:
 
     def kind(self, f: CnfFormula, t: int) -> str:
         """The kind of f's verdict at t, without unpacking a decomposition."""
-        return self._entry(f, t, None, None)[0][0]
+        return self._entry(f, t, None)[0][0]
 
-    def verdict(self, f: CnfFormula, t: int, g: Graph | None = None, ladder=None) -> TwVerdict:
-        """tw(inc(f)) <= t, decided on g (inc(f), built if not given) at the first ask.
+    def verdict(self, f: CnfFormula, t: int, ladder=None) -> TwVerdict:
+        """tw(inc(f)) <= t; the first ask builds inc(f) and runs the ladder on it.
 
         A miss calls `ladder`, by default this module's treewidth_at_most; the
         counting layer passes its own name for the queries whose decomposition
         its DP runs on, so each layer's queries can be told apart.
         """
-        entry, verdict = self._entry(f, t, g, ladder)
+        entry, verdict = self._entry(f, t, ladder)
         if verdict is None:
             kind, bound, certificate, packed = entry
             verdict = TwVerdict(kind, bound, _unpack(packed), certificate)
@@ -291,11 +291,12 @@ def extract_witness(
 
 
 def _witness(fr: CnfFormula, t: int, oracle: _Oracle) -> frozenset[int]:
-    """extract_witness on the reduction fr, asking the oracle for its verdict."""
-    g = build_incidence(fr)
-    verdict = oracle.verdict(fr, t, g)
+    """extract_witness on the reduction fr, asking the oracle for its verdict
+    before building the graph the shrink runs on."""
+    verdict = oracle.verdict(fr, t)
     if verdict.kind != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
+    g = build_incidence(fr)
     if t == 1:
         seed = _find_cycle(g)
         if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
@@ -385,29 +386,27 @@ def approx_backdoor(
     k: int,
     tw_threshold: int = 8,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    s_provider=None,
 ) -> BackdoorReport | None:
     """Strong backdoor of size at most 2^k - 1, or None meaning none of size <= k.
 
     Small-width formulas fall back to the exact search. On wide formulas every
-    candidate from the provider is set both ways and the halves are solved
-    with budget k-1; the provider must return a set intersecting every strong
-    backdoor of size at most k (the default uses one witness's killers).
+    killer of one witness (killer_union_candidates) is set both ways and the
+    halves are solved with budget k-1: the killers of one witness meet every
+    small strong backdoor, since each must destroy that witness.
     {x} | B0 | B1 is not re-checked: width is monotone under the subgraphs that
     more assignments leave, and counting's branch pass is the verifier. Stats
     include the nested exact searches that found a set (others report none).
     """
     if not 0 <= k <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
-    return _approx(f, t, k, tw_threshold, _Oracle(vertex_cap), s_provider)
+    return _approx(f, t, k, tw_threshold, _Oracle(vertex_cap))
 
 
 def _approx(
-    f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle, s_provider=None
+    f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle
 ) -> BackdoorReport | None:
     """approx_backdoor, asking the oracle for every verdict."""
     threshold = max(tw_threshold, t)
-    provider = s_provider or (lambda ff, tt, kk: _killer_union(ff, tt, oracle))
     stats = SearchStats()
 
     def rec(cur: CnfFormula, budget: int) -> frozenset[int] | None:
@@ -424,7 +423,7 @@ def _approx(
             return frozenset(report.variables)
         if budget == 0:
             return None
-        for x in sorted(set(provider(cur, t, budget))):
+        for x in sorted(set(_killer_union(cur, t, oracle))):
             b0 = rec(reduce(cur, Assignment({x: 0})), budget - 1)
             if b0 is None:
                 continue

@@ -31,6 +31,18 @@ def _fail(msg: str, code: int = EXIT_INPUT) -> int:
     return code
 
 
+def _decimal(n: int) -> str:
+    """str(n), with the interpreter's digit limit on int-to-str lifted for this call only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _load_graph(path: str, graph_mode: str) -> graphs.Graph:
     with open(path) as fh:
         text = fh.read()
@@ -107,7 +119,7 @@ def cmd_count(args) -> int:
     report = {
         "mode": mode,
         "verdict": verdict,
-        "count": str(count) if count is not None else None,
+        "count": _decimal(count) if count is not None else None,
         "t": args.t,
         "k": args.k,
         "backdoor": backdoor_vars,

@@ -6,17 +6,20 @@ tree decomposition, with clause bits in the "still unsatisfied" form of
 Slivovsky & Szeider (SAT 2020), and walks the bags iteratively, so deep
 decompositions are fine. A bag wider than the table budget (DP_TABLE_CAP
 entries) raises TableBudgetExceeded before any table is allocated.
-Free variables of a formula appear as isolated vertices of its incidence
-graph; the decomposition DP therefore doubles the count once per free
-variable without special handling.
+The DP reads the formula, not a graph: a bag vertex is a clause when its id
+says so (`is_clause_vertex`), and the clause's literals, with their polarity,
+come from the formula. Free variables of a formula appear as isolated
+vertices of its incidence graph; the decomposition DP therefore doubles the
+count once per free variable without special handling.
 
 `solve` creates one width oracle (`backdoor._Oracle`) per call and asks it
 every width query of the call: the root query, the backdoor search and the
-branch pass. It keeps verdicts only, keyed by the reduced formula and t, so
-no reduction is decided twice and no graph outlives its query; whoever
-needs a graph rebuilds it. The root query and the branch pass, whose
-decompositions go to the DP, reach the ladder through this module's
-`treewidth_at_most`; the search reaches it through `backdoor`'s.
+branch pass. It keeps verdicts only, keyed by the reduced formula and t, and
+builds inc(F) only when it has to run the ladder, so no reduction is decided
+twice and no graph is built for a verdict it already holds. The root query
+and the branch pass, whose decompositions go to the DP, reach the ladder
+through this module's `treewidth_at_most`; the search reaches it through
+`backdoor`'s.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from operator import add, mul, sub
 
 from . import backdoor as _backdoor
 from .formula import Assignment, CnfFormula, FormulaError, assignments, reduce
-from .graphs import VAR, Graph, build_incidence
+from .graphs import build_incidence, clause_id, is_clause_vertex
 from .treewidth import (
     AT_MOST,
     DEFAULT_VERTEX_CAP,
@@ -166,12 +169,12 @@ def _zero(t: list[int], a: int, va: int, b: int, vb: int) -> None:
                 t[l::b_step] = z
 
 
-def _to_bag(g: Graph, t: list[int], have: list[int], bag: list[int]) -> list[int]:
+def _to_bag(t: list[int], have: list[int], bag: list[int]) -> list[int]:
     """Bring a table over the sorted vertices `have` to the sorted `bag`."""
     keep = set(bag)
     for p in reversed(range(len(have))):
         if have[p] not in keep:
-            t = _fold(t, p, add if g.kind(have[p]) == VAR else sub)
+            t = _fold(t, p, sub if is_clause_vertex(have[p]) else add)
     kept = set(have)
     for p, v in enumerate(bag):
         if v not in kept:
@@ -179,14 +182,14 @@ def _to_bag(g: Graph, t: list[int], have: list[int], bag: list[int]) -> list[int
     return t
 
 
-def _run_dp(g: Graph, td: TreeDecomposition) -> int:
-    """Count satisfying assignments over all variable vertices of g.
+def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
+    """Count the satisfying assignments of f over the variables td covers.
 
-    Walks the bags of td children first. Each child table is brought to the
-    bag by forgetting the vertices the bag lacks and introducing those the
-    child lacks (a leaf starts from [1]); the children are multiplied, and
-    the edges of the bag that no child bag holds are zeroed. Forgetting the
-    root bag leaves the count.
+    td decomposes inc(f). Walks its bags children first. Each child table is
+    brought to the bag by forgetting the vertices the bag lacks and
+    introducing those the child lacks (a leaf starts from [1]); the children
+    are multiplied, and the edges of the bag that no child bag holds are
+    zeroed. Forgetting the root bag leaves the count.
     """
     if not td.bags:
         return 1
@@ -214,23 +217,24 @@ def _run_dp(g: Graph, td: TreeDecomposition) -> int:
         kid_bags = [td.bags[j] for j in children[i]]
         t = None
         for j in children[i]:
-            ct = _to_bag(g, tables.pop(j), sorted(td.bags[j]), bag)
+            ct = _to_bag(tables.pop(j), sorted(td.bags[j]), bag)
             t = ct if t is None else list(map(mul, t, ct))
         if t is None:
             t = [1] * (1 << len(bag))
         pos = {v: p for p, v in enumerate(bag)}
         for c in bag:
-            if g.kind(c) == VAR:
+            if not is_clause_vertex(c):
                 continue
-            for x in g.neighbors(c):
+            for lit in f.clauses_by_id[clause_id(c)].literals:
+                x = lit.var
                 if x in pos and not any(x in kb and c in kb for kb in kid_bags):
-                    px, pc, vx = pos[x], pos[c], int(g.sign(x, c))
+                    px, pc, vx = pos[x], pos[c], int(lit.positive)
                     if px < pc:
                         _zero(t, px, vx, pc, 1)
                     else:
                         _zero(t, pc, 1, px, vx)
         tables[i] = t
-    return _to_bag(g, tables.pop(root), sorted(td.bags[root]), [])[0]
+    return _to_bag(tables.pop(root), sorted(td.bags[root]), [])[0]
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
@@ -243,7 +247,7 @@ def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
     for i, bag in td.bags.items():
         if not bag <= vertices:
             raise ValueError(f"bag {i} contains vertices outside inc(F)")
-    return _run_dp(g, td)
+    return _run_dp(f, td)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +280,14 @@ def _branch_counts(
     out = []
     for tau in assignments(bset, cap=_backdoor.STRONG_CHECK_CAP):
         fr = reduce(f, tau)
-        g = build_incidence(fr)
-        verdict = oracle.verdict(fr, t, g, treewidth_at_most)
+        verdict = oracle.verdict(fr, t, treewidth_at_most)
         if verdict.kind == EXCEEDS:
             raise BackdoorInvalidError(tau, verdict.bound)
         if verdict.kind != AT_MOST:
             raise _backdoor.InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
         vanished = len(f.variables - bset - fr.variables)
         out.append(
-            BranchCount(tau, verdict.decomposition.width, vanished, _run_dp(g, verdict.decomposition))
+            BranchCount(tau, verdict.decomposition.width, vanished, _run_dp(fr, verdict.decomposition))
         )
     return out
 
@@ -337,10 +340,9 @@ def solve(
     """
     _check_parameters(t, k)
     oracle = _backdoor._Oracle(vertex_cap)
-    g = build_incidence(f)
-    verdict = oracle.verdict(f, max(tw_threshold, t), g, treewidth_at_most)
+    verdict = oracle.verdict(f, max(tw_threshold, t), treewidth_at_most)
     if verdict.kind == AT_MOST:
-        return SolveResult("counted", _run_dp(g, verdict.decomposition), "td", t, k, note=_note(f))
+        return SolveResult("counted", _run_dp(f, verdict.decomposition), "td", t, k, note=_note(f))
     if verdict.kind != EXCEEDS:
         return SolveResult("inconclusive", None, None, t, k, note=_note(f))
     return _solve_by_backdoor(f, t, k, tw_threshold, oracle)

@@ -1,8 +1,10 @@
-"""Undirected graphs, signed incidence graphs, walls, and subdivision checks.
+"""Undirected graphs, incidence graphs, walls, and subdivision checks.
 
 Graphs are built once and then treated as immutable; every public operation
-returns a new graph. Clause vertices of incidence graphs live at a fixed id
-offset from variable vertices so both stay stable across reductions.
+returns a new graph. The incidence graph inc(F) is unsigned: a variable is
+adjacent to the clauses it occurs in, and literal polarity stays in F. Clause
+vertices live at a fixed id offset from variable vertices, so a vertex's id
+says which it is and both stay stable across reductions.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .formula import CLAUSE_VERTEX_STRIDE, CnfFormula
-
-VAR = "var"
-CLAUSE = "clause"
-PLAIN = "plain"
 
 
 def clause_vertex(cid: int) -> int:
@@ -32,49 +30,33 @@ def clause_id(v: int) -> int:
 
 
 class Graph:
-    """Simple undirected graph with vertex kinds and optional edge signs.
+    """Simple undirected graph on int vertices."""
 
-    Signs are only meaningful on var-clause edges of incidence graphs; they
-    record literal polarity (True = positive occurrence).
-    """
-
-    __slots__ = ("_adj", "_kind", "_sign", "_num_edges")
+    __slots__ = ("_adj", "_num_edges")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
-        self._kind: dict[int, str] = {}
-        self._sign: dict[frozenset[int], bool] = {}
         self._num_edges = 0
 
-    def add_vertex(self, v: int, kind: str = PLAIN) -> None:
-        if v in self._adj:
-            if self._kind[v] != kind:
-                raise ValueError(f"vertex {v} already present with kind {self._kind[v]}")
-            return
-        self._adj[v] = set()
-        self._kind[v] = kind
+    def add_vertex(self, v: int) -> None:
+        if v not in self._adj:
+            self._adj[v] = set()
 
-    def add_edge(self, u: int, v: int, sign: bool | None = None) -> None:
+    def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("loops are not allowed")
         if u not in self._adj or v not in self._adj:
             raise ValueError("both endpoints must be added first")
         if v in self._adj[u]:
             return
-        if sign is not None and {self._kind[u], self._kind[v]} != {VAR, CLAUSE}:
-            raise ValueError("signed edges must join a variable and a clause vertex")
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._num_edges += 1
-        if sign is not None:
-            self._sign[frozenset((u, v))] = sign
 
     def remove_vertex(self, v: int) -> None:
         for u in self._adj.pop(v):
             self._adj[u].discard(v)
-            self._sign.pop(frozenset((u, v)), None)
             self._num_edges -= 1
-        del self._kind[v]
 
     def vertices(self) -> Iterator[int]:
         return iter(self._adj)
@@ -94,12 +76,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def kind(self, v: int) -> str:
-        return self._kind[v]
-
-    def sign(self, u: int, v: int) -> bool | None:
-        return self._sign.get(frozenset((u, v)))
-
     def num_vertices(self) -> int:
         return len(self._adj)
 
@@ -115,8 +91,6 @@ class Graph:
     def copy(self) -> "Graph":
         g = Graph()
         g._adj = {v: set(s) for v, s in self._adj.items()}
-        g._kind = dict(self._kind)
-        g._sign = dict(self._sign)
         g._num_edges = self._num_edges
         return g
 
@@ -126,11 +100,11 @@ class Graph:
         for v in kset:
             if v not in self._adj:
                 raise ValueError(f"vertex {v} not in graph")
-            g.add_vertex(v, self._kind[v])
+            g.add_vertex(v)
         for v in kset:
             for u in self._adj[v]:
                 if u in kset and v < u:
-                    g.add_edge(v, u, self._sign.get(frozenset((v, u))))
+                    g.add_edge(v, u)
         return g
 
     def adjacency(self) -> dict[int, set[int]]:
@@ -139,30 +113,27 @@ class Graph:
 
 
 def build_incidence(f: CnfFormula) -> Graph:
-    """Signed bipartite incidence graph; free variables become isolated vertices.
+    """Bipartite incidence graph; free variables become isolated vertices.
 
-    Fills the graph's tables directly, in the order add_vertex / add_edge
-    would: variables by id, then each clause vertex followed by its edges.
-    A clause's literals are over distinct variables and clause ids are
-    unique, so no edge repeats; only a clause vertex that lands on a variable
-    id needs checking.
+    Fills the adjacency directly, in the order add_vertex / add_edge would:
+    variables by id, then each clause vertex followed by its edges. A
+    clause's literals are over distinct variables and clause ids are unique,
+    so no edge repeats; only a clause vertex that lands on a variable id
+    needs checking.
     """
     g = Graph()
-    adj, kind, sign = g._adj, g._kind, g._sign
+    adj = g._adj
     for v in sorted(f.variables | f.free_vars):
         adj[v] = set()
-        kind[v] = VAR
     edges = 0
     for c in f.clauses:
         cv = clause_vertex(c.id)
         if cv in adj:
-            raise ValueError(f"vertex {cv} already present with kind {kind[cv]}")
+            raise ValueError(f"clause {c.id} has vertex {cv}, already a variable vertex")
         nbrs = adj[cv] = set()
-        kind[cv] = CLAUSE
         for lit in c.literals:
             adj[lit.var].add(cv)
             nbrs.add(lit.var)
-            sign[frozenset((lit.var, cv))] = lit.positive
         edges += len(c.literals)
     g._num_edges = edges
     return g
@@ -254,23 +225,16 @@ def _joint_refine(adj_g: dict[int, set[int]], adj_h: dict[int, set[int]],
         cg, ch = ng, nh
 
 
-def find_isomorphism(g: Graph, h: Graph, use_kinds: bool = True) -> dict[int, int] | None:
-    """An isomorphism g -> h (respecting vertex kinds unless told not to), or None.
+def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
+    """An isomorphism g -> h, or None.
 
     Color refinement narrows candidates; ties are resolved by backtracking.
-    Edge signs are ignored.
     """
     if g.num_vertices() != h.num_vertices() or g.num_edges() != h.num_edges():
         return None
     adj_g, adj_h = g.adjacency(), h.adjacency()
-    if use_kinds:
-        kinds = sorted({g.kind(v) for v in g.vertices()} | {h.kind(v) for v in h.vertices()})
-        kind_idx = {k: i for i, k in enumerate(kinds)}
-        init_g = {v: kind_idx[g.kind(v)] for v in adj_g}
-        init_h = {v: kind_idx[h.kind(v)] for v in adj_h}
-    else:
-        init_g = {v: 0 for v in adj_g}
-        init_h = {v: 0 for v in adj_h}
+    init_g = {v: 0 for v in adj_g}
+    init_h = {v: 0 for v in adj_h}
     cg, ch = _joint_refine(adj_g, adj_h, init_g, init_h)
     from collections import Counter
 
@@ -355,7 +319,7 @@ def is_wall_subdivision(h: Graph, r: int) -> tuple[bool, WallCoordinates | None]
     wall, coords = make_wall(r)
     core_w = dissolve_degree_two(wall)
     core_h = dissolve_degree_two(h)
-    phi = find_isomorphism(core_h, core_w, use_kinds=False)
+    phi = find_isomorphism(core_h, core_w)
     if phi is None:
         return False, None
     positions = {hv: coords.positions[wv] for hv, wv in phi.items()}

@@ -1,4 +1,6 @@
+import decimal
 import json
+import sys
 import time
 
 import pytest
@@ -157,6 +159,22 @@ def test_count_brute_unsat(capsys, tmp_path):
     code, rep = run(capsys, "count", str(p), "--mode", "brute")
     assert code == 0
     assert rep["count"] == "0"
+
+
+def test_count_above_the_int_str_digit_limit(capsys, tmp_path):
+    # 2^14999 has 4516 decimal digits, above Python's default int-to-str limit
+    # of 4300; the limit holds again once the count is printed.
+    p = tmp_path / "wide.cnf"
+    p.write_text("p cnf 15000 1\n1 0\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, rep = run(capsys, "count", str(p))
+    assert code == 0 and rep["verdict"] == "counted"
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5000
+        expected = format(decimal.Decimal(2) ** 14999, "f")
+    assert len(expected) == 4516
+    assert rep["count"] == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_count_td_mode(capsys, grid_file):

@@ -33,7 +33,7 @@ from twcount.generators import (
     gen_planted,
     gen_random_cnf,
 )
-from twcount.graphs import CLAUSE, VAR, build_incidence, write_gr
+from twcount.graphs import build_incidence, clause_id, is_clause_vertex, write_gr
 from twcount.treewidth import (
     DEFAULT_VERTEX_CAP,
     UNKNOWN,
@@ -304,25 +304,34 @@ class LadderLog:
     """Wraps the width ladder, and build_incidence, in the modules that call
     them, and logs each (formula, t) the ladder is asked about. Only graphs
     built by build_incidence count: witness shrink trials for t >= 3 ask the
-    ladder about subgraphs, not about reduced formulas."""
+    ladder about subgraphs, not about reduced formulas. Also counts the graphs
+    built and the witness extractions."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
         self.asked: list[tuple[CnfFormula, int]] = []
-        built: dict[int, tuple] = {}  # id -> (graph, formula); the graph is kept so ids stay unique
+        self.witnesses = 0
+        # id -> (graph, formula); the graph is kept so ids stay unique
+        self.built: dict[int, tuple] = {}
+        witness = backdoor._witness
 
         def build(f):
             g = graphs.build_incidence(f)
-            built[id(g)] = (g, f)
+            self.built[id(g)] = (g, f)
             return g
 
         def ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
-            if id(g) in built:
-                self.asked.append((built[id(g)][1], t))
+            if id(g) in self.built:
+                self.asked.append((self.built[id(g)][1], t))
             return treewidth.treewidth_at_most(g, t, vertex_cap)
+
+        def counted_witness(*args):
+            self.witnesses += 1
+            return witness(*args)
 
         for module in (backdoor, counting):
             mp.setattr(module, "build_incidence", build)
             mp.setattr(module, "treewidth_at_most", ladder)
+        mp.setattr(backdoor, "_witness", counted_witness)
 
     def repeats(self) -> list:
         seen: set = set()
@@ -341,6 +350,9 @@ def assert_each_query_once(f, t, k, tw_threshold):
         res = solve(f, t, k, tw_threshold=tw_threshold)
     assert res == expected
     assert log.asked and not log.repeats()
+    # A graph is built to decide a verdict the oracle lacks, or for a
+    # witness shrink; never for a verdict the oracle already holds.
+    assert len(log.built) <= len(log.asked) + log.witnesses
 
 
 # The base instances of the benchmark's grid-switch and planted workloads
@@ -450,27 +462,32 @@ class _NiceNode:
     children: tuple["_NiceNode", ...] = ()
 
 
-def _split_bag(g, bag):
-    vs = tuple(sorted(v for v in bag if g.kind(v) == VAR))
-    cs = tuple(sorted(v for v in bag if g.kind(v) == CLAUSE))
+def _split_bag(bag):
+    vs = tuple(sorted(v for v in bag if not is_clause_vertex(v)))
+    cs = tuple(sorted(v for v in bag if is_clause_vertex(v)))
     return vs, cs
 
 
-def _chain(g, node, current, target):
+def _chain(node, current, target):
     """Forget current-minus-target, then introduce target-minus-current."""
     cur = set(current)
     for v in sorted(cur - target):
         cur.remove(v)
-        kind = "forget_var" if g.kind(v) == VAR else "forget_cla"
-        node = _NiceNode(kind, *_split_bag(g, cur), vertex=v, children=(node,))
+        kind = "forget_cla" if is_clause_vertex(v) else "forget_var"
+        node = _NiceNode(kind, *_split_bag(cur), vertex=v, children=(node,))
     for v in sorted(target - cur):
         cur.add(v)
-        kind = "introduce_var" if g.kind(v) == VAR else "introduce_cla"
-        node = _NiceNode(kind, *_split_bag(g, cur), vertex=v, children=(node,))
+        kind = "introduce_cla" if is_clause_vertex(v) else "introduce_var"
+        node = _NiceNode(kind, *_split_bag(cur), vertex=v, children=(node,))
     return node
 
 
-def _nice_tree(g, td):
+def _sign(f, x, cv):
+    """Polarity of variable x in the clause of vertex cv, None if absent."""
+    return f.clauses_by_id[clause_id(cv)].sign_of(x)
+
+
+def _nice_tree(td):
     if not td.bags:
         return _NiceNode("leaf", (), ())
     nbrs = {i: [] for i in td.bags}
@@ -483,15 +500,15 @@ def _nice_tree(g, td):
         bag = set(td.bags[i])
         kids = sorted(j for j in nbrs[i] if j != parent)
         if not kids:
-            return _chain(g, _NiceNode("leaf", (), ()), set(), bag)
-        subs = [_chain(g, build(j, i), set(td.bags[j]), bag) for j in kids]
+            return _chain(_NiceNode("leaf", (), ()), set(), bag)
+        subs = [_chain(build(j, i), set(td.bags[j]), bag) for j in kids]
         node = subs[0]
         for s in subs[1:]:
-            node = _NiceNode("join", *_split_bag(g, bag), children=(node, s))
+            node = _NiceNode("join", *_split_bag(bag), children=(node, s))
         return node
 
     top = build(root_id, None)
-    return _chain(g, top, set(td.bags[root_id]), set())
+    return _chain(top, set(td.bags[root_id]), set())
 
 
 def _insert_bit(mask, pos, bit):
@@ -504,8 +521,8 @@ def _remove_bit(mask, pos):
     return ((mask >> (pos + 1)) << pos) | low
 
 
-def ref_run_dp(g, td):
-    root = _nice_tree(g, td)
+def ref_run_dp(f, td):
+    root = _nice_tree(td)
     postorder = []
     stack = [(root, False)]
     while stack:
@@ -537,7 +554,7 @@ def ref_run_dp(g, td):
             xi = node.bag_vars.index(x)
             sat_true = sat_false = 0
             for ci, cv in enumerate(node.bag_clas):
-                sign = g.sign(x, cv)
+                sign = _sign(f, x, cv)
                 if sign is True:
                     sat_true |= 1 << ci
                 elif sign is False:
@@ -554,7 +571,7 @@ def ref_run_dp(g, td):
             pos_idx = []
             neg_idx = []
             for vi, x in enumerate(node.bag_vars):
-                sign = g.sign(x, c)
+                sign = _sign(f, x, c)
                 if sign is True:
                     pos_idx.append(vi)
                 elif sign is False:
@@ -630,6 +647,6 @@ def test_dense_dp_matches_reference(f):
     g = build_incidence(f)
     expected = count_bruteforce(f)
     for td in decompositions(g):
-        assert ref_run_dp(g, td) == expected
-        assert _run_dp(g, td) == expected
+        assert ref_run_dp(f, td) == expected
+        assert _run_dp(f, td) == expected
         assert count_td(f, td) == expected

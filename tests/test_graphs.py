@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from twcount.formula import Assignment, Clause, CnfFormula, Literal, clause_of, formula_size, reduce
 from twcount.generators import DetRng, gen_grid_formula, gen_random_cnf
 from twcount.graphs import (
-    CLAUSE,
-    VAR,
     Graph,
     build_incidence,
     clause_vertex,
@@ -27,8 +25,10 @@ def test_incidence_small():
     g = build_incidence(f)
     assert g.num_vertices() == 4
     assert g.num_edges() == 4
-    assert g.sign(1, clause_vertex(2)) is False
-    assert g.sign(2, clause_vertex(1)) is True
+    assert g.has_edge(1, clause_vertex(2)) and g.has_edge(2, clause_vertex(1))
+    # The graph is unsigned; polarity stays in the formula.
+    assert f.clauses_by_id[2].sign_of(1) is False
+    assert f.clauses_by_id[1].sign_of(2) is True
 
 
 def test_incidence_size_identity():
@@ -54,12 +54,14 @@ def ref_build_incidence(f):
     """The incidence graph built through add_vertex / add_edge and their checks."""
     g = Graph()
     for v in sorted(f.variables | f.free_vars):
-        g.add_vertex(v, VAR)
+        g.add_vertex(v)
     for c in f.clauses:
         cv = clause_vertex(c.id)
-        g.add_vertex(cv, CLAUSE)
+        if g.has_vertex(cv):
+            raise ValueError(f"clause vertex {cv} is a variable vertex")
+        g.add_vertex(cv)
         for lit in c.literals:
-            g.add_edge(lit.var, cv, lit.positive)
+            g.add_edge(lit.var, cv)
     return g
 
 
@@ -84,8 +86,6 @@ def test_build_incidence_matches_reference(f):
     # Same tables in the same insertion order, so every iteration order agrees.
     assert list(g._adj) == list(ref._adj)
     assert all(list(g._adj[v]) == list(ref._adj[v]) for v in ref._adj)
-    assert list(g._kind.items()) == list(ref._kind.items())
-    assert list(g._sign.items()) == list(ref._sign.items())
     assert g.num_edges() == ref.num_edges() == sum(len(c) for c in f.clauses)
 
 
@@ -146,7 +146,7 @@ def test_dissolve_subdivided_wall_restores_wall():
     model = subdivided_wall_model(4, extra=1)
     wall, _ = make_wall(4)
     h = dissolve_degree_two(model.host, protected=set(model.branch_vertices.values()))
-    assert find_isomorphism(h, wall, use_kinds=False) is not None
+    assert find_isomorphism(h, wall) is not None
 
 
 @given(st.integers(0, 200))
@@ -166,7 +166,7 @@ def test_dissolve_confluent_under_vertex_relabeling(seed):
         h.add_edge(relabel[u], relabel[v])
     a = dissolve_degree_two(g)
     b = dissolve_degree_two(h)
-    assert find_isomorphism(a, b, use_kinds=False) is not None
+    assert find_isomorphism(a, b) is not None
 
 
 def test_is_wall_subdivision_identity():
@@ -220,7 +220,7 @@ def test_gr_roundtrip():
     back = read_gr(text)
     assert back.num_vertices() == 16
     assert back.num_edges() == g.num_edges()
-    assert find_isomorphism(back, g, use_kinds=False) is not None
+    assert find_isomorphism(back, g) is not None
     assert sorted(id_map.values()) == list(range(1, 17))
 
 
