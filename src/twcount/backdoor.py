@@ -2,23 +2,25 @@
 
 The exact search branches on killer sets of treewidth witnesses: whenever
 some assignment to the current candidate set leaves a too-wide reduction, a
-small high-treewidth subgraph is extracted and every way of destroying it
-(containing one of its variables, or satisfying one of its clauses under
-every assignment) yields a child branch. Any strong backdoor must intersect
-that killer set, so the search is complete.
+small high-treewidth subgraph is extracted (`treewidth.witness`) and every
+way of destroying it (containing one of its variables, or satisfying one of
+its clauses under every assignment) yields a child branch. Any strong
+backdoor must intersect that killer set, so the search is complete.
 
 Every width query on a reduced formula goes through one `_Oracle`, which
 `counting.solve` creates per solve and hands to the search, the witness
 extraction and the branch pass. It keeps each verdict, never the graph,
 keyed by (reduced formula, t): reductions reached along different paths
 are equal formulas, so each is decided once, and inc(F) is built only to
-decide it. A public function called on its own starts a fresh oracle.
+decide it, or for a witness whose verdict was already held. The oracle
+also keeps the search counts of the solve. A public function called on its
+own starts a fresh oracle.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .formula import Assignment, CnfFormula, FormulaError, assignments, delete_vars, reduce
 from .graphs import Graph, build_incidence, clause_id, is_clause_vertex
@@ -29,9 +31,8 @@ from .treewidth import (
     UNKNOWN,
     TreeDecomposition,
     TwVerdict,
-    _core_vertices,
-    _greedy_order,
     treewidth_at_most,
+    witness,
 )
 
 STRONG_CHECK_CAP = 20
@@ -116,7 +117,8 @@ def _unpack(packed: array | None) -> TreeDecomposition | None:
 
 
 class _Oracle:
-    """The width verdicts of one solve, keyed by (reduced formula, t).
+    """The width verdicts of one solve, keyed by (reduced formula, t), and
+    the solve's search counts.
 
     reduce(reduce(f, a), b) equals reduce(f, a | b), so a reduction reached
     along different paths is one entry, and the ladder decides it once, on
@@ -127,25 +129,27 @@ class _Oracle:
     without the oracle.
     """
 
-    __slots__ = ("vertex_cap", "_verdicts")
+    __slots__ = ("vertex_cap", "stats", "_verdicts")
 
     def __init__(self, vertex_cap: int) -> None:
         self.vertex_cap = vertex_cap
-        # (formula key, t) -> (kind, bound, certificate, packed decomposition)
+        self.stats = SearchStats()
+        # (formula key, t) -> (kind, bound, packed decomposition)
         self._verdicts: dict[tuple[bytes, int], tuple] = {}
 
-    def _entry(self, f: CnfFormula, t: int, ladder) -> tuple[tuple, TwVerdict | None]:
-        """The stored entry, and the verdict itself if the ladder was just asked."""
+    def _entry(
+        self, f: CnfFormula, t: int, ladder
+    ) -> tuple[tuple, TwVerdict | None, Graph | None]:
+        """The stored entry; after a miss also the verdict the ladder just gave
+        and the graph it decided, which is handed back but not kept."""
         key = (_formula_key(f), t)
         entry = self._verdicts.get(key)
         if entry is not None:
-            return entry, None
-        ladder = ladder or treewidth_at_most
-        verdict = ladder(build_incidence(f), t, self.vertex_cap)
-        entry = self._verdicts[key] = (
-            verdict.kind, verdict.bound, verdict.certificate, _pack(verdict.decomposition)
-        )
-        return entry, verdict
+            return entry, None, None
+        g = build_incidence(f)
+        verdict = (ladder or treewidth_at_most)(g, t, self.vertex_cap)
+        entry = self._verdicts[key] = (verdict.kind, verdict.bound, _pack(verdict.decomposition))
+        return entry, verdict, g
 
     def kind(self, f: CnfFormula, t: int) -> str:
         """The kind of f's verdict at t, without unpacking a decomposition."""
@@ -158,20 +162,20 @@ class _Oracle:
         counting layer passes its own name for the queries whose decomposition
         its DP runs on, so each layer's queries can be told apart.
         """
-        entry, verdict = self._entry(f, t, ladder)
+        entry, verdict, _ = self._entry(f, t, ladder)
         if verdict is None:
-            kind, bound, certificate, packed = entry
-            verdict = TwVerdict(kind, bound, _unpack(packed), certificate)
+            kind, bound, packed = entry
+            verdict = TwVerdict(kind, bound, _unpack(packed))
         return verdict
 
 
 def _first_failing(
-    f: CnfFormula, b: frozenset[int], t: int, oracle: _Oracle, stats: SearchStats | None
+    f: CnfFormula, b: frozenset[int], t: int, oracle: _Oracle
 ) -> tuple[Assignment, CnfFormula] | None:
-    """The first assignment to b whose reduction exceeds t, with that reduction."""
+    """The first assignment to b whose reduction exceeds t, with that reduction;
+    each assignment drawn counts as one check on the oracle's stats."""
     for tau in assignments(b, cap=STRONG_CHECK_CAP):
-        if stats is not None:
-            stats.checks += 1
+        oracle.stats.checks += 1
         fr = reduce(f, tau)
         kind = oracle.kind(fr, t)
         if kind == UNKNOWN:
@@ -190,15 +194,14 @@ def is_strong_backdoor(
         raise FormulaError(f"backdoor candidates must occur in the formula: {sorted(bset - f.variables)}")
     if len(bset) > STRONG_CHECK_CAP:
         raise FormulaError(f"backdoor of size {len(bset)} exceeds the check cap {STRONG_CHECK_CAP}")
-    stats = SearchStats()
     oracle = _Oracle(vertex_cap)
-    failing = _first_failing(f, bset, t, oracle, stats)
+    failing = _first_failing(f, bset, t, oracle)
     if failing is None:
-        return BackdoorReport(tuple(sorted(bset)), "strong", t, True, stats=stats)
+        return BackdoorReport(tuple(sorted(bset)), "strong", t, True, stats=oracle.stats)
     tau, fr = failing
     return BackdoorReport(
         tuple(sorted(bset)), "strong", t, False,
-        failing_assignment=tau, failing_bound=oracle.verdict(fr, t).bound, stats=stats,
+        failing_assignment=tau, failing_bound=oracle.verdict(fr, t).bound, stats=oracle.stats,
     )
 
 
@@ -238,90 +241,21 @@ def killer_set(f: CnfFormula, w, t: int) -> KillerSet:
     return KillerSet(wset, tuple(sorted(internal)), tuple(sorted(pos & neg)))
 
 
-def _find_cycle(g: Graph) -> frozenset[int] | None:
-    """Vertex set of some cycle, via a spanning tree plus one non-tree edge."""
-    seen: set[int] = set()
-    for start in g.sorted_vertices():
-        if start in seen:
-            continue
-        parent: dict[int, int | None] = {}
-        depth: dict[int, int] = {}
-        stack: list[tuple[int, int | None, int]] = [(start, None, 0)]
-        while stack:
-            u, p, d = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            parent[u] = p
-            depth[u] = d
-            for x in sorted(g.neighbors(u)):
-                if x == p:
-                    continue
-                if x in depth:
-                    # non-tree edge u-x closes a cycle through their meeting point
-                    a, b = u, x
-                    cyc = {a, b}
-                    while depth[a] > depth[b]:
-                        a = parent[a]
-                        cyc.add(a)
-                    while depth[b] > depth[a]:
-                        b = parent[b]
-                        cyc.add(b)
-                    while a != b:
-                        a, b = parent[a], parent[b]
-                        cyc.add(a)
-                        cyc.add(b)
-                    return frozenset(cyc)
-                stack.append((x, u, d + 1))
-    return None
-
-
 def extract_witness(
     f: CnfFormula, tau: Assignment, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> frozenset[int]:
-    """A small vertex set of inc(F[tau]) whose induced subgraph has width above t.
-
-    Seeded from a cheap certificate (a cycle for t=1, the (t+1)-core
-    otherwise), then shrunk by greedy vertex deletion while the width stays
-    above t. For t <= 2 each deletion trial plays the min-degree game, stopped
-    above t, on the induced adjacency: it is the exact test of the ladder's
-    t <= 2 rung, without building a subgraph.
-    """
+    """A small vertex set of inc(F[tau]) whose induced subgraph has width
+    above t (see `treewidth.witness`); ValueError unless F[tau] has width above t."""
     return _witness(reduce(f, tau), t, _Oracle(vertex_cap))
 
 
 def _witness(fr: CnfFormula, t: int, oracle: _Oracle) -> frozenset[int]:
-    """extract_witness on the reduction fr, asking the oracle for its verdict
-    before building the graph the shrink runs on."""
-    verdict = oracle.verdict(fr, t)
-    if verdict.kind != EXCEEDS:
+    """extract_witness on the reduction fr, asking the oracle for its verdict;
+    the shrink runs on the graph a miss just built, or on a fresh inc(fr)."""
+    (kind, _, _), _, g = oracle._entry(fr, t, None)
+    if kind != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
-    g = build_incidence(fr)
-    if t == 1:
-        seed = _find_cycle(g)
-        if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
-            seed = frozenset(g.vertices())
-    elif t <= 2:
-        # The (t+1)-core is nonempty exactly when degeneracy rules out t.
-        seed = _core_vertices(g, t + 1) or frozenset(g.vertices())
-    elif isinstance(verdict.certificate, frozenset):
-        seed = verdict.certificate
-    else:
-        seed = frozenset(g.vertices())
-    adj = g.adjacency() if t <= 2 else None
-    w = set(seed)
-    for u in sorted(seed):
-        if len(w) <= 2:
-            break
-        trial = w - {u}
-        if t <= 2:
-            order, _, _ = _greedy_order({v: adj[v] & trial for v in trial}, False, limit=t)
-            exceeds = len(order) < len(trial)
-        else:
-            exceeds = treewidth_at_most(g.subgraph(trial), t, oracle.vertex_cap).kind == EXCEEDS
-        if exceeds:
-            w = trial
-    return frozenset(w)
+    return witness(build_incidence(fr) if g is None else g, t, oracle.vertex_cap)
 
 
 def find_smallest_strong_backdoor(
@@ -338,19 +272,18 @@ def find_smallest_strong_backdoor(
 
 
 def _smallest(f: CnfFormula, t: int, k_max: int, oracle: _Oracle) -> BackdoorReport | None:
-    """find_smallest_strong_backdoor, asking the oracle for every verdict."""
-    stats = SearchStats()
+    """find_smallest_strong_backdoor, asking the oracle for every verdict and
+    counting on its stats."""
 
     def dfs(b: frozenset[int], size: int) -> frozenset[int] | None:
-        stats.nodes += 1
-        failing = _first_failing(f, b, t, oracle, stats)
+        oracle.stats.nodes += 1
+        failing = _first_failing(f, b, t, oracle)
         if failing is None:
             return b
         if len(b) >= size:
             return None
         _, fr = failing
-        witness = _witness(fr, t, oracle)
-        killers = killer_set(fr, witness, t)
+        killers = killer_set(fr, _witness(fr, t, oracle), t)
         for x in killers.internal + killers.external:
             res = dfs(b | {x}, size)
             if res is not None:
@@ -360,24 +293,8 @@ def _smallest(f: CnfFormula, t: int, k_max: int, oracle: _Oracle) -> BackdoorRep
     for size in range(k_max + 1):
         found = dfs(frozenset(), size)
         if found is not None:
-            return BackdoorReport(tuple(sorted(found)), "strong", t, True, stats=stats)
+            return BackdoorReport(tuple(sorted(found)), "strong", t, True, stats=replace(oracle.stats))
     return None
-
-
-def killer_union_candidates(
-    f: CnfFormula, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> tuple[int, ...]:
-    """Candidate variables from one witness of the unreduced formula.
-
-    Every strong backdoor (of any size) must contain one of these, since it
-    must destroy the witness.
-    """
-    return _killer_union(f, t, _Oracle(vertex_cap))
-
-
-def _killer_union(f: CnfFormula, t: int, oracle: _Oracle) -> tuple[int, ...]:
-    killers = killer_set(f, _witness(f, t, oracle), t)
-    return killers.internal + killers.external
 
 
 def approx_backdoor(
@@ -390,12 +307,12 @@ def approx_backdoor(
     """Strong backdoor of size at most 2^k - 1, or None meaning none of size <= k.
 
     Small-width formulas fall back to the exact search. On wide formulas every
-    killer of one witness (killer_union_candidates) is set both ways and the
-    halves are solved with budget k-1: the killers of one witness meet every
-    small strong backdoor, since each must destroy that witness.
+    killer of one witness is set both ways and the halves are solved with
+    budget k-1: the killers of one witness meet every small strong backdoor,
+    since each must destroy that witness.
     {x} | B0 | B1 is not re-checked: width is monotone under the subgraphs that
     more assignments leave, and counting's branch pass is the verifier. Stats
-    include the nested exact searches that found a set (others report none).
+    count every node and check of the search, nested exact searches included.
     """
     if not 0 <= k <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
@@ -405,25 +322,22 @@ def approx_backdoor(
 def _approx(
     f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle
 ) -> BackdoorReport | None:
-    """approx_backdoor, asking the oracle for every verdict."""
+    """approx_backdoor, asking the oracle for every verdict and counting on
+    its stats."""
     threshold = max(tw_threshold, t)
-    stats = SearchStats()
 
     def rec(cur: CnfFormula, budget: int) -> frozenset[int] | None:
-        stats.nodes += 1
+        oracle.stats.nodes += 1
         kind = oracle.kind(cur, threshold)
         if kind == UNKNOWN:
             raise InconclusiveTreewidth("treewidth undecided during approximation")
         if kind == AT_MOST:
             report = _smallest(cur, t, budget, oracle)
-            if report is None:
-                return None
-            stats.nodes += report.stats.nodes
-            stats.checks += report.stats.checks
-            return frozenset(report.variables)
+            return None if report is None else frozenset(report.variables)
         if budget == 0:
             return None
-        for x in sorted(set(_killer_union(cur, t, oracle))):
+        killers = killer_set(cur, _witness(cur, t, oracle), t)
+        for x in sorted(set(killers.internal + killers.external)):
             b0 = rec(reduce(cur, Assignment({x: 0})), budget - 1)
             if b0 is None:
                 continue
@@ -436,4 +350,4 @@ def _approx(
     found = rec(f, k)
     if found is None:
         return None
-    return BackdoorReport(tuple(sorted(found)), "strong", t, True, stats=stats)
+    return BackdoorReport(tuple(sorted(found)), "strong", t, True, stats=replace(oracle.stats))

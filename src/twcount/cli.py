@@ -70,7 +70,9 @@ def cmd_tw(args) -> int:
     lower = treewidth.lower_bound(g)
     upper, td = treewidth.upper_bound_heuristic(g)
     exact = None
-    if g.num_vertices() <= args.exact_cap:
+    if lower == upper:  # min-fill's decomposition is optimal: no search needed
+        exact = upper
+    elif g.num_vertices() <= args.exact_cap:
         exact, td = treewidth.exact_treewidth(g, args.exact_cap)
     report = {
         "graph": mode,
@@ -101,7 +103,7 @@ def cmd_count(args) -> int:
     note = None
     try:
         if args.mode == "brute":
-            count, mode, verdict = counting.count_bruteforce(f, cap=args.brute_cap), "brute", "counted"
+            count, mode, verdict = counting.count_bruteforce(f), "brute", "counted"
             backdoor_vars, widths = None, None
         elif args.mode == "td":
             width, td = treewidth.upper_bound_heuristic(graphs.build_incidence(f))
@@ -241,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--mode", choices=["auto", "td", "brute", "backdoor"], default="auto")
     cnt.add_argument("--tw-threshold", type=int, default=8)
     cnt.add_argument("--exact-cap", type=int, default=treewidth.DEFAULT_VERTEX_CAP)
-    cnt.add_argument("--brute-cap", type=int, default=counting.BRUTE_FORCE_CAP)
     cnt.set_defaults(func=cmd_count)
 
     b = sub.add_parser("backdoor", help="find or verify strong backdoor sets")

@@ -55,12 +55,13 @@ class BackdoorInvalidError(RuntimeError):
         super().__init__(f"reduction under {assignment} exceeds the width bound (got {bound})")
 
 
-def count_bruteforce(f: CnfFormula, cap: int = BRUTE_FORCE_CAP) -> int:
-    """Exact model count by enumerating assignments of var(F) plus free vars."""
+def count_bruteforce(f: CnfFormula) -> int:
+    """Exact model count by enumerating assignments of var(F) plus free vars,
+    at most BRUTE_FORCE_CAP of them: 2^23 pure-Python iterations take minutes."""
     vs = sorted(f.variables | f.free_vars)
     n = len(vs)
-    if n > cap:
-        raise VariableCapExceeded(f"{n} variables exceed the brute-force cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise VariableCapExceeded(f"{n} variables exceed the brute-force cap {BRUTE_FORCE_CAP}")
     idx = {v: i for i, v in enumerate(vs)}
     masks = []
     for c in f.clauses:

@@ -13,8 +13,7 @@ elimination):
    rules for partial 2-trees; Arnborg & Proskurowski, 1986; Wald & Colbourn,
    1983). Its width is then the treewidth. The rungs below, and the vertex
    cap, only matter for t >= 3;
-2. degeneracy above t: Exceeds, with the (t+1)-core as certificate; a
-   bucket-queue peel, O(n+m);
+2. degeneracy above t: Exceeds; a bucket-queue peel, O(n+m);
 3. min-fill width at most t: AtMost, with the decomposition recorded during
    the elimination; a lazy heap that re-scores only the vertices within
    distance 2 of each eliminated vertex, roughly O(sum of d^2 log n);
@@ -28,6 +27,13 @@ The exact solver searches elimination orderings: safe reductions (simplicial,
 almost-simplicial, degree-2) shrink the graph, then a depth-first decision
 search per target width with memoized dead states settles the rest. This is
 practical to roughly fifty vertices, larger for structured graphs.
+
+An Exceeds verdict carries only a bound. `witness(g, t)` finds, for a graph
+of width above t, a small vertex set whose induced subgraph still has width
+above t. It seeds from a cycle for t = 1; otherwise from the (t+1)-core,
+which is nonempty exactly when degeneracy rules t out, or from all of g.
+It then shrinks the seed by greedy vertex deletion, each trial decided by
+the rung that decides t.
 """
 
 from __future__ import annotations
@@ -79,18 +85,15 @@ class TwVerdict:
     """Outcome of a treewidth-at-most query.
 
     kind 'at_most' carries a witnessing decomposition and its width as
-    bound; 'exceeds' carries a certificate (a vertex set of degeneracy above
-    the target, or a note naming the rung that ruled the target out) and, as
-    bound, a proven lower bound above the target, not the width: each rung
-    reports what it proved, so the min-degree rung for t <= 2 says t + 1
-    where the contraction bound or the exact search may say more; 'unknown'
-    means the caps prevented a decision.
+    bound; 'exceeds' carries, as bound, a proven lower bound above the
+    target, not the width: each rung reports what it proved, so the
+    min-degree rung for t <= 2 says t + 1 where the contraction bound or the
+    exact search may say more; 'unknown' means the caps prevented a decision.
     """
 
     kind: str
     bound: int
     decomposition: TreeDecomposition | None = None
-    certificate: object = None
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
@@ -183,7 +186,9 @@ def degeneracy(g: Graph) -> int:
 
 
 def lower_bound(g: Graph) -> int:
-    return degeneracy(g)
+    """The larger of degeneracy and the contraction bound; -1 on the empty graph."""
+    adj = g.adjacency()
+    return max(_degeneracy_adj(adj), _mmw_adj(adj)) if adj else -1
 
 
 def minor_min_width(g: Graph) -> int:
@@ -571,8 +576,8 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     degree exceeds t, decides alone and exactly: AtMost with its
     decomposition, whose width is the treewidth, when it empties the graph,
     else Exceeds with bound t + 1. For t >= 3 the rungs run cheapest first:
-    degeneracy above t (O(n+m)) is Exceeds with the (t+1)-core as
-    certificate; min-fill width at most t is AtMost with its decomposition;
+    degeneracy above t (O(n+m)) is Exceeds; min-fill width at most t is
+    AtMost with its decomposition;
     the contraction bound above t is Exceeds; at or below the vertex cap,
     exact search decides, stopping once width above t is proven; above the
     cap the answer is Unknown. vertex_cap therefore only matters for t >= 3.
@@ -582,23 +587,96 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     if t <= 2:
         order, width, bags = _greedy_order(g.adjacency(), by_fill=False, limit=t)
         if len(order) < g.num_vertices():
-            return TwVerdict(EXCEEDS, t + 1, None, "min-degree elimination stuck above t")
+            return TwVerdict(EXCEEDS, t + 1)
         return TwVerdict(AT_MOST, width, _decomposition(order, bags))
     deg = degeneracy(g)
     if deg > t:
-        return TwVerdict(EXCEEDS, deg, None, _core_vertices(g, t + 1))
+        return TwVerdict(EXCEEDS, deg)
     ub, td = upper_bound_heuristic(g, limit=t)
     if ub <= t:
         return TwVerdict(AT_MOST, ub, td)
     mmw = minor_min_width(g)
     if mmw > t:
-        return TwVerdict(EXCEEDS, mmw, None, "contraction bound above t")
+        return TwVerdict(EXCEEDS, mmw)
     if g.num_vertices() <= vertex_cap:
         w, etd = exact_treewidth(g, vertex_cap, limit=t)
         if w <= t:
             return TwVerdict(AT_MOST, w, etd)
-        return TwVerdict(EXCEEDS, w, None, "exact search exhausted orderings")
+        return TwVerdict(EXCEEDS, w)
     return TwVerdict(UNKNOWN, ub)
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+def _find_cycle(g: Graph) -> frozenset[int] | None:
+    """Vertex set of some cycle, via a spanning tree plus one non-tree edge."""
+    seen: set[int] = set()
+    for start in g.sorted_vertices():
+        if start in seen:
+            continue
+        parent: dict[int, int | None] = {}
+        depth: dict[int, int] = {}
+        stack: list[tuple[int, int | None, int]] = [(start, None, 0)]
+        while stack:
+            u, p, d = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            parent[u] = p
+            depth[u] = d
+            for x in sorted(g.neighbors(u)):
+                if x == p:
+                    continue
+                if x in depth:
+                    # non-tree edge u-x closes a cycle through their meeting point
+                    a, b = u, x
+                    cyc = {a, b}
+                    while depth[a] > depth[b]:
+                        a = parent[a]
+                        cyc.add(a)
+                    while depth[b] > depth[a]:
+                        b = parent[b]
+                        cyc.add(b)
+                    while a != b:
+                        a, b = parent[a], parent[b]
+                        cyc.add(a)
+                        cyc.add(b)
+                    return frozenset(cyc)
+                stack.append((x, u, d + 1))
+    return None
+
+
+def witness(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> frozenset[int]:
+    """A small vertex set of g whose induced subgraph has width above t; g's
+    own width must be above t.
+
+    Seeded from a cycle for t = 1, otherwise from the (t+1)-core, or all of g
+    when that core is empty; then shrunk by greedy vertex deletion while the
+    width stays above t. For t <= 2 each deletion trial plays the min-degree
+    game, stopped above t, on the induced adjacency: the exact test of the
+    ladder's t <= 2 rung, without building a subgraph. For t >= 3 each trial
+    asks treewidth_at_most about the induced subgraph.
+    """
+    if t == 1:
+        seed = _find_cycle(g) or frozenset(g.vertices())
+    else:
+        seed = _core_vertices(g, t + 1) or frozenset(g.vertices())
+    adj = g.adjacency() if t <= 2 else None
+    w = set(seed)
+    for u in sorted(seed):
+        if len(w) <= 2:
+            break
+        trial = w - {u}
+        if t <= 2:
+            order, _, _ = _greedy_order({v: adj[v] & trial for v in trial}, False, limit=t)
+            exceeds = len(order) < len(trial)
+        else:
+            exceeds = treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS
+        if exceeds:
+            w = trial
+    return frozenset(w)
 
 
 # ---------------------------------------------------------------------------

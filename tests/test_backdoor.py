@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twcount import backdoor
 from twcount import treewidth as tw
 from twcount.backdoor import (
-    _find_cycle,
     _formula_key,
     _pack,
     _unpack,
@@ -16,7 +16,6 @@ from twcount.backdoor import (
     is_deletion_backdoor,
     is_strong_backdoor,
     killer_set,
-    killer_union_candidates,
 )
 from twcount.formula import Assignment, CnfFormula, FormulaError, assignments, clause_of, reduce
 from twcount.generators import DetRng, gen_grid_formula, gen_grid_formula_x, gen_planted, gen_random_cnf
@@ -28,6 +27,7 @@ from twcount.treewidth import (
     UNKNOWN,
     TreeDecomposition,
     TwVerdict,
+    _find_cycle,
     degeneracy,
     exact_treewidth,
     minor_min_width,
@@ -149,6 +149,21 @@ def test_extract_witness_precondition():
         extract_witness(f, Assignment(), 1)
 
 
+def test_extract_witness_builds_the_graph_once(monkeypatch):
+    # The graph the oracle's miss was decided on is the one the shrink runs on.
+    built = []
+
+    def build(f):
+        built.append(f)
+        return build_incidence(f)
+
+    monkeypatch.setattr(backdoor, "build_incidence", build)
+    f = gen_grid_formula_x(6)
+    w = extract_witness(f, Assignment({}), 1)
+    assert len(built) == 1
+    assert treewidth_at_most(build_incidence(f).subgraph(w), 1).kind == EXCEEDS
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: the witness shrink with one ladder query per trial
 
@@ -159,24 +174,25 @@ def ref_treewidth_at_most(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
         return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
     deg = degeneracy(g)
     if deg > t:
-        return TwVerdict(EXCEEDS, deg, None, tw._core_vertices(g, t + 1))
+        return TwVerdict(EXCEEDS, deg)
     ub, td = upper_bound_heuristic(g, limit=t)
     if ub <= t:
         return TwVerdict(AT_MOST, ub, td)
     mmw = minor_min_width(g)
     if mmw > t:
-        return TwVerdict(EXCEEDS, mmw, None, "contraction bound above t")
+        return TwVerdict(EXCEEDS, mmw)
     if g.num_vertices() <= vertex_cap:
         w, etd = exact_treewidth(g, vertex_cap, limit=t)
         if w <= t:
             return TwVerdict(AT_MOST, w, etd)
-        return TwVerdict(EXCEEDS, w, None, "exact search exhausted orderings")
+        return TwVerdict(EXCEEDS, w)
     return TwVerdict(UNKNOWN, ub)
 
 
 def ref_extract_witness(f, tau, t, vertex_cap=DEFAULT_VERTEX_CAP):
-    """extract_witness as it was: every deletion trial is a ladder query on a
-    freshly built subgraph."""
+    """extract_witness as it was: seeded from the (t+1)-core when degeneracy
+    rules t out (what the degeneracy rung once returned as its certificate),
+    and every deletion trial is a ladder query on a freshly built subgraph."""
     g = build_incidence(reduce(f, tau))
     verdict = ref_treewidth_at_most(g, t, vertex_cap)
     if verdict.kind != EXCEEDS:
@@ -185,8 +201,8 @@ def ref_extract_witness(f, tau, t, vertex_cap=DEFAULT_VERTEX_CAP):
         seed = _find_cycle(g)
         if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
             seed = frozenset(g.vertices())
-    elif isinstance(verdict.certificate, frozenset):
-        seed = verdict.certificate
+    elif degeneracy(g) > t:
+        seed = tw._core_vertices(g, t + 1)
     else:
         seed = frozenset(g.vertices())
     w = set(seed)
@@ -200,15 +216,16 @@ def ref_extract_witness(f, tau, t, vertex_cap=DEFAULT_VERTEX_CAP):
 
 
 @given(st.integers(0, 5000))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_extract_witness_matches_reference(seed):
     rng = DetRng(seed)
-    t = 1 + seed % 2
-    n = rng.randint(4, 12)
-    if seed % 3 == 0:
+    t = 1 + seed % 3
+    n = rng.randint(4, 8 if t == 3 else 12)
+    if t < 3 and seed % 2 == 0:
         f, _ = gen_planted(n, t, rng.randint(1, 3), seed)
     else:
-        f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), rng.randint(2, 3), seed)
+        width = 3 if t == 3 else rng.randint(2, 3)
+        f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), width, seed)
     fixed = rng.sample(sorted(f.variables), min(rng.randint(0, 2), len(f.variables)))
     tau = Assignment({x: rng.bit() for x in fixed})
     g = build_incidence(reduce(f, tau))
@@ -317,8 +334,26 @@ def test_approx_absence_is_correct(seed):
 
 def test_killer_union_candidates_hit_all_backdoors():
     f = gen_grid_formula_x(3)
-    cands = set(killer_union_candidates(f, 1))
-    assert 10 in cands  # the switch kills every obstruction externally
+    killers = killer_set(f, extract_witness(f, Assignment(), 1), 1)
+    assert 10 in killers.internal + killers.external  # the switch kills every obstruction externally
+
+
+@pytest.mark.parametrize(
+    "f, t, k, threshold",
+    [(gen_planted(8, 1, 2, 0)[0], 1, 2, 2), (gen_grid_formula_x(4), 2, 2, 3)],
+)
+def test_approx_reports_every_check(monkeypatch, f, t, k, threshold):
+    # Nested exact searches that find no set count their checks too.
+    drawn = []
+
+    def counted(*args, **kwargs):
+        for tau in assignments(*args, **kwargs):
+            drawn.append(tau)
+            yield tau
+
+    monkeypatch.setattr(backdoor, "assignments", counted)
+    rep = approx_backdoor(f, t, k, tw_threshold=threshold)
+    assert rep is not None and rep.stats.checks == len(drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ def test_tw_gr_k5(capsys, tmp_path):
     assert rep["exact"] == 4
 
 
+def test_tw_wall_exact_from_the_lower_bound(capsys, tmp_path):
+    # The 8-wall's 64 vertices are above the default exact cap; its contraction
+    # bound meets min-fill's width, so that width is exact without a search.
+    p = str(tmp_path / "w8.gr")
+    assert main(["generate", "--family", "wall", "--n", "8", "--out", p]) == 0
+    code, rep = run(capsys, "tw", p)
+    assert code == 0
+    assert rep["n"] == 64
+    assert rep["lower"] == rep["upper"] == rep["exact"] == rep["width"] == 4
+
+
 def test_tw_parse_error_exit_2(capsys, tmp_path):
     p = tmp_path / "empty.cnf"
     p.write_text("")
@@ -159,6 +170,13 @@ def test_count_brute_unsat(capsys, tmp_path):
     code, rep = run(capsys, "count", str(p), "--mode", "brute")
     assert code == 0
     assert rep["count"] == "0"
+
+
+def test_count_brute_above_the_cap_exit_2(capsys, tmp_path):
+    p = tmp_path / "free23.cnf"
+    p.write_text("p cnf 23 0\n")
+    assert main(["count", str(p), "--mode", "brute"]) == 2
+    assert "23 variables exceed the brute-force cap 22" in capsys.readouterr().err
 
 
 def test_count_above_the_int_str_digit_limit(capsys, tmp_path):

@@ -302,9 +302,9 @@ def test_planted_t3_counted_quickly():
 
 class LadderLog:
     """Wraps the width ladder, and build_incidence, in the modules that call
-    them, and logs each (formula, t) the ladder is asked about. Only graphs
-    built by build_incidence count: witness shrink trials for t >= 3 ask the
-    ladder about subgraphs, not about reduced formulas. Also counts the graphs
+    them, and logs each (formula, t) the ladder is asked about. Witness shrink
+    trials for t >= 3 ask `treewidth.treewidth_at_most` about subgraphs from
+    inside `treewidth.witness`, so they are not logged. Also counts the graphs
     built and the witness extractions."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
