@@ -4,8 +4,13 @@ Counts are Python ints, so they are arbitrary precision by construction.
 The decomposition DP keeps one dense table per bag of the incidence graph's
 tree decomposition, with clause bits in the "still unsatisfied" form of
 Slivovsky & Szeider (SAT 2020), and walks the bags iteratively, so deep
-decompositions are fine. A bag wider than the table budget (DP_TABLE_CAP
-entries) raises TableBudgetExceeded before any table is allocated.
+decompositions are fine. Each child's table is folded to a message over the
+vertices it shares with its bag and applied to the bag's table in place: a
+message over a few vertices, such as a clause leaf's "c is satisfied",
+scales or zeroes the sub-cubes its entries select, and a wider one is
+spread to the bag and multiplied in. A bag wider than the table budget
+(DP_TABLE_CAP entries) raises TableBudgetExceeded before any table is
+allocated.
 The DP reads the formula, not a graph: a bag vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula. Free variables of a formula appear as isolated
@@ -91,19 +96,40 @@ def count_bruteforce(f: CnfFormula) -> int:
 # unsatisfied": entry (alpha, U) counts the assignments to the variables
 # forgotten below the bag that extend alpha, satisfy every clause forgotten
 # below, and satisfy no clause of U by any variable of the subtree. In this
-# form the tables of two subtrees multiply pointwise (they share only the bag
-# variables), a variable is forgotten by adding its two halves, and a clause
-# by subtracting its "unsatisfied" half from the other. Introducing a vertex
-# copies the table into both halves of the new bit; an edge between a
-# variable x and a clause c then zeroes the entries in which x takes the
-# value its literal in c makes true while c must stay unsatisfied. Zeroing
-# twice changes nothing, so an edge seen in several bags needs no bookkeeping.
+# form a variable is forgotten by adding its two halves, a clause by
+# subtracting its "unsatisfied" half from the other, and the tables of two
+# subtrees multiply entry by entry (they share only the bag's vertices).
 #
-# Each bit operation below is a loop of slice or strided-slice operations
-# over whichever index dimensions are shortest, so its Python-level steps are
-# O(sqrt(table)) and the elementwise work runs in C.
+# Bags are sorted and indexed once. A child's table is folded down to the
+# vertices it shares with its bag; this message depends on the shared bits
+# only, and applying it multiplies every bag entry, in place, by the message
+# entry that its shared bits select:
+#
+# - A small message, over at most SMALL_MESSAGE_BITS vertices into a wider
+#   bag, is applied entry by entry: an entry of 1 is skipped, any other
+#   scales (and 0 zeroes) the sub-cube of bag entries whose shared bits
+#   match it. Every clause leaf {c} + vars(c) of a 3-CNF gives one: once c
+#   is forgotten it says only "c is satisfied", a single zero entry. The
+#   bound is 4 because such a leaf shares at most 4 vertices with its
+#   parent, while a message over more vertices has more entries than
+#   slicing them one by one pays for. A bag of at most 4 vertices has at
+#   most 16 entries, where one multiplication pass beats any slicing.
+# - Any other message is spread to all the bag's bits, one pass per run of
+#   missing positions, and multiplied in; the first becomes the bag's table.
+#
+# A bag that gets only small messages starts from all ones. Then every edge
+# between a variable x and a clause c is zeroed once, in the highest bag
+# holding both (the bags holding both form a subtree): the sub-cube in which
+# x takes the value its literal in c makes true while c must stay
+# unsatisfied. Each factor of the count is multiplied in exactly once, so
+# where it lands in the tree does not matter.
+#
+# Every operation is a loop of slice or strided-slice operations along the
+# longest run of index bits it leaves free, so its Python-level steps are
+# few and the elementwise work runs in C.
 
 DP_TABLE_CAP = 1 << 22  # entries of one table; a few live tables stay well under 2 GB
+SMALL_MESSAGE_BITS = 4  # widest message applied sub-cube by sub-cube (see above)
 
 
 class TableBudgetExceeded(RuntimeError):
@@ -132,65 +158,83 @@ def _fold(t: list[int], p: int, op) -> list[int]:
     return res
 
 
-def _spread(t: list[int], p: int) -> list[int]:
-    """Insert bit p, copying every entry to both of its values."""
-    lo = 1 << p
-    step = lo << 1
-    if lo * lo <= len(t):
-        res = [0] * (len(t) << 1)
+def _spread(t: list[int], p: int, r: int) -> list[int]:
+    """Insert r bits at position p, copying every entry to all 2^r values of them."""
+    lo, reps = 1 << p, 1 << r
+    if lo * lo * reps <= len(t):
+        step = lo * reps
+        res = [0] * (len(t) * reps)
         for j in range(lo):
-            res[j::step] = res[j + lo :: step] = t[j::lo]
+            col = t[j::lo]
+            for k in range(j, step, lo):
+                res[k::step] = col
         return res
     res = []
     for h in range(0, len(t), lo):
-        res += t[h : h + lo] * 2
+        res += t[h : h + lo] * reps
     return res
 
 
-def _zero(t: list[int], a: int, va: int, b: int, vb: int) -> None:
-    """Zero, in place, the entries with bit a equal to va and bit b to vb (a < b)."""
-    # index = high * 2^(b+1) + vb * 2^b + mid * 2^(a+1) + va * 2^a + low
-    n_low, n_mid, n_high = 1 << a, 1 << (b - a - 1), len(t) >> (b + 1)
-    a_step, b_step = 2 << a, 2 << b
-    off = (vb << b) + (va << a)
-    if n_low >= n_mid and n_low >= n_high:
-        z = [0] * n_low
-        for h in range(off, len(t), b_step):
-            for m in range(h, h + (1 << b), a_step):
-                t[m : m + n_low] = z
-    elif n_mid >= n_high:
-        z = [0] * n_mid
-        for h in range(off, len(t), b_step):
-            for l in range(h, h + n_low):
-                t[l : l + (1 << b) : a_step] = z
+def _spread_to(m: list[int], at: list[int], n: int) -> list[int]:
+    """Bring m, whose bits stand for the sorted positions `at`, to a table
+    over all n bits, inserting each run of missing positions, lowest first."""
+    lo = 0
+    for p in (*at, n):
+        if p > lo:
+            m = _spread(m, lo, p - lo)
+        lo = p + 1
+    return m
+
+
+def _scale(t: list[int], n: int, at: list[int], off: int, v: int) -> None:
+    """Multiply by v, in place, the entries of t (over n bits) whose bits at
+    the sorted positions `at` equal those of off (which has no other bits).
+
+    They form a sub-cube, cut into slices along its longest run of free bits.
+    """
+    lo = run_lo = run = 0
+    for p in (*at, n):
+        if p - lo > run:
+            run_lo, run = lo, p - lo
+        lo = p + 1
+    starts = [off]
+    lo = 0
+    for p in (*at, n):
+        if p > lo and lo != run_lo:
+            starts = [s + k for k in range(0, 1 << p, 1 << lo) for s in starts]
+        lo = p + 1
+    step = 1 << run_lo
+    span = step << run
+    if v == 0:
+        z = [0] * (1 << run)
+        for s in starts:
+            t[s : s + span : step] = z
     else:
-        z = [0] * n_high
-        for m in range(off, off + (1 << b), a_step):
-            for l in range(m, m + n_low):
-                t[l::b_step] = z
+        for s in starts:
+            t[s : s + span : step] = [v * x for x in t[s : s + span : step]]
 
 
-def _to_bag(t: list[int], have: list[int], bag: list[int]) -> list[int]:
-    """Bring a table over the sorted vertices `have` to the sorted `bag`."""
-    keep = set(bag)
-    for p in reversed(range(len(have))):
-        if have[p] not in keep:
-            t = _fold(t, p, sub if is_clause_vertex(have[p]) else add)
-    kept = set(have)
-    for p, v in enumerate(bag):
-        if v not in kept:
-            t = _spread(t, p)
-    return t
+def _message(t: list[int], bag: list[int], keep: dict[int, int]) -> tuple[list[int], list[int]]:
+    """Fold a table over the sorted `bag` down to the vertices `keep` indexes;
+    returns the message and the positions in `keep` that its bits stand for."""
+    at = []
+    for p in reversed(range(len(bag))):
+        v = bag[p]
+        if v in keep:
+            at.append(keep[v])
+        else:
+            t = _fold(t, p, sub if is_clause_vertex(v) else add)
+    at.reverse()
+    return t, at
 
 
 def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
     """Count the satisfying assignments of f over the variables td covers.
 
-    td decomposes inc(f). Walks its bags children first. Each child table is
-    brought to the bag by forgetting the vertices the bag lacks and
-    introducing those the child lacks (a leaf starts from [1]); the children
-    are multiplied, and the edges of the bag that no child bag holds are
-    zeroed. Forgetting the root bag leaves the count.
+    td decomposes inc(f). Walks its bags children first. Each child's table
+    is folded to a message over the vertices it shares with the bag and
+    applied to the bag's table in place, and each edge is zeroed in the
+    highest bag holding both its ends. Forgetting the root bag leaves the count.
     """
     if not td.bags:
         return 1
@@ -204,38 +248,53 @@ def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
     root = min(td.bags)
     order = []
     children: dict[int, list[int]] = {}
+    parent: dict[int, int | None] = {root: None}
     stack = [root]
-    seen = {root}
     while stack:
         i = stack.pop()
         order.append(i)
-        children[i] = kids = [j for j in nbrs[i] if j not in seen]
-        seen.update(kids)
+        children[i] = kids = [j for j in nbrs[i] if j not in parent]
+        parent.update(dict.fromkeys(kids, i))
         stack.extend(kids)
+    bags = {i: sorted(bag) for i, bag in td.bags.items()}
+    index = {i: {v: p for p, v in enumerate(bag)} for i, bag in bags.items()}
     tables: dict[int, list[int]] = {}
     for i in reversed(order):
-        bag = sorted(td.bags[i])
-        kid_bags = [td.bags[j] for j in children[i]]
+        bag, pos = bags[i], index[i]
+        up = index.get(parent[i], {})  # the root has no parent bag
+        n = len(bag)
         t = None
+        small = []
         for j in children[i]:
-            ct = _to_bag(tables.pop(j), sorted(td.bags[j]), bag)
-            t = ct if t is None else list(map(mul, t, ct))
+            m, at = _message(tables.pop(j), bags[j], pos)
+            if len(at) <= SMALL_MESSAGE_BITS < n:
+                small.append((m, at))
+                continue
+            if len(at) < n:
+                m = _spread_to(m, at, n)
+            t = m if t is None else list(map(mul, t, m))
         if t is None:
-            t = [1] * (1 << len(bag))
-        pos = {v: p for p, v in enumerate(bag)}
+            t = [1] * (1 << n)
+        for m, at in small:
+            offs = [0]  # offs[e]: the bits of entry e of m, at their bag positions
+            for p in at:
+                offs += [o | 1 << p for o in offs]
+            for off, v in zip(offs, m):
+                if v != 1:
+                    _scale(t, n, at, off, v)
         for c in bag:
             if not is_clause_vertex(c):
                 continue
+            c_up = c in up
             for lit in f.clauses_by_id[clause_id(c)].literals:
                 x = lit.var
-                if x in pos and not any(x in kb and c in kb for kb in kid_bags):
-                    px, pc, vx = pos[x], pos[c], int(lit.positive)
-                    if px < pc:
-                        _zero(t, px, vx, pc, 1)
-                    else:
-                        _zero(t, pc, 1, px, vx)
+                if x in pos and not (c_up and x in up):
+                    px, pc = pos[x], pos[c]
+                    edge = [px, pc] if px < pc else [pc, px]
+                    _scale(t, n, edge, lit.positive << px | 1 << pc, 0)
         tables[i] = t
-    return _to_bag(tables.pop(root), sorted(td.bags[root]), [])[0]
+    count, _ = _message(tables.pop(root), bags[root], {})
+    return count[0]
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:

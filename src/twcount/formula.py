@@ -154,13 +154,6 @@ class Assignment:
         body = ", ".join(f"{v}={val}" for v, val in self._items)
         return f"Assignment({{{body}}})"
 
-    def satisfies(self, lit: Literal) -> bool | None:
-        """Whether this assignment makes the literal true; None if unassigned."""
-        val = self.get(lit.var)
-        if val is None:
-            return None
-        return val == (1 if lit.positive else 0)
-
     def merged(self, other: "Assignment") -> "Assignment":
         """Union of two assignments with disjoint domains."""
         if self.domain & other.domain:
@@ -220,28 +213,31 @@ def reduce(f: CnfFormula, tau: Assignment) -> CnfFormula:
     """Apply a partial assignment: drop satisfied clauses, strip false literals.
 
     Surviving clauses keep their ids; a clause whose literals are all set to 0
-    stays as a zero-literal clause. Variables that vanish without being
-    assigned are not recorded anywhere on the result (callers interested in
-    them compare variable sets of the two formulas).
+    stays as a zero-literal clause, and a clause tau does not touch is kept
+    as it is. Variables that vanish without being assigned are not recorded
+    anywhere on the result (callers interested in them compare variable sets
+    of the two formulas).
     """
-    dom = tau.domain
-    if not dom <= (f.variables | f.free_vars):
-        extra = sorted(dom - (f.variables | f.free_vars))
+    values = dict(tau.items())
+    extra = sorted(v for v in values if v not in f.variables and v not in f.free_vars)
+    if extra:
         raise FormulaError(f"assignment mentions undeclared variables {extra}")
+    assigned = values.keys()
     new_clauses: list[Clause] = []
     for c in f.clauses:
-        satisfied = False
+        if assigned.isdisjoint(c.variables):
+            new_clauses.append(c)
+            continue
         kept: list[Literal] = []
         for lit in c.literals:
-            hit = tau.satisfies(lit)
-            if hit is None:
+            val = values.get(lit.var)
+            if val is None:
                 kept.append(lit)
-            elif hit:
-                satisfied = True
+            elif val == lit.positive:
                 break
-        if not satisfied:
+        else:
             new_clauses.append(Clause(c.id, tuple(kept)))
-    return CnfFormula(tuple(new_clauses), f.free_vars - dom)
+    return CnfFormula(tuple(new_clauses), f.free_vars.difference(values))
 
 
 def delete_vars(f: CnfFormula, b: Iterable[int]) -> CnfFormula:

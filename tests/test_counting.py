@@ -1,5 +1,6 @@
 import time
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from twcount.counting import (
     DP_TABLE_CAP,
     TableBudgetExceeded,
     VariableCapExceeded,
+    _fold,
     _run_dp,
     backdoor_branch_counts,
     count_bruteforce,
@@ -39,6 +41,7 @@ from twcount.treewidth import (
     UNKNOWN,
     TreeDecomposition,
     TwVerdict,
+    decomposition_from_order,
     exact_treewidth,
     read_td,
     single_bag_decomposition,
@@ -605,7 +608,113 @@ def ref_run_dp(f, td):
 
 
 # ---------------------------------------------------------------------------
-# The dense DP against the reference oracle and brute force, on formulas with
+# Reference oracle: the dense bag-level DP that spread every child table to
+# the whole bag, one bit at a time, and multiplied the tables pointwise. Same
+# table layout and clause-bit form as counting._run_dp, whose folding it
+# shares; it differs in how messages and edges are applied.
+
+
+def _dense_spread(t, p):
+    """Insert bit p, copying every entry to both of its values."""
+    lo = 1 << p
+    step = lo << 1
+    if lo * lo <= len(t):
+        res = [0] * (len(t) << 1)
+        for j in range(lo):
+            res[j::step] = res[j + lo :: step] = t[j::lo]
+        return res
+    res = []
+    for h in range(0, len(t), lo):
+        res += t[h : h + lo] * 2
+    return res
+
+
+def _dense_zero(t, a, va, b, vb):
+    """Zero, in place, the entries with bit a equal to va and bit b to vb (a < b)."""
+    # index = high * 2^(b+1) + vb * 2^b + mid * 2^(a+1) + va * 2^a + low
+    n_low, n_mid, n_high = 1 << a, 1 << (b - a - 1), len(t) >> (b + 1)
+    a_step, b_step = 2 << a, 2 << b
+    off = (vb << b) + (va << a)
+    if n_low >= n_mid and n_low >= n_high:
+        z = [0] * n_low
+        for h in range(off, len(t), b_step):
+            for m in range(h, h + (1 << b), a_step):
+                t[m : m + n_low] = z
+    elif n_mid >= n_high:
+        z = [0] * n_mid
+        for h in range(off, len(t), b_step):
+            for l in range(h, h + n_low):
+                t[l : l + (1 << b) : a_step] = z
+    else:
+        z = [0] * n_high
+        for m in range(off, off + (1 << b), a_step):
+            for l in range(m, m + n_low):
+                t[l::b_step] = z
+
+
+def _dense_to_bag(t, have, bag):
+    """Bring a table over the sorted vertices `have` to the sorted `bag`."""
+    keep = set(bag)
+    for p in reversed(range(len(have))):
+        if have[p] not in keep:
+            t = _fold(t, p, sub if is_clause_vertex(have[p]) else add)
+    kept = set(have)
+    for p, v in enumerate(bag):
+        if v not in kept:
+            t = _dense_spread(t, p)
+    return t
+
+
+def ref_dense_dp(f, td):
+    """Each child table is brought to the bag by forgetting the vertices the
+    bag lacks and introducing those the child lacks (a leaf starts from [1]);
+    the children are multiplied, and the edges of the bag that no child bag
+    holds are zeroed. Forgetting the root bag leaves the count."""
+    if not td.bags:
+        return 1
+    nbrs = {i: [] for i in td.bags}
+    for i, j in td.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    root = min(td.bags)
+    order = []
+    children = {}
+    stack = [root]
+    seen = {root}
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        children[i] = kids = [j for j in nbrs[i] if j not in seen]
+        seen.update(kids)
+        stack.extend(kids)
+    tables = {}
+    for i in reversed(order):
+        bag = sorted(td.bags[i])
+        kid_bags = [td.bags[j] for j in children[i]]
+        t = None
+        for j in children[i]:
+            ct = _dense_to_bag(tables.pop(j), sorted(td.bags[j]), bag)
+            t = ct if t is None else list(map(mul, t, ct))
+        if t is None:
+            t = [1] * (1 << len(bag))
+        pos = {v: p for p, v in enumerate(bag)}
+        for c in bag:
+            if not is_clause_vertex(c):
+                continue
+            for lit in f.clauses_by_id[clause_id(c)].literals:
+                x = lit.var
+                if x in pos and not any(x in kb and c in kb for kb in kid_bags):
+                    px, pc, vx = pos[x], pos[c], int(lit.positive)
+                    if px < pc:
+                        _dense_zero(t, px, vx, pc, 1)
+                    else:
+                        _dense_zero(t, pc, 1, px, vx)
+        tables[i] = t
+    return _dense_to_bag(tables.pop(root), sorted(td.bags[root]), [])[0]
+
+
+# ---------------------------------------------------------------------------
+# The DP against both reference oracles and brute force, on formulas with
 # empty, unit and repeated clauses and free variables, and on decompositions
 # min-fill does not produce.
 
@@ -625,10 +734,22 @@ def small_formulas(draw):
     return CnfFormula(clauses, frozenset(free))
 
 
+def clauses_first(g):
+    """The elimination game on every clause vertex first, then on the
+    variables by degree: clause leaves {c} + vars(c) hang off wider variable
+    bags."""
+    adj = g.adjacency()
+    clauses = sorted(v for v in adj if is_clause_vertex(v))
+    variables = sorted((v for v in adj if not is_clause_vertex(v)), key=lambda v: (len(adj[v]), v))
+    return decomposition_from_order(g, clauses + variables)
+
+
 def decompositions(g):
-    """Min-fill, exact, one bag, a PACE round trip, and a duplicated leaf bag."""
+    """Min-fill, clauses first, exact, one bag, a PACE round trip, and a
+    duplicated leaf bag."""
     _, td = upper_bound_heuristic(g)
     yield td
+    yield clauses_first(g)
     yield exact_treewidth(g)[1]
     yield single_bag_decomposition(g.vertices())
     _, id_map = write_gr(g)
@@ -648,5 +769,19 @@ def test_dense_dp_matches_reference(f):
     expected = count_bruteforce(f)
     for td in decompositions(g):
         assert ref_run_dp(f, td) == expected
+        assert ref_dense_dp(f, td) == expected
         assert _run_dp(f, td) == expected
         assert count_td(f, td) == expected
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_dp_matches_dense_reference_beyond_brute_force(seed):
+    # Widths 7-13 on min-fill and clauses-first decompositions, out of brute
+    # force's reach: bags wide enough that small messages and edges are
+    # applied sub-cube by sub-cube.
+    n = DetRng(seed).randint(20, 35)
+    f = gen_random_cnf(n, n + n // 4, 3, seed)
+    g = build_incidence(f)
+    for td in (upper_bound_heuristic(g)[1], clauses_first(g)):
+        assert _run_dp(f, td) == ref_dense_dp(f, td)

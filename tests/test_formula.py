@@ -18,7 +18,13 @@ from twcount.formula import (
     reduce,
     write_dimacs,
 )
-from twcount.generators import gen_grid_formula, gen_grid_formula_x, gen_random_cnf, grid_clause_orientations
+from twcount.generators import (
+    DetRng,
+    gen_grid_formula,
+    gen_grid_formula_x,
+    gen_random_cnf,
+    grid_clause_orientations,
+)
 
 
 def test_parse_basic():
@@ -124,6 +130,34 @@ def test_reduce_domain_check():
     f = CnfFormula((clause_of(1, 1, 2),))
     with pytest.raises(FormulaError):
         reduce(f, Assignment({9: 1}))
+
+
+def ref_reduce(f, tau):
+    """Reduction literal by literal, every clause rebuilt: the reference."""
+    clauses = []
+    for c in f.clauses:
+        if any(tau.get(lit.var) == int(lit.positive) for lit in c.literals):
+            continue
+        clauses.append(Clause(c.id, tuple(lit for lit in c.literals if lit.var not in tau)))
+    return CnfFormula(tuple(clauses), f.free_vars - tau.domain)
+
+
+@given(st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_reduce_matches_reference_and_keeps_untouched_clauses(seed):
+    rng = DetRng(seed)
+    n = rng.randint(3, 12)
+    f = gen_random_cnf(n, rng.randint(1, 2 * n), rng.randint(1, 3), seed)
+    f = CnfFormula(f.clauses, f.free_vars | {n + 1, n + 2})
+    declared = sorted(f.variables | f.free_vars)
+    chosen = rng.sample(declared, rng.randint(0, len(declared)))
+    tau = Assignment({v: rng.bit() for v in chosen})
+    r = reduce(f, tau)
+    assert r == ref_reduce(f, tau)
+    by_id = {c.id: c for c in r.clauses}
+    for c in f.clauses:
+        if not c.variables & tau.domain:
+            assert by_id[c.id] is c
 
 
 def test_delete_vars():
