@@ -5,7 +5,9 @@ some assignment to the current candidate set leaves a too-wide reduction, a
 small high-treewidth subgraph is extracted (`treewidth.witness`) and every
 way of destroying it (containing one of its variables, or satisfying one of
 its clauses under every assignment) yields a child branch. Any strong
-backdoor must intersect that killer set, so the search is complete.
+backdoor must intersect that killer set, so the search is complete. The
+approximate search sets one witness's killers both ways, recursively, and
+returns the leaves of that tree, whose branches `counting` counts.
 
 Every width query on a reduced formula goes through one `_Oracle`, which
 `counting.solve` creates per solve and hands to the search, the witness
@@ -309,45 +311,55 @@ def approx_backdoor(
     Small-width formulas fall back to the exact search. On wide formulas every
     killer of one witness is set both ways and the halves are solved with
     budget k-1: the killers of one witness meet every small strong backdoor,
-    since each must destroy that witness.
-    {x} | B0 | B1 is not re-checked: width is monotone under the subgraphs that
-    more assignments leave, and counting's branch pass is the verifier. Stats
-    count every node and check of the search, nested exact searches included.
+    since each must destroy that witness. The union of the tree's killers and
+    leaf sets is a strong backdoor: each of its assignments extends one leaf
+    branch, and width is monotone under the subgraphs more assignments leave.
+    Stats count every node and check, nested exact searches included.
     """
     if not 0 <= k <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
-    return _approx(f, t, k, tw_threshold, _Oracle(vertex_cap))
+    oracle = _Oracle(vertex_cap)
+    leaves = _approx(f, t, k, tw_threshold, oracle)
+    if leaves is None:
+        return None
+    return BackdoorReport(_leaf_union(leaves), "strong", t, True, stats=oracle.stats)
+
+
+Leaf = tuple[Assignment, frozenset[int]]  # killer values on a path, set found below
+
+
+def _leaf_union(leaves: list[Leaf]) -> tuple[int, ...]:
+    return tuple(sorted(frozenset().union(*(path.domain | s for path, s in leaves))))
 
 
 def _approx(
     f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle
-) -> BackdoorReport | None:
-    """approx_backdoor, asking the oracle for every verdict and counting on
-    its stats."""
+) -> list[Leaf] | None:
+    """The leaves of approx_backdoor's search tree, x = 0 subtree first, or None.
+
+    A leaf's path joined with any assignment to its set is a branch, put in
+    the oracle as width at most t; every assignment of f extends one branch."""
     threshold = max(tw_threshold, t)
 
-    def rec(cur: CnfFormula, budget: int) -> frozenset[int] | None:
+    def rec(cur: CnfFormula, budget: int, path: tuple[tuple[int, int], ...]) -> list[Leaf] | None:
         oracle.stats.nodes += 1
         kind = oracle.kind(cur, threshold)
         if kind == UNKNOWN:
             raise InconclusiveTreewidth("treewidth undecided during approximation")
         if kind == AT_MOST:
             report = _smallest(cur, t, budget, oracle)
-            return None if report is None else frozenset(report.variables)
+            return None if report is None else [(Assignment(path), frozenset(report.variables))]
         if budget == 0:
             return None
         killers = killer_set(cur, _witness(cur, t, oracle), t)
         for x in sorted(set(killers.internal + killers.external)):
-            b0 = rec(reduce(cur, Assignment({x: 0})), budget - 1)
-            if b0 is None:
+            leaves0 = rec(reduce(cur, Assignment({x: 0})), budget - 1, path + ((x, 0),))
+            if leaves0 is None:
                 continue
-            b1 = rec(reduce(cur, Assignment({x: 1})), budget - 1)
-            if b1 is None:
+            leaves1 = rec(reduce(cur, Assignment({x: 1})), budget - 1, path + ((x, 1),))
+            if leaves1 is None:
                 continue
-            return {x} | b0 | b1
+            return leaves0 + leaves1
         return None
 
-    found = rec(f, k)
-    if found is None:
-        return None
-    return BackdoorReport(tuple(sorted(found)), "strong", t, True, stats=replace(oracle.stats))
+    return rec(f, k, ())

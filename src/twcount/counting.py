@@ -21,16 +21,18 @@ count once per free variable without special handling.
 every width query of the call: the root query, the backdoor search and the
 branch pass. It keeps verdicts only, keyed by the reduced formula and t, and
 builds inc(F) only when it has to run the ladder, so no reduction is decided
-twice and no graph is built for a verdict it already holds. The root query
-and the branch pass, whose decompositions go to the DP, reach the ladder
-through this module's `treewidth_at_most`; the search reaches it through
-`backdoor`'s.
+twice and no graph is built for a verdict it already holds. The branch pass
+counts the leaf branches the search tree (`backdoor._approx`) already
+decided, and still raises on any verdict but AtMost. Queries whose
+decompositions go to the DP reach the ladder through this module's
+`treewidth_at_most`; the search reaches it through `backdoor`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul, sub
+from typing import Iterable
 
 from . import backdoor as _backdoor
 from .formula import Assignment, CnfFormula, FormulaError, assignments, reduce
@@ -330,22 +332,23 @@ def backdoor_branch_counts(
     One width query per branch gives the decomposition the DP runs on; the first
     branch above t raises BackdoorInvalidError, an undecided one InconclusiveTreewidth.
     """
-    return _branch_counts(f, frozenset(b), t, _backdoor._Oracle(vertex_cap))
+    taus = assignments(b, cap=_backdoor.STRONG_CHECK_CAP)
+    return _branch_counts(f, taus, t, _backdoor._Oracle(vertex_cap))
 
 
 def _branch_counts(
-    f: CnfFormula, bset: frozenset[int], t: int, oracle: _backdoor._Oracle
+    f: CnfFormula, taus: Iterable[Assignment], t: int, oracle: _backdoor._Oracle
 ) -> list[BranchCount]:
-    """backdoor_branch_counts, asking the oracle for every verdict."""
+    """Count each branch F[tau] by the DP, asking the oracle for every verdict."""
     out = []
-    for tau in assignments(bset, cap=_backdoor.STRONG_CHECK_CAP):
+    for tau in taus:
         fr = reduce(f, tau)
         verdict = oracle.verdict(fr, t, treewidth_at_most)
         if verdict.kind == EXCEEDS:
             raise BackdoorInvalidError(tau, verdict.bound)
         if verdict.kind != AT_MOST:
             raise _backdoor.InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
-        vanished = len(f.variables - bset - fr.variables)
+        vanished = len(f.variables - tau.domain - fr.variables)
         out.append(
             BranchCount(tau, verdict.decomposition.width, vanished, _run_dp(fr, verdict.decomposition))
         )
@@ -411,7 +414,7 @@ def solve(
 def solve_by_backdoor(
     f: CnfFormula, t: int, k: int, tw_threshold: int = 8, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> SolveResult:
-    """solve without the direct-DP shortcut: search a strong backdoor, count its branches.
+    """solve without the direct-DP shortcut: search a strong backdoor, count its leaf branches.
 
     Finding none of size at most 2^k - 1 is the machine-readable 'sb_exceeded'
     outcome, meaning every strong backdoor into width t has size above k. A
@@ -428,10 +431,11 @@ def _solve_by_backdoor(
     """solve_by_backdoor, with the search and the branch pass sharing the oracle."""
     note = _note(f)
     try:
-        report = _backdoor._approx(f, t, k, tw_threshold, oracle)
-        if report is None:
+        leaves = _backdoor._approx(f, t, k, tw_threshold, oracle)
+        if leaves is None:
             return SolveResult("sb_exceeded", None, "backdoor", t, k, note=note)
-        branches = _branch_counts(f, frozenset(report.variables), t, oracle)
+        taus = (path.merged(tau) for path, s in leaves for tau in assignments(s))
+        branches = _branch_counts(f, taus, t, oracle)
     except _backdoor.InconclusiveTreewidth:
         return SolveResult("inconclusive", None, None, t, k, note=note)
     return SolveResult(
@@ -440,7 +444,7 @@ def _solve_by_backdoor(
         "backdoor",
         t,
         k,
-        backdoor=report.variables,
+        backdoor=_backdoor._leaf_union(leaves),
         branch_widths=tuple(br.width for br in branches),
         note=note,
     )

@@ -46,9 +46,6 @@ class Literal:
     def to_int(self) -> int:
         return self.var if self.positive else -self.var
 
-    def negate(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
     def __str__(self) -> str:
         return str(self.to_int())
 
@@ -76,13 +73,6 @@ class Clause:
                 raise FormulaError(f"clause {self.id} repeats literal {lit}")
             seen[lit.var] = lit.positive
         object.__setattr__(self, "variables", frozenset(seen))
-
-    def sign_of(self, var: int) -> bool | None:
-        """True/False for a positive/negative occurrence, None if absent."""
-        for lit in self.literals:
-            if lit.var == var:
-                return lit.positive
-        return None
 
     def __len__(self) -> int:
         return len(self.literals)
@@ -186,10 +176,6 @@ class CnfFormula:
     @property
     def num_vars(self) -> int:
         return max(self.variables | self.free_vars, default=0)
-
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
 
 
 def formula_size(f: CnfFormula) -> int:

@@ -41,18 +41,6 @@ class FptConstants:
     tw_cutoff_log10: float
     output_size_bound: int
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "degree_budget": self.degree_budget,
-            "group_size": self.group_size,
-            "obstruction_count": self.obstruction_count,
-            "wall_size": self.wall_size,
-            "tw_cutoff_log10": self.tw_cutoff_log10,
-            "output_size_bound": self.output_size_bound,
-        }
-
 
 def fpt_constants(k: int, t: int) -> FptConstants:
     if k < 0 or t < 0:

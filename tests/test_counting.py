@@ -230,8 +230,8 @@ def test_solve_paths():
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_solve_matches_bruteforce_and_backdoors_verify(seed):
-    # approx_backdoor does not re-check the set it assembles: this property
-    # and the branch pass stand in for that check.
+    # approx_backdoor does not re-check the union it reports, and solve counts
+    # only the search tree's branches: this property stands in for that check.
     rng = DetRng(seed)
     n, k = rng.randint(4, 9), rng.randint(1, 2)
     if seed % 2:
@@ -414,7 +414,28 @@ def test_shared_oracle_matches_unshared_composition(seed):
     assert res.outcome == "counted"
     assert res.backdoor == report.variables
     assert res.count == sum((1 << br.vanished) * br.count for br in branches)
-    assert res.branch_widths == tuple(br.width for br in branches)
+    assert all(w <= t for w in res.branch_widths)
+    assert len(res.branch_widths) <= 2 ** len(res.backdoor)
+
+
+def test_solve_counts_the_search_tree_leaves(monkeypatch):
+    # The search tree has 15 leaf branches under a backdoor of 5 variables.
+    # Counting them needs neither the 2^5 assignments of the union nor a
+    # width query of the count's own: the search decided every branch.
+    f, _ = gen_planted(60, 1, 4, 2)
+    res = solve(f, 1, 4, tw_threshold=1)
+    assert res.outcome == "counted" and res.mode == "backdoor"
+    assert len(res.backdoor) == 5 and len(res.branch_widths) == 15
+    assert res.count == count_via_backdoor(f, res.backdoor, 1)
+
+    def dp_ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+        raise AssertionError("the branch pass ran the ladder")
+
+    monkeypatch.setattr(counting, "treewidth_at_most", dp_ladder)
+    assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res
+    # The check cap bounds the search's own sets, not the union.
+    monkeypatch.setattr(backdoor, "STRONG_CHECK_CAP", 4)
+    assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res
 
 
 @given(st.integers(0, 1000))
@@ -487,7 +508,7 @@ def _chain(node, current, target):
 
 def _sign(f, x, cv):
     """Polarity of variable x in the clause of vertex cv, None if absent."""
-    return f.clauses_by_id[clause_id(cv)].sign_of(x)
+    return next((lit.positive for lit in f.clauses_by_id[clause_id(cv)].literals if lit.var == x), None)
 
 
 def _nice_tree(td):

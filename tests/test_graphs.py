@@ -27,8 +27,8 @@ def test_incidence_small():
     assert g.num_edges() == 4
     assert g.has_edge(1, clause_vertex(2)) and g.has_edge(2, clause_vertex(1))
     # The graph is unsigned; polarity stays in the formula.
-    assert f.clauses_by_id[2].sign_of(1) is False
-    assert f.clauses_by_id[1].sign_of(2) is True
+    assert Literal(1, False) in f.clauses_by_id[2].literals
+    assert Literal(2, True) in f.clauses_by_id[1].literals
 
 
 def test_incidence_size_identity():
