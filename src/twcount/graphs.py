@@ -10,7 +10,7 @@ says which it is and both stay stable across reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .formula import CLAUSE_VERTEX_STRIDE, CnfFormula
 
@@ -111,6 +111,10 @@ class Graph:
         """Mutable adjacency copy for elimination-style algorithms."""
         return {v: set(s) for v, s in self._adj.items()}
 
+    def adjacency_view(self) -> Mapping[int, AbstractSet[int]]:
+        """The graph's own adjacency, without a copy; callers only read it."""
+        return self._adj
+
 
 def build_incidence(f: CnfFormula) -> Graph:
     """Bipartite incidence graph; free variables become isolated vertices.
@@ -203,7 +207,8 @@ def dissolve_degree_two(g: Graph, protected: Iterable[int] = ()) -> Graph:
             h.add_edge(a, b)
 
 
-def _joint_refine(adj_g: dict[int, set[int]], adj_h: dict[int, set[int]],
+def _joint_refine(adj_g: Mapping[int, AbstractSet[int]],
+                  adj_h: Mapping[int, AbstractSet[int]],
                   init_g: dict[int, int], init_h: dict[int, int]):
     """Iterated neighborhood-color refinement with a palette shared by both graphs."""
     cg, ch = dict(init_g), dict(init_h)
@@ -232,7 +237,7 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if g.num_vertices() != h.num_vertices() or g.num_edges() != h.num_edges():
         return None
-    adj_g, adj_h = g.adjacency(), h.adjacency()
+    adj_g, adj_h = g.adjacency_view(), h.adjacency_view()
     init_g = {v: 0 for v in adj_g}
     init_h = {v: 0 for v in adj_h}
     cg, ch = _joint_refine(adj_g, adj_h, init_g, init_h)

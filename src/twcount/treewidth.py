@@ -4,15 +4,15 @@
 stops at the first that decides (n vertices, m edges, d the degree at
 elimination):
 
-1. for t <= 2, the min-degree elimination game, stopped once the least
-   degree exceeds t: AtMost with its decomposition if it empties the graph,
-   otherwise Exceeds with bound t + 1; a lazy heap, O((n+m) log n). This is
-   exact: eliminating a vertex of degree at most 2 leaves a minor of the
-   graph, so the game empties every graph of width at most t, and a graph
-   it cannot empty has a minor of minimum degree above t (the reduction
-   rules for partial 2-trees; Arnborg & Proskurowski, 1986; Wald & Colbourn,
-   1983). Its width is then the treewidth. The rungs below, and the vertex
-   cap, only matter for t >= 3;
+1. for t <= 2, the reduction that eliminates vertices of degree at most t,
+   degree at most 1 first: AtMost with its decomposition if it empties the
+   graph, otherwise Exceeds with bound t + 1; two worklists, O(n+m). This
+   is exact: eliminating a vertex of degree at most 2 leaves a minor of the
+   graph, so the reduction empties every graph of width at most t, and a
+   graph it cannot empty has a minor of minimum degree above t (the
+   reduction rules for partial 2-trees; Arnborg & Proskurowski, 1986; Wald
+   & Colbourn, 1983). Its width is then the treewidth. The rungs below, and
+   the vertex cap, only matter for t >= 3;
 2. degeneracy above t: Exceeds; a bucket-queue peel, O(n+m);
 3. min-fill width at most t: AtMost, with the decomposition recorded during
    the elimination; a lazy heap that re-scores only the vertices within
@@ -33,14 +33,16 @@ of width above t, a small vertex set whose induced subgraph still has width
 above t. It seeds from a cycle for t = 1; otherwise from the (t+1)-core,
 which is nonempty exactly when degeneracy rules t out, or from all of g.
 It then shrinks the seed by greedy vertex deletion, each trial decided by
-the rung that decides t.
+the rung that decides t. For t <= 2 a stuck reduction names a certificate,
+a vertex subset of width above t, and a vertex outside the last one is
+deleted without a trial.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .graphs import Graph
 
@@ -87,8 +89,8 @@ class TwVerdict:
     kind 'at_most' carries a witnessing decomposition and its width as
     bound; 'exceeds' carries, as bound, a proven lower bound above the
     target, not the width: each rung reports what it proved, so the
-    min-degree rung for t <= 2 says t + 1 where the contraction bound or the
-    exact search may say more; 'unknown' means the caps prevented a decision.
+    reduction for t <= 2 says t + 1 where the contraction bound or the exact
+    search may say more; 'unknown' means the caps prevented a decision.
     """
 
     kind: str
@@ -150,7 +152,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
 # bounds
 
 
-def _degeneracy_adj(adj: dict[int, set[int]]) -> int:
+def _degeneracy_adj(adj: Mapping[int, AbstractSet[int]]) -> int:
     """Largest degree at removal in a smallest-degree-first peel; O(n+m).
 
     Vertices sit in buckets by current degree. A removal lowers the minimum
@@ -182,20 +184,20 @@ def _degeneracy_adj(adj: dict[int, set[int]]) -> int:
 
 def degeneracy(g: Graph) -> int:
     """Max over peeling steps of the min degree; a valid treewidth lower bound."""
-    return _degeneracy_adj(g.adjacency())
+    return _degeneracy_adj(g.adjacency_view())
 
 
 def lower_bound(g: Graph) -> int:
     """The larger of degeneracy and the contraction bound; -1 on the empty graph."""
-    adj = g.adjacency()
+    adj = g.adjacency_view()
     return max(_degeneracy_adj(adj), _mmw_adj(adj)) if adj else -1
 
 
 def minor_min_width(g: Graph) -> int:
-    return _mmw_adj(g.adjacency())
+    return _mmw_adj(g.adjacency_view())
 
 
-def _mmw_adj(adj: dict[int, set[int]]) -> int:
+def _mmw_adj(adj: Mapping[int, AbstractSet[int]]) -> int:
     """Contraction-based lower bound: contract a min-degree vertex into its
     least-degree neighbor, tracking the largest min degree seen.
 
@@ -288,18 +290,17 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
 
 
 def _greedy_order(
-    adj: dict[int, set[int]], by_fill: bool, limit: int | None = None
+    adj: Mapping[int, AbstractSet[int]], by_fill: bool
 ) -> tuple[list[int], int, list[set[int]]]:
     """Eliminate the vertex of least (fill-in or degree, vertex id) first.
 
     Returns the order, its width and each vertex's neighbours when it was
-    eliminated. With a limit, the game stops once the least score exceeds it,
-    and the order covers only the vertices eliminated until then. A lazy heap
-    of (score, vertex) picks the next vertex. After eliminating v with
-    neighbours N, only vertices within distance 2 of v change score: a vertex
-    x outside N loses one fill-in per added edge with both ends adjacent to
-    x, and a vertex of N is re-scored from scratch. Changed vertices get
-    fresh entries; stale entries are skipped when popped.
+    eliminated; adj is copied, not changed. A lazy heap of (score, vertex)
+    picks the next vertex. After eliminating v with neighbours N, only
+    vertices within distance 2 of v change score: a vertex x outside N loses
+    one fill-in per added edge with both ends adjacent to x, and a vertex of
+    N is re-scored from scratch. Changed vertices get fresh entries; stale
+    entries are skipped when popped.
     """
     work = {v: set(s) for v, s in adj.items()}
     score = {v: _fill_in(work, v) if by_fill else len(s) for v, s in work.items()}
@@ -312,8 +313,6 @@ def _greedy_order(
         s, v = heapq.heappop(heap)
         if score.get(v) != s:
             continue
-        if limit is not None and s > limit:
-            break
         del score[v]
         nbrs = work.pop(v)
         order.append(v)
@@ -348,6 +347,76 @@ def _min_fill_order(adj) -> tuple[list[int], int]:
 def _min_degree_order(adj) -> tuple[list[int], int]:
     order, width, _ = _greedy_order(adj, by_fill=False)
     return order, width
+
+
+def _reduce_low_width(
+    adj: dict[int, set[int]], t: int
+) -> tuple[list[int], list[set[int]], dict[tuple[int, int], int]]:
+    """The reduction that decides tw <= t for t <= 2 (the partial 2-tree
+    rules; Arnborg & Proskurowski, 1986; Wald & Colbourn, 1983); O(n+m).
+
+    Eliminates vertices of degree at most t, one of degree at most 1 before
+    one of degree 2, from two worklists. Consumes adj: what is left in it is
+    the stuck core, empty exactly when tw <= t. Returns the order, each
+    vertex's neighbours at its elimination, and `via`: for each edge a-b
+    that the degree-2 elimination of v added, via[(a, b)] = v, with a < b.
+
+    This is the elimination game on the graph, so when adj empties,
+    _decomposition(order, bags) is a decomposition, and its width is the
+    treewidth: a forest only ever has vertices of degree at most 1 to take.
+    Every remaining edge is realised in the input graph by a path whose
+    interior vertices were eliminated, and these paths are internally
+    disjoint, so a stuck core, of minimum degree above t, comes with a
+    subdivision of it in the input graph (see `_certificate`).
+    """
+    low = min(t, 1)
+    ones = [v for v, s in adj.items() if len(s) <= low]
+    twos = [v for v, s in adj.items() if len(s) == 2] if t >= 2 else []
+    order: list[int] = []
+    bags: list[set[int]] = []
+    via: dict[tuple[int, int], int] = {}
+    while ones or twos:
+        # Degrees never grow, so a listed vertex still in adj is still
+        # eligible; and a vertex in twos has degree 2 once ones is empty.
+        v = (ones or twos).pop()
+        if v not in adj:
+            continue
+        nbrs = adj.pop(v)
+        order.append(v)
+        bags.append(nbrs)
+        for a in nbrs:
+            adj[a].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                via[(a, b) if a < b else (b, a)] = v
+                continue
+        for a in nbrs:
+            d = len(adj[a])
+            if d <= low:
+                ones.append(a)
+            elif d == 2 and t >= 2:
+                twos.append(a)
+    return order, bags, via
+
+
+def _certificate(core: dict[int, set[int]], via: dict[tuple[int, int], int]) -> frozenset[int]:
+    """The stuck core of `_reduce_low_width` plus the interior vertices of
+    the paths realising its edges: a vertex set whose induced subgraph holds
+    a subdivision of the core, so of width above t when the core's degrees
+    all exceed t."""
+    cert = set(core)
+    stack = [(a, b) for a, s in core.items() for b in s if a < b] if via else []
+    while stack:
+        a, b = stack.pop()
+        v = via.get((a, b))
+        if v is not None:
+            cert.add(v)
+            stack.append((a, v) if a < v else (v, a))
+            stack.append((v, b) if v < b else (b, v))
+    return frozenset(cert)
 
 
 def _decomposition(order: list[int], bags: list[set[int]]) -> TreeDecomposition:
@@ -393,7 +462,7 @@ def upper_bound_heuristic(
     """
     if g.num_vertices() == 0:
         return -1, single_bag_decomposition(())
-    order, width, bags = _greedy_order(g.adjacency(), by_fill=True)
+    order, width, bags = _greedy_order(g.adjacency_view(), by_fill=True)
     if limit is not None and width > limit:
         return width, None
     return width, _decomposition(order, bags)
@@ -572,8 +641,8 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     """Decide tw(g) <= t; always decisive for t <= 2, and for larger t
     decisive at or below the cap and best-effort above.
 
-    For t <= 2 the min-degree elimination game, stopped once the least
-    degree exceeds t, decides alone and exactly: AtMost with its
+    For t <= 2 the O(n+m) reduction that eliminates vertices of degree at
+    most t (`_reduce_low_width`) decides alone and exactly: AtMost with its
     decomposition, whose width is the treewidth, when it empties the graph,
     else Exceeds with bound t + 1. For t >= 3 the rungs run cheapest first:
     degeneracy above t (O(n+m)) is Exceeds; min-fill width at most t is
@@ -585,10 +654,12 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     if g.num_vertices() == 0:
         return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
     if t <= 2:
-        order, width, bags = _greedy_order(g.adjacency(), by_fill=False, limit=t)
-        if len(order) < g.num_vertices():
+        adj = g.adjacency()
+        order, bags, _ = _reduce_low_width(adj, t)
+        if adj:
             return TwVerdict(EXCEEDS, t + 1)
-        return TwVerdict(AT_MOST, width, _decomposition(order, bags))
+        td = _decomposition(order, bags)
+        return TwVerdict(AT_MOST, td.width, td)
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg)
@@ -653,28 +724,39 @@ def witness(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> frozenset
     own width must be above t.
 
     Seeded from a cycle for t = 1, otherwise from the (t+1)-core, or all of g
-    when that core is empty; then shrunk by greedy vertex deletion while the
-    width stays above t. For t <= 2 each deletion trial plays the min-degree
-    game, stopped above t, on the induced adjacency: the exact test of the
-    ladder's t <= 2 rung, without building a subgraph. For t >= 3 each trial
-    asks treewidth_at_most about the induced subgraph.
+    when that core is empty; then shrunk by greedy vertex deletion, in vertex
+    order, while the width stays above t. For t <= 2 each deletion trial runs
+    the ladder's reduction on the induced adjacency, without building a
+    subgraph. A trial that sticks leaves a certificate inside the trial set
+    (`_certificate`), and a later vertex outside it is deleted without a
+    trial: what remains still holds the certificate, so its width stays
+    above t (the reuse of a model across the deletion-based extraction of a
+    minimal set for a monotone predicate; Marques-Silva, Janota & Belov,
+    2013). The answers are the trials' own, so the witness is the same as
+    with a trial per vertex. For t >= 3 each trial asks treewidth_at_most
+    about the induced subgraph.
     """
     if t == 1:
         seed = _find_cycle(g) or frozenset(g.vertices())
     else:
         seed = _core_vertices(g, t + 1) or frozenset(g.vertices())
-    adj = g.adjacency() if t <= 2 else None
+    adj = g.adjacency_view()
     w = set(seed)
+    cert: frozenset[int] | None = None  # t <= 2: a subset of w of width above t
     for u in sorted(seed):
         if len(w) <= 2:
             break
+        if cert is not None and u not in cert:
+            w.discard(u)
+            continue
         trial = w - {u}
         if t <= 2:
-            order, _, _ = _greedy_order({v: adj[v] & trial for v in trial}, False, limit=t)
-            exceeds = len(order) < len(trial)
-        else:
-            exceeds = treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS
-        if exceeds:
+            core = {v: adj[v] & trial for v in trial}
+            _, _, via = _reduce_low_width(core, t)
+            if core:
+                w = trial
+                cert = _certificate(core, via)
+        elif treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS:
             w = trial
     return frozenset(w)
 

@@ -220,21 +220,43 @@ def ref_extract_witness(f, tau, t, vertex_cap=DEFAULT_VERTEX_CAP):
 def test_extract_witness_matches_reference(seed):
     rng = DetRng(seed)
     t = 1 + seed % 3
-    n = rng.randint(4, 8 if t == 3 else 12)
+    # Up to 24 variables at t <= 2, where certificates let the shrink skip more.
+    n = rng.randint(4, 8 if t == 3 else 24)
     if t < 3 and seed % 2 == 0:
         f, _ = gen_planted(n, t, rng.randint(1, 3), seed)
     else:
         width = 3 if t == 3 else rng.randint(2, 3)
-        f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), width, seed)
+        f = gen_random_cnf(n, rng.randint(n, min(2 * n + 2, 64 - n)), width, seed)
     fixed = rng.sample(sorted(f.variables), min(rng.randint(0, 2), len(f.variables)))
     tau = Assignment({x: rng.bit() for x in fixed})
     g = build_incidence(reduce(f, tau))
-    assert g.num_vertices() <= 64  # below the cap, the reference never ends Unknown
-    if ref_treewidth_at_most(g, t, 64).kind == AT_MOST:
+    cap = 64 if t == 3 else 128
+    assert g.num_vertices() <= cap  # below the cap, the reference never ends Unknown
+    if ref_treewidth_at_most(g, t, cap).kind == AT_MOST:
         with pytest.raises(ValueError):
-            extract_witness(f, tau, t, 64)
+            extract_witness(f, tau, t, cap)
     else:
-        assert extract_witness(f, tau, t, 64) == ref_extract_witness(f, tau, t, 64)
+        assert extract_witness(f, tau, t, cap) == ref_extract_witness(f, tau, t, cap)
+
+
+def test_witness_skips_vertices_outside_the_certificate(monkeypatch):
+    # A vertex outside the last exceeding trial's certificate goes without a
+    # trial, and the witness is still the one the reference shrink finds.
+    f, _ = gen_planted(20, 2, 3, 2)
+    g = build_incidence(f)
+    seed = tw._core_vertices(g, 3)
+    assert seed
+    trials = []
+    reduce_low_width = tw._reduce_low_width
+
+    def counted(adj, t):
+        trials.append(t)
+        return reduce_low_width(adj, t)
+
+    monkeypatch.setattr(tw, "_reduce_low_width", counted)
+    w = tw.witness(g, 2)
+    assert 0 < len(trials) < len(seed)
+    assert w == extract_witness(f, Assignment({}), 2) == ref_extract_witness(f, Assignment({}), 2)
 
 
 def test_find_smallest_grid_x():

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +362,37 @@ def ref_min_degree_order(adj):
     return ref_greedy_order(adj, lambda w, u: (len(w[u]), u))
 
 
+def ref_min_degree_rung(adj, t):
+    """The t <= 2 rung as it was: the min-degree elimination game on a lazy
+    heap, stopped once the least degree exceeds t. tw <= t exactly when the
+    order covers the graph. Returns the order, its width and the bags."""
+    work = {v: set(s) for v, s in adj.items()}
+    heap = [(len(s), v) for v, s in work.items()]
+    heapq.heapify(heap)
+    order, bags = [], []
+    width = -1 if not work else 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in work or len(work[v]) != d:
+            continue
+        if d > t:
+            break
+        nbrs = work.pop(v)
+        order.append(v)
+        bags.append(nbrs)
+        width = max(width, d)
+        for a in nbrs:
+            work[a].discard(v)
+        nlist = list(nbrs)
+        for i, a in enumerate(nlist):
+            for b in nlist[i + 1:]:
+                work[a].add(b)
+                work[b].add(a)
+        for x in nbrs:
+            heapq.heappush(heap, (len(work[x]), x))
+    return order, width, bags
+
+
 def ref_decomposition_from_order(g, order):
     adj = g.adjacency()
     pos = {v: i for i, v in enumerate(order)}
@@ -574,19 +607,74 @@ def test_min_degree_rung_matches_exact(g):
     assert n <= 40
     full_order, _, _ = tw._greedy_order(g.adjacency(), by_fill=False)
     for t in (0, 1, 2):
-        order, width, bags = tw._greedy_order(g.adjacency(), by_fill=False, limit=t)
-        assert order == full_order[: len(order)]
+        ref_order, ref_width, _ = ref_min_degree_rung(g.adjacency(), t)
+        assert ref_order == full_order[: len(ref_order)]
+        core = g.adjacency()
+        order, bags, _ = tw._reduce_low_width(core, t)
         exact, _ = exact_treewidth(g, vertex_cap=40, limit=t)
-        assert (len(order) == n) == (exact <= t)
+        assert (len(ref_order) == n) == (len(order) == n) == (not core) == (exact <= t)
         verdict = treewidth_at_most(g, t, vertex_cap=0)
         if exact <= t:
-            assert width == exact
+            assert ref_width == exact
             assert verdict.kind == AT_MOST and verdict.bound == exact
             assert verdict.decomposition == tw._decomposition(order, bags)
             assert verdict.decomposition.width == exact
             assert validate_decomposition(g, verdict.decomposition).ok
         else:
             assert verdict.kind == EXCEEDS and verdict.bound > t
+
+
+def _subdivided_graph(a, b, seed):
+    """A random graph on 4-9 vertices with each edge subdivided 0-2 times and
+    pendant vertices hung on it, at most 40 vertices in all: where the
+    reduction sticks, its certificate runs through eliminated paths."""
+    rng = DetRng(seed)
+    base = random_gnm(4 + a % 6, 4 + b % 16, seed)
+    g = Graph()
+    for v in base.vertices():
+        g.add_vertex(v)
+    nxt = base.num_vertices() + 1
+    for u, v in base.edges():
+        chain = [u]
+        for _ in range(rng.randint(0, 2)):
+            if nxt > 34:
+                break
+            g.add_vertex(nxt)
+            chain.append(nxt)
+            nxt += 1
+        chain.append(v)
+        for x, y in zip(chain, chain[1:]):
+            g.add_edge(x, y)
+    while nxt <= 40 and rng.bit():
+        g.add_vertex(nxt)
+        g.add_edge(rng.randint(1, nxt - 1), nxt)
+        nxt += 1
+    return g
+
+
+subdivided_cases = st.builds(
+    _subdivided_graph, st.integers(0, 200), st.integers(0, 400), st.integers(0, 1000)
+)
+
+
+@given(st.one_of(low_width_cases, subdivided_cases))
+@settings(max_examples=150, deadline=None)
+def test_low_width_reduction_certifies(g):
+    assert g.num_vertices() <= 40
+    for t in (0, 1, 2):
+        core = g.adjacency()
+        order, bags, via = tw._reduce_low_width(core, t)
+        exact, _ = exact_treewidth(g, vertex_cap=40, limit=t)
+        assert (not core) == (exact <= t)
+        if not core:
+            td = tw._decomposition(order, bags)
+            assert td.width == exact
+            assert validate_decomposition(g, td).ok
+        else:
+            assert all(len(s) > t for s in core.values())
+            cert = tw._certificate(core, via)
+            assert core.keys() <= cert <= set(g.vertices())
+            assert exact_treewidth(g.subgraph(cert), vertex_cap=40, limit=t)[0] > t
 
 
 def series_parallel_graph(n, seed):
