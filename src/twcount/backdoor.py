@@ -11,12 +11,15 @@ returns the leaves of that tree, whose branches `counting` counts.
 
 Every width query on a reduced formula goes through one `_Oracle`, which
 `counting.solve` creates per solve and hands to the search, the witness
-extraction and the branch pass. It keeps each verdict, never the graph,
-keyed by (reduced formula, t): reductions reached along different paths
-are equal formulas, so each is decided once, and inc(F) is built only to
-decide it, or for a witness whose verdict was already held. The oracle
-also keeps the search counts of the solve. A public function called on its
-own starts a fresh oracle.
+extraction and the branch pass. It keeps (kind, bound, count) per
+(reduced formula, t), never a graph or a decomposition: reductions reached
+along different paths are equal formulas, so each is decided once, and
+inc(F) is built only to decide it, or for a witness whose verdict was
+already held. `counting` passes in the solve's t and its DP, so this module
+imports nothing from it; the oracle counts each AtMost verdict at that t as
+the ladder returns it, and no verdict at any other width. It also keeps
+the search counts of the solve. A public function called on its own starts
+a fresh oracle, which counts nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .treewidth import (
     DEFAULT_VERTEX_CAP,
     EXCEEDS,
     UNKNOWN,
-    TreeDecomposition,
     TwVerdict,
     treewidth_at_most,
     witness,
@@ -89,86 +91,51 @@ def _formula_key(f: CnfFormula) -> bytes:
     return packed.tobytes()
 
 
-def _pack(td: TreeDecomposition | None) -> array | None:
-    """A decomposition as one int array: bag count, each bag as index, size
-    and members, then the tree edges' ends."""
-    if td is None:
-        return None
-    packed = array("q", [len(td.bags)])
-    for i, bag in td.bags.items():
-        packed.append(i)
-        packed.append(len(bag))
-        packed.extend(bag)
-    for i, j in td.edges:
-        packed.append(i)
-        packed.append(j)
-    return packed
-
-
-def _unpack(packed: array | None) -> TreeDecomposition | None:
-    if packed is None:
-        return None
-    bags = {}
-    pos = 1
-    for _ in range(packed[0]):
-        size = packed[pos + 1]
-        bags[packed[pos]] = frozenset(packed[pos + 2 : pos + 2 + size])
-        pos += 2 + size
-    ends = iter(packed[pos:])
-    return TreeDecomposition(bags, tuple(zip(ends, ends)))
-
-
 class _Oracle:
     """The width verdicts of one solve, keyed by (reduced formula, t), and
     the solve's search counts.
 
     reduce(reduce(f, a), b) equals reduce(f, a | b), so a reduction reached
     along different paths is one entry, and the ladder decides it once, on
-    inc(F) built for that miss. Only verdicts are kept, never graphs. The
-    formula and an AtMost verdict's decomposition are kept packed into flat
-    int arrays, not as the many small objects of a CnfFormula or a
-    TreeDecomposition, so a solve's memory stays close to what it was
-    without the oracle.
+    inc(F) built for that miss. An entry is (kind, bound, count). A miss at
+    the solve's t that comes back AtMost runs `dp` on the decomposition the
+    ladder just returned, keeps the model count and drops the decomposition;
+    every other entry has no count. Graphs and decompositions are never
+    kept, and the formula key is one flat bytes object, so a solve's memory
+    stays close to what it was without the oracle.
     """
 
-    __slots__ = ("vertex_cap", "stats", "_verdicts")
+    __slots__ = ("vertex_cap", "t", "dp", "stats", "_verdicts")
 
-    def __init__(self, vertex_cap: int) -> None:
+    def __init__(self, vertex_cap: int, t: int | None = None, dp=None) -> None:
         self.vertex_cap = vertex_cap
+        self.t = t  # the width whose AtMost verdicts dp counts; None counts none
+        self.dp = dp
         self.stats = SearchStats()
-        # (formula key, t) -> (kind, bound, packed decomposition)
-        self._verdicts: dict[tuple[bytes, int], tuple] = {}
+        # (formula key, t) -> (kind, bound, count)
+        self._verdicts: dict[tuple[bytes, int], tuple[str, int, int | None]] = {}
 
     def _entry(
-        self, f: CnfFormula, t: int, ladder
-    ) -> tuple[tuple, TwVerdict | None, Graph | None]:
+        self, f: CnfFormula, t: int
+    ) -> tuple[tuple[str, int, int | None], TwVerdict | None, Graph | None]:
         """The stored entry; after a miss also the verdict the ladder just gave
-        and the graph it decided, which is handed back but not kept."""
+        and the graph it decided, which are handed back but not kept."""
         key = (_formula_key(f), t)
         entry = self._verdicts.get(key)
         if entry is not None:
             return entry, None, None
         g = build_incidence(f)
-        verdict = (ladder or treewidth_at_most)(g, t, self.vertex_cap)
-        entry = self._verdicts[key] = (verdict.kind, verdict.bound, _pack(verdict.decomposition))
+        verdict = treewidth_at_most(g, t, self.vertex_cap)
+        count = None
+        if t == self.t and verdict.kind == AT_MOST:
+            count = self.dp(f, verdict.decomposition)
+        entry = self._verdicts[key] = (verdict.kind, verdict.bound, count)
         return entry, verdict, g
 
-    def kind(self, f: CnfFormula, t: int) -> str:
-        """The kind of f's verdict at t, without unpacking a decomposition."""
-        return self._entry(f, t, None)[0][0]
-
-    def verdict(self, f: CnfFormula, t: int, ladder=None) -> TwVerdict:
-        """tw(inc(f)) <= t; the first ask builds inc(f) and runs the ladder on it.
-
-        A miss calls `ladder`, by default this module's treewidth_at_most; the
-        counting layer passes its own name for the queries whose decomposition
-        its DP runs on, so each layer's queries can be told apart.
-        """
-        entry, verdict, _ = self._entry(f, t, ladder)
-        if verdict is None:
-            kind, bound, packed = entry
-            verdict = TwVerdict(kind, bound, _unpack(packed))
-        return verdict
+    def verdict(self, f: CnfFormula, t: int) -> tuple[str, int, int | None]:
+        """(kind, bound, count) of tw(inc(f)) <= t; the first ask builds inc(f)
+        and runs the ladder on it."""
+        return self._entry(f, t)[0]
 
 
 def _first_failing(
@@ -179,7 +146,7 @@ def _first_failing(
     for tau in assignments(b, cap=STRONG_CHECK_CAP):
         oracle.stats.checks += 1
         fr = reduce(f, tau)
-        kind = oracle.kind(fr, t)
+        kind = oracle.verdict(fr, t)[0]
         if kind == UNKNOWN:
             raise InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
         if kind == EXCEEDS:
@@ -203,7 +170,7 @@ def is_strong_backdoor(
     tau, fr = failing
     return BackdoorReport(
         tuple(sorted(bset)), "strong", t, False,
-        failing_assignment=tau, failing_bound=oracle.verdict(fr, t).bound, stats=oracle.stats,
+        failing_assignment=tau, failing_bound=oracle.verdict(fr, t)[1], stats=oracle.stats,
     )
 
 
@@ -254,7 +221,7 @@ def extract_witness(
 def _witness(fr: CnfFormula, t: int, oracle: _Oracle) -> frozenset[int]:
     """extract_witness on the reduction fr, asking the oracle for its verdict;
     the shrink runs on the graph a miss just built, or on a fresh inc(fr)."""
-    (kind, _, _), _, g = oracle._entry(fr, t, None)
+    (kind, _, _), _, g = oracle._entry(fr, t)
     if kind != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
     return witness(build_incidence(fr) if g is None else g, t, oracle.vertex_cap)
@@ -338,12 +305,13 @@ def _approx(
     """The leaves of approx_backdoor's search tree, x = 0 subtree first, or None.
 
     A leaf's path joined with any assignment to its set is a branch, put in
-    the oracle as width at most t; every assignment of f extends one branch."""
+    the oracle as width at most t, counted if the oracle counts at t; every
+    assignment of f extends one branch."""
     threshold = max(tw_threshold, t)
 
     def rec(cur: CnfFormula, budget: int, path: tuple[tuple[int, int], ...]) -> list[Leaf] | None:
         oracle.stats.nodes += 1
-        kind = oracle.kind(cur, threshold)
+        kind = oracle.verdict(cur, threshold)[0]
         if kind == UNKNOWN:
             raise InconclusiveTreewidth("treewidth undecided during approximation")
         if kind == AT_MOST:

@@ -17,15 +17,17 @@ come from the formula. Free variables of a formula appear as isolated
 vertices of its incidence graph; the decomposition DP therefore doubles the
 count once per free variable without special handling.
 
-`solve` creates one width oracle (`backdoor._Oracle`) per call and asks it
-every width query of the call: the root query, the backdoor search and the
-branch pass. It keeps verdicts only, keyed by the reduced formula and t, and
-builds inc(F) only when it has to run the ladder, so no reduction is decided
-twice and no graph is built for a verdict it already holds. The branch pass
-counts the leaf branches the search tree (`backdoor._approx`) already
-decided, and still raises on any verdict but AtMost. Queries whose
-decompositions go to the DP reach the ladder through this module's
-`treewidth_at_most`; the search reaches it through `backdoor`'s.
+`solve` creates one width oracle (`backdoor._Oracle`) per call, hands it
+t and `_run_dp`, and asks it every width query of the call: the root query,
+the backdoor search and the branch pass. It keeps (kind, bound, count)
+keyed by the reduced formula and t, and builds inc(F) only when it has to
+run the ladder, so no reduction is decided twice and no graph is built for
+a verdict it already holds. It runs the DP on a miss at t that comes back
+AtMost, on the decomposition the ladder just returned, and counts no
+verdict at any other width. `solve` counts an AtMost root at the threshold
+from the verdict its miss returns. The branch pass reads the counts of the
+leaf branches the search tree (`backdoor._approx`) already decided, and
+still raises on any verdict but AtMost.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ from typing import Iterable
 from . import backdoor as _backdoor
 from .formula import Assignment, CnfFormula, FormulaError, assignments, reduce
 from .graphs import build_incidence, clause_id, is_clause_vertex
-from .treewidth import (
-    AT_MOST,
-    DEFAULT_VERTEX_CAP,
-    EXCEEDS,
-    TreeDecomposition,
-    treewidth_at_most,
-    validate_decomposition,
-)
+from .treewidth import AT_MOST, DEFAULT_VERTEX_CAP, EXCEEDS, TreeDecomposition, validate_decomposition
 
 BRUTE_FORCE_CAP = 22
 
@@ -329,29 +324,27 @@ def backdoor_branch_counts(
 ) -> list[BranchCount]:
     """Per-assignment counts for a strong backdoor, which this pass verifies.
 
-    One width query per branch gives the decomposition the DP runs on; the first
-    branch above t raises BackdoorInvalidError, an undecided one InconclusiveTreewidth.
+    One width query per branch, counted by the DP on the decomposition it
+    returns; the first branch above t raises BackdoorInvalidError, an
+    undecided one InconclusiveTreewidth.
     """
     taus = assignments(b, cap=_backdoor.STRONG_CHECK_CAP)
-    return _branch_counts(f, taus, t, _backdoor._Oracle(vertex_cap))
+    return _branch_counts(f, taus, t, _backdoor._Oracle(vertex_cap, t, _run_dp))
 
 
 def _branch_counts(
     f: CnfFormula, taus: Iterable[Assignment], t: int, oracle: _backdoor._Oracle
 ) -> list[BranchCount]:
-    """Count each branch F[tau] by the DP, asking the oracle for every verdict."""
+    """Each branch F[tau]'s width and count, as the oracle, counting at t, keeps them."""
     out = []
     for tau in taus:
         fr = reduce(f, tau)
-        verdict = oracle.verdict(fr, t, treewidth_at_most)
-        if verdict.kind == EXCEEDS:
-            raise BackdoorInvalidError(tau, verdict.bound)
-        if verdict.kind != AT_MOST:
+        kind, bound, count = oracle.verdict(fr, t)
+        if kind == EXCEEDS:
+            raise BackdoorInvalidError(tau, bound)
+        if kind != AT_MOST:
             raise _backdoor.InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
-        vanished = len(f.variables - tau.domain - fr.variables)
-        out.append(
-            BranchCount(tau, verdict.decomposition.width, vanished, _run_dp(fr, verdict.decomposition))
-        )
+        out.append(BranchCount(tau, bound, len(f.variables - tau.domain - fr.variables), count))
     return out
 
 
@@ -402,11 +395,13 @@ def solve(
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
-    oracle = _backdoor._Oracle(vertex_cap)
-    verdict = oracle.verdict(f, max(tw_threshold, t), treewidth_at_most)
-    if verdict.kind == AT_MOST:
-        return SolveResult("counted", _run_dp(f, verdict.decomposition), "td", t, k, note=_note(f))
-    if verdict.kind != EXCEEDS:
+    oracle = _backdoor._Oracle(vertex_cap, t, _run_dp)
+    (kind, _, count), verdict, _ = oracle._entry(f, max(tw_threshold, t))
+    if kind == AT_MOST:
+        if count is None:  # the root was decided above t, so the oracle did not count it
+            count = _run_dp(f, verdict.decomposition)
+        return SolveResult("counted", count, "td", t, k, note=_note(f))
+    if kind != EXCEEDS:
         return SolveResult("inconclusive", None, None, t, k, note=_note(f))
     return _solve_by_backdoor(f, t, k, tw_threshold, oracle)
 
@@ -422,7 +417,7 @@ def solve_by_backdoor(
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
-    return _solve_by_backdoor(f, t, k, tw_threshold, _backdoor._Oracle(vertex_cap))
+    return _solve_by_backdoor(f, t, k, tw_threshold, _backdoor._Oracle(vertex_cap, t, _run_dp))
 
 
 def _solve_by_backdoor(

@@ -8,8 +8,6 @@ from twcount import backdoor
 from twcount import treewidth as tw
 from twcount.backdoor import (
     _formula_key,
-    _pack,
-    _unpack,
     approx_backdoor,
     extract_witness,
     find_smallest_strong_backdoor,
@@ -25,7 +23,6 @@ from twcount.treewidth import (
     DEFAULT_VERTEX_CAP,
     EXCEEDS,
     UNKNOWN,
-    TreeDecomposition,
     TwVerdict,
     _find_cycle,
     degeneracy,
@@ -407,16 +404,3 @@ def test_formula_key_is_exact(seed):
     ):
         assert _formula_key(other) != _formula_key(g)
 
-
-@given(st.integers(0, 5000))
-@settings(max_examples=60, deadline=None)
-def test_packed_decomposition_round_trips(seed):
-    rng = DetRng(seed)
-    n = rng.randint(2, 6)
-    f = gen_random_cnf(n, rng.randint(1, n + 2), rng.randint(1, min(3, n)), seed)
-    g = build_incidence(f)  # at most 14 vertices: the exact search stays quick
-    for td in (upper_bound_heuristic(g)[1], exact_treewidth(g)[1]):
-        assert _unpack(_pack(td)) == td
-    for td in (single_bag_decomposition(()), TreeDecomposition({}, ())):
-        assert _unpack(_pack(td)) == td
-    assert _unpack(_pack(None)) is None

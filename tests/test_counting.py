@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from twcount import backdoor, counting, graphs, treewidth
 from twcount.backdoor import (
     InconclusiveTreewidth,
+    _formula_key,
     approx_backdoor,
     find_smallest_strong_backdoor,
     is_strong_backdoor,
@@ -37,6 +38,7 @@ from twcount.generators import (
 )
 from twcount.graphs import build_incidence, clause_id, is_clause_vertex, write_gr
 from twcount.treewidth import (
+    AT_MOST,
     DEFAULT_VERTEX_CAP,
     UNKNOWN,
     TreeDecomposition,
@@ -160,8 +162,8 @@ def test_via_backdoor_rejects_invalid():
 def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
     f = gen_grid_formula_x(3)
     full = build_incidence(f).num_vertices()
-    # Every width query reaches the ladder through the solve's oracle, under
-    # the ladder's name in the layer that asks: counting or backdoor.
+    # Every width query reaches the ladder through the solve's oracle, which
+    # calls it under backdoor's name.
     query = treewidth.treewidth_at_most
 
     def undecided_branches(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
@@ -170,8 +172,7 @@ def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
             return query(g, t, vertex_cap)
         return TwVerdict(UNKNOWN, t)
 
-    for module in (backdoor, counting):
-        monkeypatch.setattr(module, "treewidth_at_most", undecided_branches)
+    monkeypatch.setattr(backdoor, "treewidth_at_most", undecided_branches)
     with pytest.raises(InconclusiveTreewidth):
         count_via_backdoor(f, {10}, 1)
     res = solve(f, 1, 1, tw_threshold=1)
@@ -182,19 +183,6 @@ def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
         assert main(["count", str(p), "--t", "1", "--k", "1", "--tw-threshold", "1",
                      "--mode", mode]) == 4
         assert '"verdict": "inconclusive"' in capsys.readouterr().out
-
-
-def test_dp_queries_reach_the_ladder_through_counting(monkeypatch):
-    # The root query and the branch pass ask under counting's name, so the
-    # decompositions the DP runs on can be told apart from the search's.
-    def search_ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
-        raise AssertionError("a DP query went through backdoor.treewidth_at_most")
-
-    monkeypatch.setattr(backdoor, "treewidth_at_most", search_ladder)
-    f = gen_grid_formula_x(3)
-    assert count_via_backdoor(f, {10}, 1) == 250
-    res = solve(f, 1, 1, tw_threshold=8)
-    assert (res.outcome, res.mode, res.count) == ("counted", "td", 250)
 
 
 def test_via_backdoor_two_variables():
@@ -304,8 +292,9 @@ def test_planted_t3_counted_quickly():
 
 
 class LadderLog:
-    """Wraps the width ladder, and build_incidence, in the modules that call
-    them, and logs each (formula, t) the ladder is asked about. Witness shrink
+    """Wraps the width ladder, which the solve's oracle calls under backdoor's
+    name, and build_incidence in the modules that call it, and logs each
+    (formula, t) the ladder is asked about. Witness shrink
     trials for t >= 3 ask `treewidth.treewidth_at_most` about subgraphs from
     inside `treewidth.witness`, so they are not logged. Also counts the graphs
     built and the witness extractions."""
@@ -333,7 +322,7 @@ class LadderLog:
 
         for module in (backdoor, counting):
             mp.setattr(module, "build_incidence", build)
-            mp.setattr(module, "treewidth_at_most", ladder)
+        mp.setattr(backdoor, "treewidth_at_most", ladder)
         mp.setattr(backdoor, "_witness", counted_witness)
 
     def repeats(self) -> list:
@@ -379,9 +368,9 @@ def test_solve_decides_each_reduction_once_on_bench_bases(bases):
         assert_each_query_once(f, t, k, threshold)
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_solve_decides_each_reduction_once(seed):
+def random_solve_instance(seed):
+    """A planted or random formula with its t in 1..3 and k in 1..3, and the
+    rng that drew them."""
     rng = DetRng(seed)
     t = 1 + seed % 3
     n, k = rng.randint(5, 8 if t == 3 else 10), rng.randint(1, 3)
@@ -389,6 +378,13 @@ def test_solve_decides_each_reduction_once(seed):
         f, _ = gen_planted(n, t, k, seed)
     else:
         f = gen_random_cnf(n, rng.randint(n, 2 * n + 2), rng.randint(2, 3), seed)
+    return f, t, k, rng
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_solve_decides_each_reduction_once(seed):
+    f, t, k, rng = random_solve_instance(seed)
     assert_each_query_once(f, t, k, t + rng.choice((0, 0, 1)))
 
 
@@ -421,21 +417,86 @@ def test_shared_oracle_matches_unshared_composition(seed):
 def test_solve_counts_the_search_tree_leaves(monkeypatch):
     # The search tree has 15 leaf branches under a backdoor of 5 variables.
     # Counting them needs neither the 2^5 assignments of the union nor a
-    # width query of the count's own: the search decided every branch.
+    # width query of the count's own: the search decided every branch, so
+    # solve_by_backdoor runs the ladder exactly as often as the search alone.
     f, _ = gen_planted(60, 1, 4, 2)
     res = solve(f, 1, 4, tw_threshold=1)
     assert res.outcome == "counted" and res.mode == "backdoor"
     assert len(res.backdoor) == 5 and len(res.branch_widths) == 15
     assert res.count == count_via_backdoor(f, res.backdoor, 1)
 
-    def dp_ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
-        raise AssertionError("the branch pass ran the ladder")
+    calls = []
 
-    monkeypatch.setattr(counting, "treewidth_at_most", dp_ladder)
+    def counted_ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+        calls.append(t)
+        return treewidth.treewidth_at_most(g, t, vertex_cap)
+
+    monkeypatch.setattr(backdoor, "treewidth_at_most", counted_ladder)
+    assert approx_backdoor(f, 1, 4, tw_threshold=1).variables == res.backdoor
+    search_calls, calls[:] = len(calls), []
     assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res
+    assert search_calls and len(calls) == search_calls
     # The check cap bounds the search's own sets, not the union.
     monkeypatch.setattr(backdoor, "STRONG_CHECK_CAP", 4)
     assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res
+
+
+def assert_dp_runs_only_for_counts(f, t, k, tw_threshold):
+    """Solve with the DP and the ladder wrapped: the DP runs once per distinct
+    AtMost miss at t and at most once more, for a root counted directly above
+    t; no oracle entry keeps a decomposition."""
+    expected = solve(f, t, k, tw_threshold=tw_threshold)
+    dp_runs: list[tuple[CnfFormula, int]] = []
+    at_most_misses = 0
+    oracles = []
+    oracle_class = backdoor._Oracle
+
+    def dp(fr, td):
+        dp_runs.append((fr, td.width))
+        return _run_dp(fr, td)
+
+    def ladder(g, tq, vertex_cap=DEFAULT_VERTEX_CAP):
+        verdict = treewidth.treewidth_at_most(g, tq, vertex_cap)
+        nonlocal at_most_misses
+        at_most_misses += tq == t and verdict.kind == AT_MOST
+        return verdict
+
+    def make_oracle(*args):
+        oracles.append(oracle_class(*args))
+        return oracles[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_run_dp", dp)
+        mp.setattr(backdoor, "treewidth_at_most", ladder)
+        mp.setattr(backdoor, "_Oracle", make_oracle)
+        res = solve(f, t, k, tw_threshold=tw_threshold)
+    assert res == expected
+    root_above_t = res.mode == "td" and tw_threshold > t
+    assert len(dp_runs) == at_most_misses + root_above_t
+    keys = [_formula_key(fr) for fr, _ in dp_runs]
+    assert len(set(keys)) == len(keys)
+    assert all(width <= t for fr, width in dp_runs if not (root_above_t and fr is f))
+    (oracle,) = oracles
+    for (_, tq), (kind, bound, count) in oracle._verdicts.items():
+        assert isinstance(kind, str) and isinstance(bound, int)
+        assert (count is not None) == (kind == AT_MOST and tq == t)
+        assert count is None or isinstance(count, int)
+    return res
+
+
+def test_dp_runs_only_for_counts_on_grid_switch_above_threshold():
+    # inc(F) is wider than the threshold 4; the search leaves are decided at
+    # the threshold and counted at t = 1, and the DP never sees width 4.
+    res = assert_dp_runs_only_for_counts(gen_grid_formula_x(12), 1, 1, 4)
+    assert (res.outcome, res.mode, res.backdoor) == ("counted", "backdoor", (145,))
+    assert res.count == 16486413873426357287751077221442
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_dp_runs_only_for_counts(seed):
+    f, t, k, _ = random_solve_instance(seed)
+    assert_dp_runs_only_for_counts(f, t, k, t + 1)
 
 
 @given(st.integers(0, 1000))
