@@ -7,25 +7,27 @@ way of destroying it (containing one of its variables, or satisfying one of
 its clauses under every assignment) yields a child branch. Any strong
 backdoor must intersect that killer set, so the search is complete. The
 approximate search sets one witness's killers both ways, recursively, and
-returns the leaves of that tree, whose branches `counting` counts.
+returns the leaf branches of that tree. One enumerator, `_branches`, checks
+a candidate set for the verification, the exact search and
+`counting.backdoor_branch_counts`; each leaf keeps the branches its check
+returned, and `counting` sums them without a second walk.
 
 Every width query on a reduced formula goes through one `_Oracle`, which
-`counting.solve` creates per solve and hands to the search, the witness
-extraction and the branch pass. It keeps (kind, bound, count) per
-(reduced formula, t), never a graph or a decomposition: reductions reached
-along different paths are equal formulas, so each is decided once, and
-inc(F) is built only to decide it, or for a witness whose verdict was
-already held. `counting` passes in the solve's t and its DP, so this module
-imports nothing from it; the oracle counts each AtMost verdict at that t as
-the ladder returns it, and no verdict at any other width. It also keeps
-the search counts of the solve. A public function called on its own starts
-a fresh oracle, which counts nothing.
+`counting.solve` creates per solve. It keeps (kind, bound, count) per
+(reduced formula, t), and of graphs only the last miss's: equal reductions
+reached along different paths are decided once, and inc(F) is built to
+decide a miss, or for a witness whose formula is not the last miss's.
+`counting` passes in the solve's t and its DP, so this module imports
+nothing from it; the oracle counts each AtMost verdict at that t as the
+ladder returns it, and no other. It also keeps the solve's search counts.
+A public function called on its own starts a fresh oracle, which counts
+nothing.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .formula import Assignment, CnfFormula, FormulaError, assignments, delete_vars, reduce
 from .graphs import Graph, build_incidence, clause_id, is_clause_vertex
@@ -99,59 +101,58 @@ class _Oracle:
     along different paths is one entry, and the ladder decides it once, on
     inc(F) built for that miss. An entry is (kind, bound, count). A miss at
     the solve's t that comes back AtMost runs `dp` on the decomposition the
-    ladder just returned, keeps the model count and drops the decomposition;
-    every other entry has no count. Graphs and decompositions are never
-    kept, and the formula key is one flat bytes object, so a solve's memory
-    stays close to what it was without the oracle.
+    ladder just returned and keeps the model count; every other entry has no
+    count. Of graphs and decompositions it keeps at most the last miss's
+    (`last`: formula, graph, verdict), and the formula key is one flat bytes
+    object, so a solve's memory stays close to what it was without it.
     """
 
-    __slots__ = ("vertex_cap", "t", "dp", "stats", "_verdicts")
+    __slots__ = ("vertex_cap", "t", "dp", "stats", "last", "_verdicts")
 
     def __init__(self, vertex_cap: int, t: int | None = None, dp=None) -> None:
         self.vertex_cap = vertex_cap
         self.t = t  # the width whose AtMost verdicts dp counts; None counts none
         self.dp = dp
         self.stats = SearchStats()
+        self.last: tuple[CnfFormula, Graph, TwVerdict] | None = None
         # (formula key, t) -> (kind, bound, count)
         self._verdicts: dict[tuple[bytes, int], tuple[str, int, int | None]] = {}
-
-    def _entry(
-        self, f: CnfFormula, t: int
-    ) -> tuple[tuple[str, int, int | None], TwVerdict | None, Graph | None]:
-        """The stored entry; after a miss also the verdict the ladder just gave
-        and the graph it decided, which are handed back but not kept."""
-        key = (_formula_key(f), t)
-        entry = self._verdicts.get(key)
-        if entry is not None:
-            return entry, None, None
-        g = build_incidence(f)
-        verdict = treewidth_at_most(g, t, self.vertex_cap)
-        count = None
-        if t == self.t and verdict.kind == AT_MOST:
-            count = self.dp(f, verdict.decomposition)
-        entry = self._verdicts[key] = (verdict.kind, verdict.bound, count)
-        return entry, verdict, g
 
     def verdict(self, f: CnfFormula, t: int) -> tuple[str, int, int | None]:
         """(kind, bound, count) of tw(inc(f)) <= t; the first ask builds inc(f)
         and runs the ladder on it."""
-        return self._entry(f, t)[0]
+        key = (_formula_key(f), t)
+        entry = self._verdicts.get(key)
+        if entry is None:
+            self.last = None  # drop the kept graph before building the next
+            g = build_incidence(f)
+            verdict = treewidth_at_most(g, t, self.vertex_cap)
+            self.last = (f, g, verdict)
+            counted = t == self.t and verdict.kind == AT_MOST
+            count = self.dp(f, verdict.decomposition) if counted else None
+            entry = self._verdicts[key] = (verdict.kind, verdict.bound, count)
+        return entry
 
 
-def _first_failing(
-    f: CnfFormula, b: frozenset[int], t: int, oracle: _Oracle
-) -> tuple[Assignment, CnfFormula] | None:
-    """The first assignment to b whose reduction exceeds t, with that reduction;
-    each assignment drawn counts as one check on the oracle's stats."""
+# An assignment tau to a candidate set, F[tau], and the oracle's entry for it.
+_Branch = tuple[Assignment, CnfFormula, tuple[str, int, int | None]]
+
+
+def _branches(f: CnfFormula, b: frozenset[int], t: int, oracle: _Oracle) -> list[_Branch]:
+    """The assignments to b in counting order, each with its reduction and the
+    oracle's entry at t, up to and including the first that exceeds t; each
+    counts as one check. An undecided reduction raises InconclusiveTreewidth."""
+    out = []
     for tau in assignments(b, cap=STRONG_CHECK_CAP):
         oracle.stats.checks += 1
         fr = reduce(f, tau)
-        kind = oracle.verdict(fr, t)[0]
-        if kind == UNKNOWN:
+        entry = oracle.verdict(fr, t)
+        if entry[0] == UNKNOWN:
             raise InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
-        if kind == EXCEEDS:
-            return tau, fr
-    return None
+        out.append((tau, fr, entry))
+        if entry[0] == EXCEEDS:
+            break
+    return out
 
 
 def is_strong_backdoor(
@@ -164,13 +165,12 @@ def is_strong_backdoor(
     if len(bset) > STRONG_CHECK_CAP:
         raise FormulaError(f"backdoor of size {len(bset)} exceeds the check cap {STRONG_CHECK_CAP}")
     oracle = _Oracle(vertex_cap)
-    failing = _first_failing(f, bset, t, oracle)
-    if failing is None:
+    tau, _, (kind, bound, _) = _branches(f, bset, t, oracle)[-1]
+    if kind == AT_MOST:
         return BackdoorReport(tuple(sorted(bset)), "strong", t, True, stats=oracle.stats)
-    tau, fr = failing
     return BackdoorReport(
         tuple(sorted(bset)), "strong", t, False,
-        failing_assignment=tau, failing_bound=oracle.verdict(fr, t)[1], stats=oracle.stats,
+        failing_assignment=tau, failing_bound=bound, stats=oracle.stats,
     )
 
 
@@ -220,11 +220,11 @@ def extract_witness(
 
 def _witness(fr: CnfFormula, t: int, oracle: _Oracle) -> frozenset[int]:
     """extract_witness on the reduction fr, asking the oracle for its verdict;
-    the shrink runs on the graph a miss just built, or on a fresh inc(fr)."""
-    (kind, _, _), _, g = oracle._entry(fr, t)
-    if kind != EXCEEDS:
+    the shrink runs on the last miss's graph when that miss was fr's."""
+    if oracle.verdict(fr, t)[0] != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
-    return witness(build_incidence(fr) if g is None else g, t, oracle.vertex_cap)
+    last_f, g, _ = oracle.last
+    return witness(g if last_f == fr else build_incidence(fr), t, oracle.vertex_cap)
 
 
 def find_smallest_strong_backdoor(
@@ -237,32 +237,41 @@ def find_smallest_strong_backdoor(
     """
     if not 0 <= k_max <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k_max must be between 0 and the desk-scale cap {EXACT_SEARCH_CAP}")
-    return _smallest(f, t, k_max, _Oracle(vertex_cap))
-
-
-def _smallest(f: CnfFormula, t: int, k_max: int, oracle: _Oracle) -> BackdoorReport | None:
-    """find_smallest_strong_backdoor, asking the oracle for every verdict and
-    counting on its stats."""
-
-    def dfs(b: frozenset[int], size: int) -> frozenset[int] | None:
-        oracle.stats.nodes += 1
-        failing = _first_failing(f, b, t, oracle)
-        if failing is None:
-            return b
-        if len(b) >= size:
-            return None
-        _, fr = failing
-        killers = killer_set(fr, _witness(fr, t, oracle), t)
-        for x in killers.internal + killers.external:
-            res = dfs(b | {x}, size)
-            if res is not None:
-                return res
+    oracle = _Oracle(vertex_cap)
+    branches = _smallest(f, t, k_max, oracle)
+    if branches is None:
         return None
+    return BackdoorReport(_leaf_union(branches), "strong", t, True, stats=oracle.stats)
 
+
+def _smallest(f: CnfFormula, t: int, k_max: int, oracle: _Oracle) -> list[_Branch] | None:
+    """The branches of the set find_smallest_strong_backdoor finds, or None,
+    asking the oracle for every verdict and counting on its stats."""
     for size in range(k_max + 1):
-        found = dfs(frozenset(), size)
+        found = _smallest_from(f, t, frozenset(), size, oracle)
         if found is not None:
-            return BackdoorReport(tuple(sorted(found)), "strong", t, True, stats=replace(oracle.stats))
+            return found
+    return None
+
+
+def _smallest_from(
+    f: CnfFormula, t: int, b: frozenset[int], size: int, oracle: _Oracle
+) -> list[_Branch] | None:
+    """The branches of the first strong backdoor within size variables that
+    extends b, or None. Not a nested closure: its reference cycle would keep
+    the oracle, and the oracle's last graph, alive after the solve."""
+    oracle.stats.nodes += 1
+    branches = _branches(f, b, t, oracle)
+    _, fr, (kind, _, _) = branches[-1]
+    if kind == AT_MOST:
+        return branches
+    if len(b) >= size:
+        return None
+    killers = killer_set(fr, _witness(fr, t, oracle), t)
+    for x in killers.internal + killers.external:
+        res = _smallest_from(f, t, b | {x}, size, oracle)
+        if res is not None:
+            return res
     return None
 
 
@@ -286,48 +295,41 @@ def approx_backdoor(
     if not 0 <= k <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
     oracle = _Oracle(vertex_cap)
-    leaves = _approx(f, t, k, tw_threshold, oracle)
-    if leaves is None:
+    branches = _approx(f, t, k, tw_threshold, oracle)
+    if branches is None:
         return None
-    return BackdoorReport(_leaf_union(leaves), "strong", t, True, stats=oracle.stats)
+    return BackdoorReport(_leaf_union(branches), "strong", t, True, stats=oracle.stats)
 
 
-Leaf = tuple[Assignment, frozenset[int]]  # killer values on a path, set found below
-
-
-def _leaf_union(leaves: list[Leaf]) -> tuple[int, ...]:
-    return tuple(sorted(frozenset().union(*(path.domain | s for path, s in leaves))))
+def _leaf_union(branches: list[_Branch]) -> tuple[int, ...]:
+    return tuple(sorted(frozenset().union(*(tau.domain for tau, _, _ in branches))))
 
 
 def _approx(
-    f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle
-) -> list[Leaf] | None:
-    """The leaves of approx_backdoor's search tree, x = 0 subtree first, or None.
-
-    A leaf's path joined with any assignment to its set is a branch, put in
-    the oracle as width at most t, counted if the oracle counts at t; every
-    assignment of f extends one branch."""
-    threshold = max(tw_threshold, t)
-
-    def rec(cur: CnfFormula, budget: int, path: tuple[tuple[int, int], ...]) -> list[Leaf] | None:
-        oracle.stats.nodes += 1
-        kind = oracle.verdict(cur, threshold)[0]
-        if kind == UNKNOWN:
-            raise InconclusiveTreewidth("treewidth undecided during approximation")
-        if kind == AT_MOST:
-            report = _smallest(cur, t, budget, oracle)
-            return None if report is None else [(Assignment(path), frozenset(report.variables))]
-        if budget == 0:
-            return None
-        killers = killer_set(cur, _witness(cur, t, oracle), t)
-        for x in sorted(set(killers.internal + killers.external)):
-            leaves0 = rec(reduce(cur, Assignment({x: 0})), budget - 1, path + ((x, 0),))
-            if leaves0 is None:
-                continue
-            leaves1 = rec(reduce(cur, Assignment({x: 1})), budget - 1, path + ((x, 1),))
-            if leaves1 is None:
-                continue
-            return leaves0 + leaves1
+    f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle, path: Assignment = Assignment()
+) -> list[_Branch] | None:
+    """The leaf branches of approx_backdoor's search tree, x = 0 subtree first,
+    or None: a path's killer values joined with each assignment to the set the
+    exact search found below it, with F's reduction and its entry at t. path
+    holds the killer values that reduced the root formula to f."""
+    oracle.stats.nodes += 1
+    kind = oracle.verdict(f, max(tw_threshold, t))[0]
+    if kind == UNKNOWN:
+        raise InconclusiveTreewidth("treewidth undecided during approximation")
+    if kind == AT_MOST:
+        branches = _smallest(f, t, k, oracle)
+        return None if branches is None else [(path.merged(tau), fr, e) for tau, fr, e in branches]
+    if k == 0:
         return None
-
-    return rec(f, k, ())
+    killers = killer_set(f, _witness(f, t, oracle), t)
+    for x in sorted(set(killers.internal + killers.external)):
+        leaves: list[_Branch] = []
+        for value in (0, 1):
+            tau = Assignment({x: value})
+            half = _approx(reduce(f, tau), t, k - 1, tw_threshold, oracle, path.merged(tau))
+            if half is None:
+                break
+            leaves += half
+        else:
+            return leaves
+    return None

@@ -18,26 +18,25 @@ vertices of its incidence graph; the decomposition DP therefore doubles the
 count once per free variable without special handling.
 
 `solve` creates one width oracle (`backdoor._Oracle`) per call, hands it
-t and `_run_dp`, and asks it every width query of the call: the root query,
-the backdoor search and the branch pass. It keeps (kind, bound, count)
-keyed by the reduced formula and t, and builds inc(F) only when it has to
-run the ladder, so no reduction is decided twice and no graph is built for
-a verdict it already holds. It runs the DP on a miss at t that comes back
-AtMost, on the decomposition the ladder just returned, and counts no
-verdict at any other width. `solve` counts an AtMost root at the threshold
-from the verdict its miss returns. The branch pass reads the counts of the
-leaf branches the search tree (`backdoor._approx`) already decided, and
-still raises on any verdict but AtMost.
+t and `_run_dp`, and asks it every width query of the call: the root query
+and the backdoor search. It keeps (kind, bound, count) keyed by the reduced
+formula and t, and builds inc(F) only when it has to run the ladder, so no
+reduction is decided twice and no graph is built for a verdict it already
+holds. It runs the DP on a miss at t that comes back AtMost, on the
+decomposition the ladder just returned, and counts no verdict at any other
+width. `solve` counts an AtMost root at the threshold on the decomposition
+of that first miss. The search (`backdoor._approx`) returns its leaf
+branches with the counts its own checks made, and `solve` sums them; it
+reduces nothing and asks the oracle nothing of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import Iterable
 
 from . import backdoor as _backdoor
-from .formula import Assignment, CnfFormula, FormulaError, assignments, reduce
+from .formula import Assignment, CnfFormula, FormulaError
 from .graphs import build_incidence, clause_id, is_clause_vertex
 from .treewidth import AT_MOST, DEFAULT_VERTEX_CAP, EXCEEDS, TreeDecomposition, validate_decomposition
 
@@ -324,34 +323,31 @@ def backdoor_branch_counts(
 ) -> list[BranchCount]:
     """Per-assignment counts for a strong backdoor, which this pass verifies.
 
-    One width query per branch, counted by the DP on the decomposition it
-    returns; the first branch above t raises BackdoorInvalidError, an
-    undecided one InconclusiveTreewidth.
+    is_strong_backdoor's check, on an oracle that counts each branch with the
+    DP; the first branch above t raises BackdoorInvalidError, an undecided
+    one InconclusiveTreewidth.
     """
-    taus = assignments(b, cap=_backdoor.STRONG_CHECK_CAP)
-    return _branch_counts(f, taus, t, _backdoor._Oracle(vertex_cap, t, _run_dp))
+    oracle = _backdoor._Oracle(vertex_cap, t, _run_dp)
+    branches = _backdoor._branches(f, frozenset(b), t, oracle)
+    tau, _, (kind, bound, _) = branches[-1]
+    if kind == EXCEEDS:
+        raise BackdoorInvalidError(tau, bound)
+    return _counted(f, branches)
 
 
-def _branch_counts(
-    f: CnfFormula, taus: Iterable[Assignment], t: int, oracle: _backdoor._Oracle
-) -> list[BranchCount]:
-    """Each branch F[tau]'s width and count, as the oracle, counting at t, keeps them."""
-    out = []
-    for tau in taus:
-        fr = reduce(f, tau)
-        kind, bound, count = oracle.verdict(fr, t)
-        if kind == EXCEEDS:
-            raise BackdoorInvalidError(tau, bound)
-        if kind != AT_MOST:
-            raise _backdoor.InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
-        out.append(BranchCount(tau, bound, len(f.variables - tau.domain - fr.variables), count))
-    return out
+def _counted(f: CnfFormula, branches: list[_backdoor._Branch]) -> list[BranchCount]:
+    """The BranchCount of each branch the oracle counted at its width bound."""
+    return [
+        BranchCount(tau, bound, len(f.variables - tau.domain - fr.variables), count)
+        for tau, fr, (_, bound, count) in branches
+    ]
 
 
 def count_via_backdoor(f: CnfFormula, b, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Sum 2^vanished * count(F[tau]) over all assignments tau to the backdoor.
 
-    The branch pass is the verifier: an invalid b raises BackdoorInvalidError.
+    The check of is_strong_backdoor counts the branches: an invalid b raises
+    BackdoorInvalidError at its first failing assignment.
     """
     return sum((1 << br.vanished) * br.count for br in backdoor_branch_counts(f, b, t, vertex_cap))
 
@@ -396,10 +392,10 @@ def solve(
     """
     _check_parameters(t, k)
     oracle = _backdoor._Oracle(vertex_cap, t, _run_dp)
-    (kind, _, count), verdict, _ = oracle._entry(f, max(tw_threshold, t))
+    kind, _, count = oracle.verdict(f, max(tw_threshold, t))
     if kind == AT_MOST:
-        if count is None:  # the root was decided above t, so the oracle did not count it
-            count = _run_dp(f, verdict.decomposition)
+        if count is None:  # decided above t, so not counted; the root is the first miss
+            count = _run_dp(f, oracle.last[2].decomposition)
         return SolveResult("counted", count, "td", t, k, note=_note(f))
     if kind != EXCEEDS:
         return SolveResult("inconclusive", None, None, t, k, note=_note(f))
@@ -413,7 +409,7 @@ def solve_by_backdoor(
 
     Finding none of size at most 2^k - 1 is the machine-readable 'sb_exceeded'
     outcome, meaning every strong backdoor into width t has size above k. A
-    width query left undecided, in the search or the branch pass, ends 'inconclusive'.
+    width query left undecided in the search ends 'inconclusive'.
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
@@ -423,16 +419,15 @@ def solve_by_backdoor(
 def _solve_by_backdoor(
     f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _backdoor._Oracle
 ) -> SolveResult:
-    """solve_by_backdoor, with the search and the branch pass sharing the oracle."""
+    """solve_by_backdoor on the given oracle, summing the search's counted leaf branches."""
     note = _note(f)
     try:
         leaves = _backdoor._approx(f, t, k, tw_threshold, oracle)
-        if leaves is None:
-            return SolveResult("sb_exceeded", None, "backdoor", t, k, note=note)
-        taus = (path.merged(tau) for path, s in leaves for tau in assignments(s))
-        branches = _branch_counts(f, taus, t, oracle)
     except _backdoor.InconclusiveTreewidth:
         return SolveResult("inconclusive", None, None, t, k, note=note)
+    if leaves is None:
+        return SolveResult("sb_exceeded", None, "backdoor", t, k, note=note)
+    branches = _counted(f, leaves)
     return SolveResult(
         "counted",
         sum((1 << br.vanished) * br.count for br in branches),

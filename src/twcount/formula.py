@@ -1,6 +1,7 @@
 """CNF formula core: parsing, sizing, partial assignment, literal deletion.
 
-Formulas are immutable; every operation returns a new object. Clause ids are
+Formulas are immutable, so an operation that changes nothing, such as
+reducing by the empty assignment, may return its input. Clause ids are
 assigned in input order and survive reduction and deletion, so downstream
 consumers (witness extraction, obstruction templates) can track clauses
 across derived formulas.
@@ -202,8 +203,10 @@ def reduce(f: CnfFormula, tau: Assignment) -> CnfFormula:
     stays as a zero-literal clause, and a clause tau does not touch is kept
     as it is. Variables that vanish without being assigned are not recorded
     anywhere on the result (callers interested in them compare variable sets
-    of the two formulas).
+    of the two formulas). The empty assignment returns f itself.
     """
+    if not tau:
+        return f
     values = dict(tau.items())
     extra = sorted(v for v in values if v not in f.variables and v not in f.free_vars)
     if extra:

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twcount import backdoor, counting, graphs, treewidth
@@ -28,7 +28,7 @@ from twcount.counting import (
     count_via_backdoor,
     solve,
 )
-from twcount.formula import Assignment, Clause, CnfFormula, clause_of, reduce, write_dimacs
+from twcount.formula import Assignment, Clause, CnfFormula, assignments, clause_of, reduce, write_dimacs
 from twcount.generators import (
     DetRng,
     gen_grid_formula,
@@ -144,19 +144,36 @@ def test_via_backdoor_empty_set_in_class():
     assert count_via_backdoor(f, set(), 1) == count_bruteforce(f) == 5
 
 
-def test_via_backdoor_rejects_invalid():
-    cases = [
-        (gen_grid_formula(3), {1}),
-        # x4 = 0 satisfies the triangle, x4 = 1 leaves it: the second branch fails.
-        (CnfFormula((clause_of(1, 1, 2, -4), clause_of(2, 2, 3, -4), clause_of(3, 3, 1, -4))), {4}),
-    ]
-    for f, b in cases:
-        report = is_strong_backdoor(f, b, 1)
+def random_formula_and_set(seed):
+    """A small random formula, a random subset of its variables and t = 1 or 2."""
+    rng = DetRng(seed)
+    n = rng.randint(3, 8)
+    f = gen_random_cnf(n, rng.randint(2, 2 * n + 2), rng.randint(2, 3), seed)
+    vs = sorted(f.variables)
+    return f, frozenset(rng.sample(vs, rng.randint(0, min(4, len(vs))))), 1 + seed % 2
+
+
+@given(st.integers(0, 10_000).map(random_formula_and_set))
+@example((gen_grid_formula(3), {1}, 1))
+# x4 = 0 satisfies the triangle, x4 = 1 leaves it: the second branch fails.
+@example((CnfFormula((clause_of(1, 1, 2, -4), clause_of(2, 2, 3, -4), clause_of(3, 3, 1, -4))), {4}, 1))
+@settings(max_examples=60, deadline=None)
+def test_via_backdoor_rejects_invalid(case):
+    # Both run the one branch enumerator; the counts verify the set just as
+    # is_strong_backdoor does, and fail on the same assignment and bound.
+    f, b, t = case
+    report = is_strong_backdoor(f, b, t)
+    try:
+        branches = backdoor_branch_counts(f, b, t)
+    except BackdoorInvalidError as exc:
         assert not report.valid
-        with pytest.raises(BackdoorInvalidError) as exc:
-            count_via_backdoor(f, b, 1)
-        assert exc.value.assignment == report.failing_assignment
-        assert exc.value.bound == report.failing_bound
+        assert exc.assignment == report.failing_assignment
+        assert exc.bound == report.failing_bound
+    else:
+        assert report.valid
+        assert [br.assignment for br in branches] == list(assignments(b))
+        assert all(br.width <= t for br in branches)
+        assert sum((1 << br.vanished) * br.count for br in branches) == count_bruteforce(f)
 
 
 def test_undecided_branch_is_inconclusive(monkeypatch, capsys, tmp_path):
@@ -293,18 +310,22 @@ def test_planted_t3_counted_quickly():
 
 class LadderLog:
     """Wraps the width ladder, which the solve's oracle calls under backdoor's
-    name, and build_incidence in the modules that call it, and logs each
-    (formula, t) the ladder is asked about. Witness shrink
-    trials for t >= 3 ask `treewidth.treewidth_at_most` about subgraphs from
-    inside `treewidth.witness`, so they are not logged. Also counts the graphs
-    built and the witness extractions."""
+    name, and build_incidence, reduce and the witness shrink in the modules
+    that call them, and logs each (formula, t) the ladder is asked about.
+    Witness shrink trials for t >= 3 ask `treewidth.treewidth_at_most` about
+    subgraphs from inside `treewidth.witness`, so they are not logged. Also
+    counts the reductions, the graphs built, and the witness shrinks that ran
+    on a graph other than the last ladder call's."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
         self.asked: list[tuple[CnfFormula, int]] = []
-        self.witnesses = 0
+        self.reduced = 0
+        self.fresh_witness_graphs = 0
+        # shrinks on a fresh graph of the formula the last ladder call decided
+        self.missed_reuse = 0
         # id -> (graph, formula); the graph is kept so ids stay unique
         self.built: dict[int, tuple] = {}
-        witness = backdoor._witness
+        last_graph = None
 
         def build(f):
             g = graphs.build_incidence(f)
@@ -312,18 +333,28 @@ class LadderLog:
             return g
 
         def ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+            nonlocal last_graph
             if id(g) in self.built:
                 self.asked.append((self.built[id(g)][1], t))
+                last_graph = g
             return treewidth.treewidth_at_most(g, t, vertex_cap)
 
-        def counted_witness(*args):
-            self.witnesses += 1
-            return witness(*args)
+        def counted_reduce(f, tau):
+            self.reduced += 1
+            return reduce(f, tau)
+
+        def counted_witness(g, t, vertex_cap):
+            if g is not last_graph:
+                self.fresh_witness_graphs += 1
+                self.missed_reuse += self.built[id(g)][1] == self.asked[-1][0]
+            return treewidth.witness(g, t, vertex_cap)
 
         for module in (backdoor, counting):
             mp.setattr(module, "build_incidence", build)
+            if hasattr(module, "reduce"):
+                mp.setattr(module, "reduce", counted_reduce)
         mp.setattr(backdoor, "treewidth_at_most", ladder)
-        mp.setattr(backdoor, "_witness", counted_witness)
+        mp.setattr(backdoor, "witness", counted_witness)
 
     def repeats(self) -> list:
         seen: set = set()
@@ -334,17 +365,45 @@ class LadderLog:
             seen.add(key)
         return out
 
+    def assert_graphs_serve_the_ladder(self) -> None:
+        """A graph is built for each ladder call, and for a witness shrink only
+        when its formula is not the one the last ladder call decided."""
+        assert len(self.built) == len(self.asked) + self.fresh_witness_graphs
+        assert not self.missed_reuse
+
+
+def logged(run):
+    """run() under a LadderLog: its result (None if a width query was left
+    undecided) and the log."""
+    with pytest.MonkeyPatch.context() as mp:
+        log = LadderLog(mp)
+        try:
+            result = run()
+        except InconclusiveTreewidth:
+            result = None
+    return result, log
+
 
 def assert_each_query_once(f, t, k, tw_threshold):
     expected = solve(f, t, k, tw_threshold=tw_threshold)
-    with pytest.MonkeyPatch.context() as mp:
-        log = LadderLog(mp)
-        res = solve(f, t, k, tw_threshold=tw_threshold)
+    res, log = logged(lambda: solve(f, t, k, tw_threshold=tw_threshold))
     assert res == expected
     assert log.asked and not log.repeats()
-    # A graph is built to decide a verdict the oracle lacks, or for a
-    # witness shrink; never for a verdict the oracle already holds.
-    assert len(log.built) <= len(log.asked) + log.witnesses
+    log.assert_graphs_serve_the_ladder()
+    return log
+
+
+def assert_count_is_the_search(f, t, k, tw_threshold):
+    """solve_by_backdoor reduces, builds and asks the ladder exactly as often
+    as approx_backdoor on the same arguments: the search's checks are the
+    count. Returns the result and the count's log."""
+    res, counted = logged(lambda: counting.solve_by_backdoor(f, t, k, tw_threshold=tw_threshold))
+    report, searched = logged(lambda: approx_backdoor(f, t, k, tw_threshold=tw_threshold))
+    assert res.backdoor == (None if report is None else report.variables)
+    calls = [(log.reduced, len(log.built), len(log.asked)) for log in (counted, searched)]
+    assert calls[0] == calls[1]
+    counted.assert_graphs_serve_the_ladder()
+    return res, counted
 
 
 # The base instances of the benchmark's grid-switch and planted workloads
@@ -390,9 +449,17 @@ def test_solve_decides_each_reduction_once(seed):
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
+def test_count_is_the_search(seed):
+    f, t, k, _ = random_solve_instance(seed)
+    for threshold in (t, t + 1):
+        assert_count_is_the_search(f, t, k, threshold)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
 def test_shared_oracle_matches_unshared_composition(seed):
-    # solve_by_backdoor shares one oracle between the search and the branch
-    # pass; the public functions called one after the other share nothing.
+    # solve_by_backdoor sums the branches its search's checks counted on one
+    # oracle; the public functions called one after the other share nothing.
     rng = DetRng(seed)
     t = 1 + seed % 3
     n, k = rng.randint(5, 8 if t == 3 else 10), rng.randint(1, 3)
@@ -417,25 +484,19 @@ def test_shared_oracle_matches_unshared_composition(seed):
 def test_solve_counts_the_search_tree_leaves(monkeypatch):
     # The search tree has 15 leaf branches under a backdoor of 5 variables.
     # Counting them needs neither the 2^5 assignments of the union nor a
-    # width query of the count's own: the search decided every branch, so
-    # solve_by_backdoor runs the ladder exactly as often as the search alone.
+    # reduction or width query of the count's own: the search's checks
+    # counted every branch, so solve_by_backdoor reduces, builds and runs the
+    # ladder exactly as often as the search alone, and each witness shrink
+    # reuses the graph its miss built.
     f, _ = gen_planted(60, 1, 4, 2)
     res = solve(f, 1, 4, tw_threshold=1)
     assert res.outcome == "counted" and res.mode == "backdoor"
     assert len(res.backdoor) == 5 and len(res.branch_widths) == 15
     assert res.count == count_via_backdoor(f, res.backdoor, 1)
 
-    calls = []
-
-    def counted_ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
-        calls.append(t)
-        return treewidth.treewidth_at_most(g, t, vertex_cap)
-
-    monkeypatch.setattr(backdoor, "treewidth_at_most", counted_ladder)
-    assert approx_backdoor(f, 1, 4, tw_threshold=1).variables == res.backdoor
-    search_calls, calls[:] = len(calls), []
-    assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res
-    assert search_calls and len(calls) == search_calls
+    counted, log = assert_count_is_the_search(f, 1, 4, 1)
+    assert counted == res
+    assert log.asked and len(log.built) == len(log.asked)
     # The check cap bounds the search's own sets, not the union.
     monkeypatch.setattr(backdoor, "STRONG_CHECK_CAP", 4)
     assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res

@@ -108,6 +108,8 @@ def test_reduce_removes_satisfied_and_strips_false():
 def test_reduce_empty_assignment_is_identity():
     f = gen_grid_formula(3)
     assert reduce(f, Assignment()) == f
+    # Formulas are immutable, so the empty assignment copies nothing.
+    assert reduce(f, Assignment()) is f
 
 
 def test_reduce_grid_x_true_keeps_vertical_clauses():
