@@ -1,17 +1,18 @@
 """#SAT engines: brute-force oracle, tree-decomposition DP, backdoor-driven counting.
 
 Counts are Python ints, so they are arbitrary precision by construction.
-The decomposition DP keeps one dense table per bag of the incidence graph's
-tree decomposition, with clause bits in the "still unsatisfied" form of
-Slivovsky & Szeider (SAT 2020), and walks the bags iteratively, so deep
-decompositions are fine. Each child's table is folded to a message over the
-vertices it shares with its bag and applied to the bag's table in place: a
-message over a few vertices, such as a clause leaf's "c is satisfied",
-scales or zeroes the sub-cubes its entries select, and a wider one is
-spread to the bag and multiplied in. A bag wider than the table budget
-(DP_TABLE_CAP entries) raises TableBudgetExceeded before any table is
-allocated.
-The DP reads the formula, not a graph: a bag vertex is a clause when its id
+The decomposition DP is bucket elimination (Dechter, AI 1999) on the
+incidence graph, with clause bits in the "still unsatisfied" form of
+Slivovsky & Szeider (SAT 2020): it eliminates each vertex once, in the
+bucket of the highest bag holding it, in the order the decomposition
+forgets them, so deep decompositions are fine. A bucket multiplies the
+messages it received into a dense table over its scope, zeroes the edges
+to its vertex, folds that vertex out and sends the result on as a message.
+A decomposition built from an elimination order records the order, and its
+buckets are its bags; any other is walked once for its forget order. A bag
+wider than the table budget (DP_TABLE_CAP entries) raises
+TableBudgetExceeded before any table is allocated.
+The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula. Free variables of a formula appear as isolated
 vertices of its incidence graph; the decomposition DP therefore doubles the
@@ -34,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul, sub
+from typing import AbstractSet
 
 from . import backdoor as _backdoor
 from .formula import Assignment, CnfFormula, FormulaError
-from .graphs import build_incidence, clause_id, is_clause_vertex
+from .graphs import build_incidence, clause_vertex, is_clause_vertex
 from .treewidth import AT_MOST, DEFAULT_VERTEX_CAP, EXCEEDS, TreeDecomposition, validate_decomposition
 
 BRUTE_FORCE_CAP = 22
@@ -86,46 +88,79 @@ def count_bruteforce(f: CnfFormula) -> int:
 # ---------------------------------------------------------------------------
 # decomposition DP
 #
-# A table holds one exact int per assignment to the bits of a bag, bit i
-# standing for the i-th vertex of the bag in id order. A variable bit is the
-# variable's value. A clause bit of 1 means "this clause must still be
-# unsatisfied": entry (alpha, U) counts the assignments to the variables
-# forgotten below the bag that extend alpha, satisfy every clause forgotten
-# below, and satisfy no clause of U by any variable of the subtree. In this
-# form a variable is forgotten by adding its two halves, a clause by
-# subtracting its "unsatisfied" half from the other, and the tables of two
-# subtrees multiply entry by entry (they share only the bag's vertices).
+# A table holds one exact int per assignment to the bits of a vertex set. A
+# variable bit is the variable's value. A clause bit of 1 means "this clause
+# must still be unsatisfied": an entry counts the assignments to the
+# variables already eliminated that extend the entry's values, satisfy every
+# clause already eliminated, and satisfy no clause whose bit is 1 by any
+# eliminated variable. In this form a variable is eliminated by adding its
+# two halves, a clause by subtracting its "unsatisfied" half from the
+# other, and two tables over disjoint eliminated parts multiply entry by
+# entry.
 #
-# Bags are sorted and indexed once. A child's table is folded down to the
-# vertices it shares with its bag; this message depends on the shared bits
-# only, and applying it multiplies every bag entry, in place, by the message
-# entry that its shared bits select:
+# The DP is bucket elimination (Dechter, AI 1999) along the decomposition's
+# forget order: each vertex is eliminated once, in the bucket of the highest
+# bag holding it, and the bucket's scope is that bag minus the vertices
+# eliminated before. Its bits stand for the scope's vertices in elimination
+# order, so the bucket's own vertex is bit 0. A bucket's table is the
+# product of the messages it received; each edge between a variable x and a
+# clause c is zeroed in the bucket of its earlier-eliminated end (the later
+# one is in that bucket's scope), on the entries where x takes the value its
+# literal in c makes true while c must stay unsatisfied. Folding bit 0 gives
+# the bucket's message, which goes to the bucket of the earliest-eliminated
+# vertex left in it; by the running intersection property that bucket's
+# scope holds the message's. A message over no vertex multiplies into the
+# count. In an elimination decomposition bag i is {v} + N(v) for v the i-th
+# vertex eliminated, and its parent holds N(v): the buckets are the bags.
 #
-# - A small message, over at most SMALL_MESSAGE_BITS vertices into a wider
-#   bag, is applied entry by entry: an entry of 1 is skipped, any other
-#   scales (and 0 zeroes) the sub-cube of bag entries whose shared bits
-#   match it. Every clause leaf {c} + vars(c) of a 3-CNF gives one: once c
-#   is forgotten it says only "c is satisfied", a single zero entry. The
-#   bound is 4 because such a leaf shares at most 4 vertices with its
-#   parent, while a message over more vertices has more entries than
-#   slicing them one by one pays for. A bag of at most 4 vertices has at
-#   most 16 entries, where one multiplication pass beats any slicing.
-# - Any other message is spread to all the bag's bits, one pass per run of
-#   missing positions, and multiplied in; the first becomes the bag's table.
+# - A bucket of at most SMALL_MESSAGE_BITS vertices (every bucket of width
+#   at most 3, so every t <= 2 bucket) reads each message through an index
+#   list precomputed at import, which names for every entry of the bucket
+#   the message entry its bits select, and multiplies them in; an edge
+#   zeroes the entries another precomputed list names.
+# - A wider bucket applies a message over at most SMALL_MESSAGE_BITS
+#   vertices entry by entry: an entry of 1 is skipped, any other scales (and
+#   0 zeroes) the sub-cube of entries whose bits match it. Every 3-CNF clause
+#   leaf {c} + vars(c) sends one, "c is satisfied", a single zero entry.
+#   Any other message is spread to all the bucket's bits, one pass per run
+#   of missing positions, and multiplied in; the first becomes the table. A
+#   bucket that gets only small messages starts from all ones.
 #
-# A bag that gets only small messages starts from all ones. Then every edge
-# between a variable x and a clause c is zeroed once, in the highest bag
-# holding both (the bags holding both form a subtree): the sub-cube in which
-# x takes the value its literal in c makes true while c must stay
-# unsatisfied. Each factor of the count is multiplied in exactly once, so
-# where it lands in the tree does not matter.
+# The bound is 4 because a message over more vertices has more entries than
+# slicing them one by one pays for, while a bucket of at most 16 entries is
+# built faster entry by entry, through its index lists, than by any slicing.
 #
-# Every operation is a loop of slice or strided-slice operations along the
-# longest run of index bits it leaves free, so its Python-level steps are
-# few and the elementwise work runs in C.
+# Every operation on a wide table is a loop of slice or strided-slice
+# operations along the longest run of index bits it leaves free, so its
+# Python-level steps are few and the elementwise work runs in C.
 
 DP_TABLE_CAP = 1 << 22  # entries of one table; a few live tables stay well under 2 GB
-SMALL_MESSAGE_BITS = 4  # widest message applied sub-cube by sub-cube (see above)
+# The widest bucket read through index lists, and the widest message a wider
+# bucket applies sub-cube by sub-cube (see above).
+SMALL_MESSAGE_BITS = 4
+
+
+def _pick(k: int, at: int) -> list[int]:
+    """For each entry of a table over k bits, the index of the entry of a
+    message whose bits stand for the positions in the bitmask `at`."""
+    idx, j = [0], 1
+    for p in range(k):
+        if at >> p & 1:
+            idx += [i + j for i in idx]
+            j <<= 1
+        else:
+            idx += idx
+    return idx
+
+
+# _PICK[k][at] is _pick(k, at). _ZEROS[k][q][b] lists the entries of a table
+# over k bits whose bit 0 is b & 1 and whose bit at q, a power of two, is b >> 1.
+_PICK = [[_pick(k, at) for at in range(1 << k)] for k in range(SMALL_MESSAGE_BITS + 1)]
+_ZEROS = [
+    {q: [[e for e in range(1 << k) if e & 1 == b & 1 and bool(e & q) == b >> 1] for b in range(4)]
+     for q in (1 << p for p in range(1, k))}
+    for k in range(SMALL_MESSAGE_BITS + 1)
+]
 
 
 class TableBudgetExceeded(RuntimeError):
@@ -137,21 +172,6 @@ class TableBudgetExceeded(RuntimeError):
             f"a bag of {bag_size} vertices needs a DP table of 2^{bag_size} entries, "
             f"above the budget of {DP_TABLE_CAP} entries"
         )
-
-
-def _fold(t: list[int], p: int, op) -> list[int]:
-    """Remove bit p, combining each pair of entries as op(bit 0, bit 1)."""
-    lo = 1 << p
-    step = lo << 1
-    if lo * lo <= len(t):
-        res = [0] * (len(t) >> 1)
-        for j in range(lo):
-            res[j::lo] = map(op, t[j::step], t[j + lo :: step])
-        return res
-    res = []
-    for h in range(0, len(t), step):
-        res += map(op, t[h : h + lo], t[h + lo : h + step])
-    return res
 
 
 def _spread(t: list[int], p: int, r: int) -> list[int]:
@@ -210,91 +230,122 @@ def _scale(t: list[int], n: int, at: list[int], off: int, v: int) -> None:
             t[s : s + span : step] = [v * x for x in t[s : s + span : step]]
 
 
-def _message(t: list[int], bag: list[int], keep: dict[int, int]) -> tuple[list[int], list[int]]:
-    """Fold a table over the sorted `bag` down to the vertices `keep` indexes;
-    returns the message and the positions in `keep` that its bits stand for."""
-    at = []
-    for p in reversed(range(len(bag))):
-        v = bag[p]
-        if v in keep:
-            at.append(keep[v])
-        else:
-            t = _fold(t, p, sub if is_clause_vertex(v) else add)
-    at.reverse()
-    return t, at
+def _buckets(td: TreeDecomposition) -> list[tuple[int, AbstractSet[int]]]:
+    """Each vertex td covers, with its bucket's scope, in forget order.
 
-
-def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
-    """Count the satisfying assignments of f over the variables td covers.
-
-    td decomposes inc(f). Walks its bags children first. Each child's table
-    is folded to a message over the vertices it shares with the bag and
-    applied to the bag's table in place, and each edge is zeroed in the
-    highest bag holding both its ends. Forgetting the root bag leaves the count.
+    A vertex is forgotten at the highest bag holding it, and its scope is
+    that bag minus the vertices forgotten before it. A decomposition that
+    records its elimination order forgets order[i-1] at bag i. Any other is
+    walked children first from its lowest-numbered bag.
     """
-    if not td.bags:
-        return 1
-    widest = max(len(bag) for bag in td.bags.values())
-    if 1 << widest > DP_TABLE_CAP:
-        raise TableBudgetExceeded(widest)
+    if td.order is not None:
+        return list(zip(td.order, map(td.bags.__getitem__, range(1, len(td.order) + 1))))
     nbrs: dict[int, list[int]] = {i: [] for i in td.bags}
     for i, j in td.edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
     root = min(td.bags)
-    order = []
-    children: dict[int, list[int]] = {}
+    walk = []
     parent: dict[int, int | None] = {root: None}
     stack = [root]
     while stack:
         i = stack.pop()
-        order.append(i)
-        children[i] = kids = [j for j in nbrs[i] if j not in parent]
+        walk.append(i)
+        kids = [j for j in nbrs[i] if j not in parent]
         parent.update(dict.fromkeys(kids, i))
         stack.extend(kids)
-    bags = {i: sorted(bag) for i, bag in td.bags.items()}
-    index = {i: {v: p for p, v in enumerate(bag)} for i, bag in bags.items()}
-    tables: dict[int, list[int]] = {}
-    for i in reversed(order):
-        bag, pos = bags[i], index[i]
-        up = index.get(parent[i], {})  # the root has no parent bag
-        n = len(bag)
-        t = None
-        small = []
-        for j in children[i]:
-            m, at = _message(tables.pop(j), bags[j], pos)
-            if len(at) <= SMALL_MESSAGE_BITS < n:
-                small.append((m, at))
-                continue
-            if len(at) < n:
-                m = _spread_to(m, at, n)
-            t = m if t is None else list(map(mul, t, m))
-        if t is None:
-            t = [1] * (1 << n)
-        for m, at in small:
-            offs = [0]  # offs[e]: the bits of entry e of m, at their bag positions
-            for p in at:
-                offs += [o | 1 << p for o in offs]
-            for off, v in zip(offs, m):
-                if v != 1:
-                    _scale(t, n, at, off, v)
-        for c in bag:
-            if not is_clause_vertex(c):
-                continue
-            c_up = c in up
-            for lit in f.clauses_by_id[clause_id(c)].literals:
-                x = lit.var
-                if x in pos and not (c_up and x in up):
-                    px, pc = pos[x], pos[c]
-                    edge = [px, pc] if px < pc else [pc, px]
-                    _scale(t, n, edge, lit.positive << px | 1 << pc, 0)
-        tables[i] = t
-    count, _ = _message(tables.pop(root), bags[root], {})
-    return count[0]
+    out = []
+    for i in reversed(walk):
+        scope = td.bags[i]
+        for v in sorted(scope - td.bags.get(parent[i], frozenset())):
+            out.append((v, scope))
+            scope = scope - {v}
+    return out
+
+
+def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
+    """Count the satisfying assignments of f over the variables td covers.
+
+    td decomposes inc(f). Eliminates its vertices in forget order, one per
+    bucket: multiplies the bucket's messages, zeroes the edges to its
+    vertex, folds the vertex out and sends the rest on (see above).
+    """
+    if not td.bags:
+        return 1
+    widest = max(map(len, td.bags.values()))
+    if 1 << widest > DP_TABLE_CAP:
+        raise TableBudgetExceeded(widest)
+    buckets = _buckets(td)
+    rank = {v: r for r, (v, _) in enumerate(buckets)}
+    # Each edge, under its earlier-eliminated end: (the later end, the bit of
+    # each end in the entries it zeroes).
+    edges: dict[int, list[tuple[int, int, int]]] = {}
+    for c in f.clauses:
+        cv = clause_vertex(c.id)
+        rc = rank[cv]
+        for lit in c.literals:
+            x = lit.var
+            if rank[x] > rc:
+                edges.setdefault(cv, []).append((x, lit.positive, 1))
+            else:
+                edges.setdefault(x, []).append((cv, 1, lit.positive))
+    inbox: dict[int, list[tuple[list[int], list[int]]]] = {}
+    count = 1
+    for v, scope in buckets:
+        s = sorted(scope, key=rank.__getitem__)  # s[0] is v
+        n = len(s)
+        got = inbox.pop(v, ())
+        if n <= SMALL_MESSAGE_BITS:
+            bit = {w: 1 << p for p, w in enumerate(s)}
+            picks = _PICK[n]
+            t = None
+            for m, ws in got:
+                col = map(m.__getitem__, picks[sum(map(bit.__getitem__, ws))])
+                t = list(col) if t is None else list(map(mul, t, col))
+            if t is None:
+                t = [1] * (1 << n)
+            zeros = _ZEROS[n]
+            for w, bw, bv in edges.get(v, ()):
+                for e in zeros[bit[w]][bv | bw << 1]:
+                    t[e] = 0
+        else:
+            pos = {w: p for p, w in enumerate(s)}
+            t = None
+            small = []
+            for m, ws in got:
+                at = [pos[w] for w in ws]
+                if len(at) <= SMALL_MESSAGE_BITS:
+                    small.append((m, at))
+                    continue
+                if len(at) < n:
+                    m = _spread_to(m, at, n)
+                t = m if t is None else list(map(mul, t, m))
+            if t is None:
+                t = [1] * (1 << n)
+            for m, at in small:
+                offs = [0]  # offs[e]: the bits of entry e of m, at their bucket positions
+                for p in at:
+                    offs += [o | 1 << p for o in offs]
+                for off, x in zip(offs, m):
+                    if x != 1:
+                        _scale(t, n, at, off, x)
+            for w, bw, bv in edges.get(v, ()):
+                p = pos[w]
+                _scale(t, n, [0, p], bv | bw << p, 0)
+        m = list(map(sub if is_clause_vertex(v) else add, t[::2], t[1::2]))
+        if n == 1:
+            count *= m[0]
+        else:
+            inbox.setdefault(s[1], []).append((m, s[1:]))
+    return count
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
-    """Exact model count via dynamic programming over a decomposition of inc(F)."""
+    """Exact model count via dynamic programming over a decomposition of inc(F).
+
+    Only the bags and tree edges are validated, so a recorded elimination
+    order is not trusted: the DP walks the tree for its forget order.
+    """
     g = build_incidence(f)
     report = validate_decomposition(g, td)
     if not report.ok:
@@ -303,7 +354,7 @@ def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
     for i, bag in td.bags.items():
         if not bag <= vertices:
             raise ValueError(f"bag {i} contains vertices outside inc(F)")
-    return _run_dp(f, td)
+    return _run_dp(f, TreeDecomposition(td.bags, td.edges))
 
 
 # ---------------------------------------------------------------------------

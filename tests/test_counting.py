@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import dataclass
 from operator import add, mul, sub
 
@@ -18,10 +19,12 @@ from twcount.cli import main
 from twcount.counting import (
     BackdoorInvalidError,
     DP_TABLE_CAP,
+    SMALL_MESSAGE_BITS,
     TableBudgetExceeded,
     VariableCapExceeded,
-    _fold,
     _run_dp,
+    _scale,
+    _spread_to,
     backdoor_branch_counts,
     count_bruteforce,
     count_td,
@@ -108,6 +111,13 @@ def test_td_rejects_invalid_decomposition():
         count_td(f, bad)
 
 
+def test_td_ignores_an_unchecked_order():
+    f = gen_grid_formula_x(3)
+    td = td_of(f)
+    wrong = TreeDecomposition(td.bags, td.edges, tuple(reversed(td.order)))
+    assert count_td(f, wrong) == count_td(f, td) == 250
+
+
 def test_td_zero_literal_clause():
     f = CnfFormula((Clause(1, ()), clause_of(2, 1)))
     assert count_td(f, td_of(f)) == 0
@@ -124,6 +134,20 @@ def test_td_table_budget_checked_before_allocation():
     with pytest.raises(TableBudgetExceeded):
         count_td(f, single_bag_decomposition(range(1, n + 1)))
     assert count_td(f, td_of(f)) == 1 << n
+
+
+def test_td_table_budget_checked_before_any_bucket():
+    f = gen_random_cnf(120, 300, 3, 0)
+    td = upper_bound_heuristic(build_incidence(f))[1]
+    assert td.order is not None and td.width == 65
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableBudgetExceeded):
+            _run_dp(f, td)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no bucket's table was built
 
 
 def test_via_backdoor_d_factor():
@@ -753,8 +777,23 @@ def ref_run_dp(f, td):
 # ---------------------------------------------------------------------------
 # Reference oracle: the dense bag-level DP that spread every child table to
 # the whole bag, one bit at a time, and multiplied the tables pointwise. Same
-# table layout and clause-bit form as counting._run_dp, whose folding it
-# shares; it differs in how messages and edges are applied.
+# clause-bit form as counting._run_dp, but one table per bag, its bits in
+# vertex-id order, and each child table folded at any bit position.
+
+
+def _fold(t, p, op):
+    """Remove bit p, combining each pair of entries as op(bit 0, bit 1)."""
+    lo = 1 << p
+    step = lo << 1
+    if lo * lo <= len(t):
+        res = [0] * (len(t) >> 1)
+        for j in range(lo):
+            res[j::lo] = map(op, t[j::step], t[j + lo :: step])
+        return res
+    res = []
+    for h in range(0, len(t), step):
+        res += map(op, t[h : h + lo], t[h + lo : h + step])
+    return res
 
 
 def _dense_spread(t, p):
@@ -857,15 +896,96 @@ def ref_dense_dp(f, td):
 
 
 # ---------------------------------------------------------------------------
-# The DP against both reference oracles and brute force, on formulas with
+# Reference oracle: the tree-walk DP that bucket elimination replaced. It
+# walks the bags children first, folds each child's table to a message over
+# the vertices it shares with its bag, applies the message in place (sub-cube
+# by sub-cube when small), and zeroes each edge in the highest bag holding
+# both its ends. Same table layout as ref_dense_dp.
+
+
+def _message(t, bag, keep):
+    """Fold a table over the sorted `bag` down to the vertices `keep` indexes;
+    returns the message and the positions in `keep` that its bits stand for."""
+    at = []
+    for p in reversed(range(len(bag))):
+        v = bag[p]
+        if v in keep:
+            at.append(keep[v])
+        else:
+            t = _fold(t, p, sub if is_clause_vertex(v) else add)
+    at.reverse()
+    return t, at
+
+
+def ref_tree_dp(f, td):
+    if not td.bags:
+        return 1
+    nbrs = {i: [] for i in td.bags}
+    for i, j in td.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    root = min(td.bags)
+    order = []
+    children = {}
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        children[i] = kids = [j for j in nbrs[i] if j not in parent]
+        parent.update(dict.fromkeys(kids, i))
+        stack.extend(kids)
+    bags = {i: sorted(bag) for i, bag in td.bags.items()}
+    index = {i: {v: p for p, v in enumerate(bag)} for i, bag in bags.items()}
+    tables = {}
+    for i in reversed(order):
+        bag, pos = bags[i], index[i]
+        up = index.get(parent[i], {})  # the root has no parent bag
+        n = len(bag)
+        t = None
+        small = []
+        for j in children[i]:
+            m, at = _message(tables.pop(j), bags[j], pos)
+            if len(at) <= SMALL_MESSAGE_BITS < n:
+                small.append((m, at))
+                continue
+            if len(at) < n:
+                m = _spread_to(m, at, n)
+            t = m if t is None else list(map(mul, t, m))
+        if t is None:
+            t = [1] * (1 << n)
+        for m, at in small:
+            offs = [0]
+            for p in at:
+                offs += [o | 1 << p for o in offs]
+            for off, v in zip(offs, m):
+                if v != 1:
+                    _scale(t, n, at, off, v)
+        for c in bag:
+            if not is_clause_vertex(c):
+                continue
+            c_up = c in up
+            for lit in f.clauses_by_id[clause_id(c)].literals:
+                x = lit.var
+                if x in pos and not (c_up and x in up):
+                    px, pc = pos[x], pos[c]
+                    edge = [px, pc] if px < pc else [pc, px]
+                    _scale(t, n, edge, lit.positive << px | 1 << pc, 0)
+        tables[i] = t
+    count, _ = _message(tables.pop(root), bags[root], {})
+    return count[0]
+
+
+# ---------------------------------------------------------------------------
+# The DP against the reference oracles and brute force, on formulas with
 # empty, unit and repeated clauses and free variables, and on decompositions
 # min-fill does not produce.
 
 
 @st.composite
-def small_formulas(draw):
-    n = draw(st.integers(1, 7))
-    clause_lits = st.lists(st.integers(1, n), max_size=3, unique=True).flatmap(
+def small_formulas(draw, n_max=7, max_len=3):
+    n = draw(st.integers(1, n_max))
+    clause_lits = st.lists(st.integers(1, n), max_size=max_len, unique=True).flatmap(
         lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
     )
     raw = draw(st.lists(clause_lits, max_size=9))
@@ -913,8 +1033,28 @@ def test_dense_dp_matches_reference(f):
     for td in decompositions(g):
         assert ref_run_dp(f, td) == expected
         assert ref_dense_dp(f, td) == expected
+        assert ref_tree_dp(f, td) == expected
         assert _run_dp(f, td) == expected
         assert count_td(f, td) == expected
+
+
+@given(small_formulas(n_max=8, max_len=5))
+@example(CnfFormula((clause_of(1, 1, -2, 3, -4, 5), clause_of(2, -1, 6)), frozenset({9})))
+@example(CnfFormula((clause_of(1, 1, 2, 3), clause_of(2, -3, 4, -5), Clause(3, ()))))
+@settings(max_examples=150, deadline=None)
+def test_small_bucket_boundary(f):
+    # Clauses of up to 5 literals give buckets of 1 to 6 vertices, on both
+    # sides of SMALL_MESSAGE_BITS. Empty clauses and free variables give
+    # buckets of one vertex, whose message multiplies into the count.
+    g = build_incidence(f)
+    expected = count_bruteforce(f)
+    tds = [upper_bound_heuristic(g)[1]]
+    verdict = treewidth.treewidth_at_most(g, 2)
+    if verdict.kind == AT_MOST:
+        tds.append(verdict.decomposition)
+    for td in tds:
+        assert td.order is not None or g.num_vertices() == 0
+        assert _run_dp(f, td) == expected
 
 
 @given(st.integers(0, 10_000))
@@ -927,4 +1067,4 @@ def test_dp_matches_dense_reference_beyond_brute_force(seed):
     f = gen_random_cnf(n, n + n // 4, 3, seed)
     g = build_incidence(f)
     for td in (upper_bound_heuristic(g)[1], clauses_first(g)):
-        assert _run_dp(f, td) == ref_dense_dp(f, td)
+        assert _run_dp(f, td) == ref_dense_dp(f, td) == ref_tree_dp(f, td)
