@@ -4,14 +4,14 @@ Counts are Python ints, so they are arbitrary precision by construction.
 The decomposition DP is bucket elimination (Dechter, AI 1999) on the
 incidence graph, with clause bits in the "still unsatisfied" form of
 Slivovsky & Szeider (SAT 2020): it eliminates each vertex once, in the
-bucket of the highest bag holding it, in the order the decomposition
-forgets them, so deep decompositions are fine. A bucket multiplies the
-messages it received into a dense table over its scope, zeroes the edges
-to its vertex, folds that vertex out and sends the result on as a message.
-A decomposition built from an elimination order records the order, and its
-buckets are its bags; any other is walked once for its forget order. A bag
-wider than the table budget (DP_TABLE_CAP entries) raises
-TableBudgetExceeded before any table is allocated.
+bucket of the bag nearest the root holding it, in the order the
+decomposition, rooted at its highest-numbered bag, forgets them, so deep
+decompositions are fine. A bucket multiplies the messages it received into
+a dense table over its scope, zeroes the edges to its vertex, folds that
+vertex out and sends the result on as a message. On an elimination
+decomposition the buckets are its bags. A bag wider than the table budget
+(DP_TABLE_CAP entries) raises TableBudgetExceeded before any table is
+allocated.
 The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula. Free variables of a formula appear as isolated
@@ -99,19 +99,21 @@ def count_bruteforce(f: CnfFormula) -> int:
 # entry.
 #
 # The DP is bucket elimination (Dechter, AI 1999) along the decomposition's
-# forget order: each vertex is eliminated once, in the bucket of the highest
-# bag holding it, and the bucket's scope is that bag minus the vertices
-# eliminated before. Its bits stand for the scope's vertices in elimination
-# order, so the bucket's own vertex is bit 0. A bucket's table is the
-# product of the messages it received; each edge between a variable x and a
-# clause c is zeroed in the bucket of its earlier-eliminated end (the later
-# one is in that bucket's scope), on the entries where x takes the value its
-# literal in c makes true while c must stay unsatisfied. Folding bit 0 gives
+# forget order, rooted at its highest-numbered bag: each vertex is
+# eliminated once, in the bucket of the bag nearest the root holding it, and
+# the bucket's scope is that bag minus the vertices eliminated before. Its
+# bits stand for the scope's vertices in elimination order, so the bucket's
+# own vertex is bit 0. A bucket's table is the product of the messages it
+# received; each edge between a variable x and a clause c is zeroed in the
+# bucket of its earlier-eliminated end (the later one is in that bucket's
+# scope), on the entries where x takes the value its literal in c makes true
+# while c must stay unsatisfied. Folding bit 0 gives
 # the bucket's message, which goes to the bucket of the earliest-eliminated
 # vertex left in it; by the running intersection property that bucket's
 # scope holds the message's. A message over no vertex multiplies into the
 # count. In an elimination decomposition bag i is {v} + N(v) for v the i-th
-# vertex eliminated, and its parent holds N(v): the buckets are the bags.
+# vertex eliminated, and rooted at the highest-numbered bag its parent holds
+# N(v): the buckets are the bags.
 #
 # - A bucket of at most SMALL_MESSAGE_BITS vertices (every bucket of width
 #   at most 3, so every t <= 2 bucket) reads each message through an index
@@ -135,6 +137,10 @@ def count_bruteforce(f: CnfFormula) -> int:
 # Python-level steps are few and the elementwise work runs in C.
 
 DP_TABLE_CAP = 1 << 22  # entries of one table; a few live tables stay well under 2 GB
+# The cap bounds each list, not how many are live: a message waits in its
+# bucket's inbox until that bucket runs, next to the bucket's table and a
+# spread copy of each wide message, so a bucket near the cap that receives
+# several wide messages holds that many lists of its own size at once.
 # The widest bucket read through index lists, and the widest message a wider
 # bucket applies sub-cube by sub-cube (see above).
 SMALL_MESSAGE_BITS = 4
@@ -233,31 +239,46 @@ def _scale(t: list[int], n: int, at: list[int], off: int, v: int) -> None:
 def _buckets(td: TreeDecomposition) -> list[tuple[int, AbstractSet[int]]]:
     """Each vertex td covers, with its bucket's scope, in forget order.
 
-    A vertex is forgotten at the highest bag holding it, and its scope is
-    that bag minus the vertices forgotten before it. A decomposition that
-    records its elimination order forgets order[i-1] at bag i. Any other is
-    walked children first from its lowest-numbered bag.
+    td is rooted at its highest-numbered bag. A vertex is forgotten at the
+    bag nearest the root holding it, and its scope is that bag minus the
+    vertices forgotten before it. If every other bag has exactly one
+    higher-numbered neighbour, that neighbour is its parent and the bags go
+    in increasing order: in an elimination decomposition
+    (`treewidth._decomposition`) bag i then forgets just the i-th vertex
+    eliminated, with the whole bag as its scope. Any other tree is walked
+    children first.
     """
-    if td.order is not None:
-        return list(zip(td.order, map(td.bags.__getitem__, range(1, len(td.order) + 1))))
-    nbrs: dict[int, list[int]] = {i: [] for i in td.bags}
+    bags = td.bags
+    up: dict[int, int] = {}  # each bag's neighbour toward the root
     for i, j in td.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    root = min(td.bags)
-    walk = []
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        walk.append(i)
-        kids = [j for j in nbrs[i] if j not in parent]
-        parent.update(dict.fromkeys(kids, i))
-        stack.extend(kids)
+        if i < j:
+            up[i] = j
+        else:
+            up[j] = i
+    if len(up) == len(bags) - 1:
+        walk = sorted(bags)
+    else:
+        nbrs: dict[int, list[int]] = {i: [] for i in bags}
+        for i, j in td.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        root = max(bags)
+        walk, up, stack = [], {}, [root]
+        while stack:
+            i = stack.pop()
+            walk.append(i)
+            kids = [j for j in nbrs[i] if j not in up and j != root]
+            up.update(dict.fromkeys(kids, i))
+            stack.extend(kids)
+        walk.reverse()
     out = []
-    for i in reversed(walk):
-        scope = td.bags[i]
-        for v in sorted(scope - td.bags.get(parent[i], frozenset())):
+    for i in walk:
+        scope = bags[i]
+        gone = scope - bags[up[i]] if i in up else scope
+        if len(gone) == 1:
+            out.append((*gone, scope))
+            continue
+        for v in sorted(gone):
             out.append((v, scope))
             scope = scope - {v}
     return out
@@ -341,11 +362,7 @@ def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
-    """Exact model count via dynamic programming over a decomposition of inc(F).
-
-    Only the bags and tree edges are validated, so a recorded elimination
-    order is not trusted: the DP walks the tree for its forget order.
-    """
+    """Exact model count via dynamic programming over a decomposition of inc(F)."""
     g = build_incidence(f)
     report = validate_decomposition(g, td)
     if not report.ok:
@@ -354,7 +371,7 @@ def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
     for i, bag in td.bags.items():
         if not bag <= vertices:
             raise ValueError(f"bag {i} contains vertices outside inc(F)")
-    return _run_dp(f, TreeDecomposition(td.bags, td.edges))
+    return _run_dp(f, td)
 
 
 # ---------------------------------------------------------------------------

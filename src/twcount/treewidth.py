@@ -41,7 +41,7 @@ deleted without a trial.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
 from .graphs import Graph
@@ -59,18 +59,10 @@ class VertexCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Bags indexed by int, plus tree edges between bag indices.
-
-    A decomposition built from an elimination order (`_decomposition`)
-    records that order: bag i then belongs to order[i-1], holds it and its
-    neighbours at its elimination, and is the highest bag holding it. The
-    counting DP eliminates vertices in this order without walking the tree.
-    Any other decomposition has no order; equality ignores it.
-    """
+    """Bags indexed by int, plus tree edges between bag indices."""
 
     bags: Mapping[int, frozenset[int]]
     edges: tuple[tuple[int, int], ...]
-    order: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def width(self) -> int:
@@ -429,11 +421,12 @@ def _certificate(core: dict[int, set[int]], via: dict[tuple[int, int], int]) -> 
 
 def _decomposition(order: list[int], bags: list[set[int]]) -> TreeDecomposition:
     """Tree decomposition from an elimination order and each vertex's
-    neighbours at its elimination; it records the order.
+    neighbours at its elimination.
 
     Bag i is order[i-1] plus those neighbours; the bag attaches to the bag of
     its earliest-eliminated such neighbor. Roots of separate components get
-    chained so the index set forms one tree.
+    chained so the index set forms one tree. So rooted at the highest-numbered
+    bag, bag i's parent has a higher number and holds all of it but order[i-1].
     """
     pos = {v: i for i, v in enumerate(order)}
     out: dict[int, frozenset[int]] = {}
@@ -446,7 +439,7 @@ def _decomposition(order: list[int], bags: list[set[int]]) -> TreeDecomposition:
         else:
             roots.append(i)
     edges.extend(zip(roots, roots[1:]))
-    return TreeDecomposition(out, tuple(edges), tuple(order))
+    return TreeDecomposition(out, tuple(edges))
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
