@@ -100,9 +100,9 @@ class _Oracle:
     reduce(reduce(f, a), b) equals reduce(f, a | b), so a reduction reached
     along different paths is one entry, and the ladder decides it once, on
     inc(F) built for that miss. An entry is (kind, bound, count). A miss at
-    the solve's t that comes back AtMost runs `dp` on the decomposition the
+    the solve's t that comes back AtMost runs `dp` on the elimination the
     ladder just returned and keeps the model count; every other entry has no
-    count. Of graphs and decompositions it keeps at most the last miss's
+    count. Of graphs and eliminations it keeps at most the last miss's
     (`last`: formula, graph, verdict), and the formula key is one flat bytes
     object, so a solve's memory stays close to what it was without it.
     """
@@ -129,7 +129,7 @@ class _Oracle:
             verdict = treewidth_at_most(g, t, self.vertex_cap)
             self.last = (f, g, verdict)
             counted = t == self.t and verdict.kind == AT_MOST
-            count = self.dp(f, verdict.decomposition) if counted else None
+            count = self.dp(f, verdict.elimination) if counted else None
             entry = self._verdicts[key] = (verdict.kind, verdict.bound, count)
         return entry
 

@@ -1,22 +1,23 @@
-"""#SAT engines: brute-force oracle, tree-decomposition DP, backdoor-driven counting.
+"""#SAT engines: brute-force oracle, elimination DP, backdoor-driven counting.
 
 Counts are Python ints, so they are arbitrary precision by construction.
-The decomposition DP is bucket elimination (Dechter, AI 1999) on the
-incidence graph, with clause bits in the "still unsatisfied" form of
-Slivovsky & Szeider (SAT 2020): it eliminates each vertex once, in the
-bucket of the bag nearest the root holding it, in the order the
-decomposition, rooted at its highest-numbered bag, forgets them, so deep
-decompositions are fine. A bucket multiplies the messages it received into
-a dense table over its scope, zeroes the edges to its vertex, folds that
-vertex out and sends the result on as a message. On an elimination
-decomposition the buckets are its bags. A bag wider than the table budget
-(DP_TABLE_CAP entries) raises TableBudgetExceeded before any table is
-allocated.
+The DP is bucket elimination (Dechter, AI 1999) on the incidence graph,
+with clause bits in the "still unsatisfied" form of Slivovsky & Szeider
+(SAT 2020). Its one input is an elimination of inc(F)
+(`treewidth.Elimination`): the vertices in order, each with its neighbours
+when it was eliminated. Each vertex is one bucket, whose scope is the vertex
+and those neighbours, so deep eliminations are fine. A bucket multiplies
+the messages it received into a dense table over its scope, zeroes the
+edges to its vertex, folds that vertex out and sends the result on as a
+message. A scope wider than the table budget (DP_TABLE_CAP entries) raises
+TableBudgetExceeded before any table is allocated. The ladder hands over
+its elimination as it built it; `count_td` reads one off a tree
+decomposition (`treewidth._elimination_of`).
 The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula. Free variables of a formula appear as isolated
-vertices of its incidence graph; the decomposition DP therefore doubles the
-count once per free variable without special handling.
+vertices of its incidence graph; the DP therefore doubles the count once
+per free variable without special handling.
 
 `solve` creates one width oracle (`backdoor._Oracle`) per call, hands it
 t and `_run_dp`, and asks it every width query of the call: the root query
@@ -24,23 +25,31 @@ and the backdoor search. It keeps (kind, bound, count) keyed by the reduced
 formula and t, and builds inc(F) only when it has to run the ladder, so no
 reduction is decided twice and no graph is built for a verdict it already
 holds. It runs the DP on a miss at t that comes back AtMost, on the
-decomposition the ladder just returned, and counts no verdict at any other
-width. `solve` counts an AtMost root at the threshold on the decomposition
-of that first miss. The search (`backdoor._approx`) returns its leaf
-branches with the counts its own checks made, and `solve` sums them; it
-reduces nothing and asks the oracle nothing of its own.
+elimination the ladder just returned, and counts no verdict at any other
+width. `solve` counts an AtMost root at the threshold on the elimination
+of that first miss. At t <= 2 no tree decomposition is built on this path.
+The search (`backdoor._approx`) returns its leaf branches with the counts
+its own checks made, and `solve` sums them; it reduces nothing and asks the
+oracle nothing of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import AbstractSet
 
 from . import backdoor as _backdoor
 from .formula import Assignment, CnfFormula, FormulaError
 from .graphs import build_incidence, clause_vertex, is_clause_vertex
-from .treewidth import AT_MOST, DEFAULT_VERTEX_CAP, EXCEEDS, TreeDecomposition, validate_decomposition
+from .treewidth import (
+    AT_MOST,
+    DEFAULT_VERTEX_CAP,
+    EXCEEDS,
+    Elimination,
+    TreeDecomposition,
+    _elimination_of,
+    validate_decomposition,
+)
 
 BRUTE_FORCE_CAP = 22
 
@@ -86,7 +95,7 @@ def count_bruteforce(f: CnfFormula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# decomposition DP
+# elimination DP
 #
 # A table holds one exact int per assignment to the bits of a vertex set. A
 # variable bit is the variable's value. A clause bit of 1 means "this clause
@@ -98,22 +107,20 @@ def count_bruteforce(f: CnfFormula) -> int:
 # other, and two tables over disjoint eliminated parts multiply entry by
 # entry.
 #
-# The DP is bucket elimination (Dechter, AI 1999) along the decomposition's
-# forget order, rooted at its highest-numbered bag: each vertex is
-# eliminated once, in the bucket of the bag nearest the root holding it, and
-# the bucket's scope is that bag minus the vertices eliminated before. Its
-# bits stand for the scope's vertices in elimination order, so the bucket's
-# own vertex is bit 0. A bucket's table is the product of the messages it
+# The DP is bucket elimination (Dechter, AI 1999) along an elimination
+# ordering: each vertex v is eliminated once, in its own bucket, whose scope
+# is v and its neighbours N(v) when it was eliminated. The bucket's bits
+# stand for the scope's vertices in elimination order, so v is bit 0 and
+# only N(v) needs sorting. A bucket's table is the product of the messages it
 # received; each edge between a variable x and a clause c is zeroed in the
 # bucket of its earlier-eliminated end (the later one is in that bucket's
 # scope), on the entries where x takes the value its literal in c makes true
 # while c must stay unsatisfied. Folding bit 0 gives
-# the bucket's message, which goes to the bucket of the earliest-eliminated
-# vertex left in it; by the running intersection property that bucket's
-# scope holds the message's. A message over no vertex multiplies into the
-# count. In an elimination decomposition bag i is {v} + N(v) for v the i-th
-# vertex eliminated, and rooted at the highest-numbered bag its parent holds
-# N(v): the buckets are the bags.
+# the bucket's message, over N(v), which goes to the bucket of N(v)'s
+# earliest-eliminated vertex u: the elimination game made N(v) a clique, so
+# N(u) holds the rest of N(v). A message over no vertex multiplies into the
+# count. These scopes are the bags of the elimination's decomposition
+# (`treewidth._decomposition`), but the DP never builds it.
 #
 # - A bucket of at most SMALL_MESSAGE_BITS vertices (every bucket of width
 #   at most 3, so every t <= 2 bucket) reads each message through an index
@@ -170,7 +177,7 @@ _ZEROS = [
 
 
 class TableBudgetExceeded(RuntimeError):
-    """A decomposition bag is too wide for the DP's table budget."""
+    """A bucket (a decomposition bag) is too wide for the DP's table budget."""
 
     def __init__(self, bag_size: int):
         self.bag_size = bag_size
@@ -236,68 +243,18 @@ def _scale(t: list[int], n: int, at: list[int], off: int, v: int) -> None:
             t[s : s + span : step] = [v * x for x in t[s : s + span : step]]
 
 
-def _buckets(td: TreeDecomposition) -> list[tuple[int, AbstractSet[int]]]:
-    """Each vertex td covers, with its bucket's scope, in forget order.
+def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
+    """Count the satisfying assignments of f over the variables the
+    elimination covers.
 
-    td is rooted at its highest-numbered bag. A vertex is forgotten at the
-    bag nearest the root holding it, and its scope is that bag minus the
-    vertices forgotten before it. If every other bag has exactly one
-    higher-numbered neighbour, that neighbour is its parent and the bags go
-    in increasing order: in an elimination decomposition
-    (`treewidth._decomposition`) bag i then forgets just the i-th vertex
-    eliminated, with the whole bag as its scope. Any other tree is walked
-    children first.
+    elimination eliminates all of inc(f). One bucket per vertex, in order:
+    multiplies the bucket's messages, zeroes the edges to its vertex, folds
+    the vertex out and sends the rest on (see above).
     """
-    bags = td.bags
-    up: dict[int, int] = {}  # each bag's neighbour toward the root
-    for i, j in td.edges:
-        if i < j:
-            up[i] = j
-        else:
-            up[j] = i
-    if len(up) == len(bags) - 1:
-        walk = sorted(bags)
-    else:
-        nbrs: dict[int, list[int]] = {i: [] for i in bags}
-        for i, j in td.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        root = max(bags)
-        walk, up, stack = [], {}, [root]
-        while stack:
-            i = stack.pop()
-            walk.append(i)
-            kids = [j for j in nbrs[i] if j not in up and j != root]
-            up.update(dict.fromkeys(kids, i))
-            stack.extend(kids)
-        walk.reverse()
-    out = []
-    for i in walk:
-        scope = bags[i]
-        gone = scope - bags[up[i]] if i in up else scope
-        if len(gone) == 1:
-            out.append((*gone, scope))
-            continue
-        for v in sorted(gone):
-            out.append((v, scope))
-            scope = scope - {v}
-    return out
-
-
-def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
-    """Count the satisfying assignments of f over the variables td covers.
-
-    td decomposes inc(f). Eliminates its vertices in forget order, one per
-    bucket: multiplies the bucket's messages, zeroes the edges to its
-    vertex, folds the vertex out and sends the rest on (see above).
-    """
-    if not td.bags:
-        return 1
-    widest = max(map(len, td.bags.values()))
+    widest = elimination.width + 1
     if 1 << widest > DP_TABLE_CAP:
         raise TableBudgetExceeded(widest)
-    buckets = _buckets(td)
-    rank = {v: r for r, (v, _) in enumerate(buckets)}
+    rank = {v: r for r, v in enumerate(elimination.order)}
     # Each edge, under its earlier-eliminated end: (the later end, the bit of
     # each end in the entries it zeroes).
     edges: dict[int, list[tuple[int, int, int]]] = {}
@@ -312,8 +269,8 @@ def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
                 edges.setdefault(x, []).append((cv, 1, lit.positive))
     inbox: dict[int, list[tuple[list[int], list[int]]]] = {}
     count = 1
-    for v, scope in buckets:
-        s = sorted(scope, key=rank.__getitem__)  # s[0] is v
+    for v, nbrs in zip(*elimination):
+        s = [v, *sorted(nbrs, key=rank.__getitem__)]
         n = len(s)
         got = inbox.pop(v, ())
         if n <= SMALL_MESSAGE_BITS:
@@ -362,7 +319,8 @@ def _run_dp(f: CnfFormula, td: TreeDecomposition) -> int:
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
-    """Exact model count via dynamic programming over a decomposition of inc(F)."""
+    """Exact model count via the DP over the elimination a decomposition of
+    inc(F) describes (`treewidth._elimination_of`)."""
     g = build_incidence(f)
     report = validate_decomposition(g, td)
     if not report.ok:
@@ -371,7 +329,7 @@ def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
     for i, bag in td.bags.items():
         if not bag <= vertices:
             raise ValueError(f"bag {i} contains vertices outside inc(F)")
-    return _run_dp(f, td)
+    return _run_dp(f, _elimination_of(td))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +421,7 @@ def solve(
     kind, _, count = oracle.verdict(f, max(tw_threshold, t))
     if kind == AT_MOST:
         if count is None:  # decided above t, so not counted; the root is the first miss
-            count = _run_dp(f, oracle.last[2].decomposition)
+            count = _run_dp(f, oracle.last[2].elimination)
         return SolveResult("counted", count, "td", t, k, note=_note(f))
     if kind != EXCEEDS:
         return SolveResult("inconclusive", None, None, t, k, note=_note(f))

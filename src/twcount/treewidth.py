@@ -2,11 +2,14 @@
 
 `treewidth_at_most(g, t)` climbs a ladder of rungs, cheapest first, and
 stops at the first that decides (n vertices, m edges, d the degree at
-elimination):
+elimination). An AtMost verdict carries an elimination: the vertices in the
+order they were eliminated, each with its neighbours at that moment. That
+is what the counting DP reads; the tree decomposition it describes
+(`_decomposition`) is built only when asked for.
 
 1. for t <= 2, the reduction that eliminates vertices of degree at most t,
-   degree at most 1 first: AtMost with its decomposition if it empties the
-   graph, otherwise Exceeds with bound t + 1; two worklists, O(n+m). This
+   degree at most 1 first: AtMost with its own elimination if it empties
+   the graph, otherwise Exceeds with bound t + 1; two worklists, O(n+m). This
    is exact: eliminating a vertex of degree at most 2 leaves a minor of the
    graph, so the reduction empties every graph of width at most t, and a
    graph it cannot empty has a minor of minimum degree above t (the
@@ -22,6 +25,9 @@ elimination):
 5. at or below the vertex cap, exact search, which stops once width above t
    is proven; exponential in the worst case;
 6. otherwise Unknown.
+
+The min-fill and exact rungs return a decomposition, which the one adapter
+from decomposition to elimination (`_elimination_of`) reads back.
 
 The exact solver searches elimination orderings: safe reductions (simplicial,
 almost-simplicial, degree-2) shrink the graph, then a depth-first decision
@@ -42,7 +48,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from functools import cached_property
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .graphs import Graph
 
@@ -73,6 +80,21 @@ def single_bag_decomposition(vertices: Iterable[int]) -> TreeDecomposition:
     return TreeDecomposition({1: frozenset(vertices)}, ())
 
 
+class Elimination(NamedTuple):
+    """The elimination game along `order`: nbrs[i] holds order[i]'s
+    neighbours when it was eliminated, fill edges included. The ladder's
+    sets are the ones its game built, not copies. Read off a decomposition
+    (`_elimination_of`), it is the game on the graph with each bag made a
+    clique."""
+
+    order: list[int]
+    nbrs: list[AbstractSet[int]]
+
+    @property
+    def width(self) -> int:
+        return max(map(len, self.nbrs), default=-1)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -86,16 +108,21 @@ class ValidationReport:
 class TwVerdict:
     """Outcome of a treewidth-at-most query.
 
-    kind 'at_most' carries a witnessing decomposition and its width as
-    bound; 'exceeds' carries, as bound, a proven lower bound above the
-    target, not the width: each rung reports what it proved, so the
-    reduction for t <= 2 says t + 1 where the contraction bound or the exact
-    search may say more; 'unknown' means the caps prevented a decision.
+    kind 'at_most' carries a witnessing elimination and its width as bound;
+    the decomposition it describes is built on first request and kept.
+    'exceeds' carries, as bound, a proven lower bound above the target, not
+    the width: each rung reports what it proved, so the reduction for
+    t <= 2 says t + 1 where the contraction bound or the exact search may
+    say more; 'unknown' means the caps prevented a decision.
     """
 
     kind: str
     bound: int
-    decomposition: TreeDecomposition | None = None
+    elimination: Elimination | None = None
+
+    @cached_property
+    def decomposition(self) -> TreeDecomposition | None:
+        return None if self.elimination is None else _decomposition(*self.elimination)
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
@@ -286,7 +313,11 @@ def _fill_in(adj: dict[int, set[int]], v: int) -> int:
 
 
 def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
-    return _fill_in(adj, v) == 0
+    """Whether v's neighbours are pairwise adjacent; stops at the first
+    neighbour that misses one of the others."""
+    nbrs = adj[v]
+    others = len(nbrs) - 1
+    return all(len(nbrs & adj[a]) == others for a in nbrs)
 
 
 def _greedy_order(
@@ -419,7 +450,7 @@ def _certificate(core: dict[int, set[int]], via: dict[tuple[int, int], int]) -> 
     return frozenset(cert)
 
 
-def _decomposition(order: list[int], bags: list[set[int]]) -> TreeDecomposition:
+def _decomposition(order: list[int], bags: list[AbstractSet[int]]) -> TreeDecomposition:
     """Tree decomposition from an elimination order and each vertex's
     neighbours at its elimination.
 
@@ -440,6 +471,54 @@ def _decomposition(order: list[int], bags: list[set[int]]) -> TreeDecomposition:
             roots.append(i)
     edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(out, tuple(edges))
+
+
+def _elimination_of(td: TreeDecomposition) -> Elimination:
+    """The elimination td describes: each vertex it covers, in forget order,
+    with the vertices of its bucket's scope other than itself.
+
+    td is rooted at its highest-numbered bag. A vertex is forgotten at the
+    bag nearest the root holding it, and its scope is that bag minus the
+    vertices forgotten before it. If every other bag has exactly one
+    higher-numbered neighbour, that neighbour is its parent and the bags go
+    in increasing order: on `_decomposition(order, nbrs)` this gives back
+    order and nbrs. Any other tree is walked children first.
+    """
+    bags = td.bags
+    if not bags:
+        return Elimination([], [])
+    up: dict[int, int] = {}  # each bag's neighbour toward the root
+    for i, j in td.edges:
+        if i < j:
+            up[i] = j
+        else:
+            up[j] = i
+    if len(up) == len(bags) - 1:
+        walk = sorted(bags)
+    else:
+        adj: dict[int, list[int]] = {i: [] for i in bags}
+        for i, j in td.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        root = max(bags)
+        walk, up, stack = [], {}, [root]
+        while stack:
+            i = stack.pop()
+            walk.append(i)
+            kids = [j for j in adj[i] if j not in up and j != root]
+            up.update(dict.fromkeys(kids, i))
+            stack.extend(kids)
+        walk.reverse()
+    order: list[int] = []
+    nbrs: list[AbstractSet[int]] = []
+    for i in walk:
+        scope = bags[i]
+        gone = scope - bags[up[i]] if i in up else scope
+        for v in sorted(gone):
+            scope = scope - {v}
+            order.append(v)
+            nbrs.append(scope)
+    return Elimination(order, nbrs)
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -644,36 +723,36 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
 
     For t <= 2 the O(n+m) reduction that eliminates vertices of degree at
     most t (`_reduce_low_width`) decides alone and exactly: AtMost with its
-    decomposition, whose width is the treewidth, when it empties the graph,
+    elimination, whose width is the treewidth, when it empties the graph,
     else Exceeds with bound t + 1. For t >= 3 the rungs run cheapest first:
     degeneracy above t (O(n+m)) is Exceeds; min-fill width at most t is
-    AtMost with its decomposition;
+    AtMost with the elimination its decomposition describes;
     the contraction bound above t is Exceeds; at or below the vertex cap,
     exact search decides, stopping once width above t is proven; above the
     cap the answer is Unknown. vertex_cap therefore only matters for t >= 3.
     """
     if g.num_vertices() == 0:
-        return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
+        return TwVerdict(AT_MOST, -1, Elimination([], []))
     if t <= 2:
         adj = g.adjacency()
         order, bags, _ = _reduce_low_width(adj, t)
         if adj:
             return TwVerdict(EXCEEDS, t + 1)
-        td = _decomposition(order, bags)
-        return TwVerdict(AT_MOST, td.width, td)
+        elimination = Elimination(order, bags)
+        return TwVerdict(AT_MOST, elimination.width, elimination)
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg)
     ub, td = upper_bound_heuristic(g, limit=t)
     if ub <= t:
-        return TwVerdict(AT_MOST, ub, td)
+        return TwVerdict(AT_MOST, ub, _elimination_of(td))
     mmw = minor_min_width(g)
     if mmw > t:
         return TwVerdict(EXCEEDS, mmw)
     if g.num_vertices() <= vertex_cap:
         w, etd = exact_treewidth(g, vertex_cap, limit=t)
         if w <= t:
-            return TwVerdict(AT_MOST, w, etd)
+            return TwVerdict(AT_MOST, w, _elimination_of(etd))
         return TwVerdict(EXCEEDS, w)
     return TwVerdict(UNKNOWN, ub)
 

@@ -23,12 +23,13 @@ from twcount.treewidth import (
     DEFAULT_VERTEX_CAP,
     EXCEEDS,
     UNKNOWN,
+    Elimination,
     TwVerdict,
+    _elimination_of,
     _find_cycle,
     degeneracy,
     exact_treewidth,
     minor_min_width,
-    single_bag_decomposition,
     treewidth_at_most,
     upper_bound_heuristic,
 )
@@ -168,20 +169,20 @@ def test_extract_witness_builds_the_graph_once(monkeypatch):
 def ref_treewidth_at_most(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
     """The width ladder as it was before its min-degree rung for t <= 2."""
     if g.num_vertices() == 0:
-        return TwVerdict(AT_MOST, -1, single_bag_decomposition(()))
+        return TwVerdict(AT_MOST, -1, Elimination([], []))
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg)
     ub, td = upper_bound_heuristic(g, limit=t)
     if ub <= t:
-        return TwVerdict(AT_MOST, ub, td)
+        return TwVerdict(AT_MOST, ub, _elimination_of(td))
     mmw = minor_min_width(g)
     if mmw > t:
         return TwVerdict(EXCEEDS, mmw)
     if g.num_vertices() <= vertex_cap:
         w, etd = exact_treewidth(g, vertex_cap, limit=t)
         if w <= t:
-            return TwVerdict(AT_MOST, w, etd)
+            return TwVerdict(AT_MOST, w, _elimination_of(etd))
         return TwVerdict(EXCEEDS, w)
     return TwVerdict(UNKNOWN, ub)
 

@@ -23,7 +23,6 @@ from twcount.counting import (
     SMALL_MESSAGE_BITS,
     TableBudgetExceeded,
     VariableCapExceeded,
-    _buckets,
     _run_dp,
     _scale,
     _spread_to,
@@ -48,11 +47,13 @@ from twcount.treewidth import (
     UNKNOWN,
     TreeDecomposition,
     TwVerdict,
+    _elimination_of,
     decomposition_from_order,
     exact_treewidth,
     read_td,
     single_bag_decomposition,
     upper_bound_heuristic,
+    validate_decomposition,
     write_td,
 )
 
@@ -138,7 +139,7 @@ def test_td_table_budget_checked_before_any_bucket():
     tracemalloc.start()
     try:
         with pytest.raises(TableBudgetExceeded):
-            _run_dp(f, td)
+            _run_dp(f, _elimination_of(td))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -524,16 +525,16 @@ def test_solve_counts_the_search_tree_leaves(monkeypatch):
 def assert_dp_runs_only_for_counts(f, t, k, tw_threshold):
     """Solve with the DP and the ladder wrapped: the DP runs once per distinct
     AtMost miss at t and at most once more, for a root counted directly above
-    t; no oracle entry keeps a decomposition."""
+    t; no oracle entry keeps an elimination."""
     expected = solve(f, t, k, tw_threshold=tw_threshold)
     dp_runs: list[tuple[CnfFormula, int]] = []
     at_most_misses = 0
     oracles = []
     oracle_class = backdoor._Oracle
 
-    def dp(fr, td):
-        dp_runs.append((fr, td.width))
-        return _run_dp(fr, td)
+    def dp(fr, elimination):
+        dp_runs.append((fr, elimination.width))
+        return _run_dp(fr, elimination)
 
     def ladder(g, tq, vertex_cap=DEFAULT_VERTEX_CAP):
         verdict = treewidth.treewidth_at_most(g, tq, vertex_cap)
@@ -1004,8 +1005,8 @@ def clauses_first(g):
 
 def decompositions(g):
     """Min-fill, clauses first, exact, one bag, a PACE round trip, a
-    duplicated leaf bag, and min-fill numbered backwards, which `_buckets`
-    walks rather than taking its bags in increasing order."""
+    duplicated leaf bag, and min-fill numbered backwards, which
+    `_elimination_of` walks rather than taking its bags in increasing order."""
     _, td = upper_bound_heuristic(g)
     yield td
     yield clauses_first(g)
@@ -1034,7 +1035,7 @@ def test_dense_dp_matches_reference(f):
         assert ref_run_dp(f, td) == expected
         assert ref_dense_dp(f, td) == expected
         assert ref_tree_dp(f, td) == expected
-        assert _run_dp(f, td) == expected
+        assert _run_dp(f, _elimination_of(td)) == expected
         assert count_td(f, td) == expected
 
 
@@ -1055,9 +1056,10 @@ def test_small_bucket_boundary(f):
     if verdict.kind == AT_MOST:
         tds.append(verdict.decomposition)
     for td in tds:
-        scopes = Counter(scope for _, scope in _buckets(td))
+        elimination = _elimination_of(td)
+        scopes = Counter(frozenset(nbrs) | {v} for v, nbrs in zip(*elimination))
         assert scopes == Counter(filter(None, td.bags.values()))
-        assert _run_dp(f, td) == expected
+        assert _run_dp(f, elimination) == expected
 
 
 @given(st.integers(0, 10_000))
@@ -1070,4 +1072,35 @@ def test_dp_matches_dense_reference_beyond_brute_force(seed):
     f = gen_random_cnf(n, n + n // 4, 3, seed)
     g = build_incidence(f)
     for td in (upper_bound_heuristic(g)[1], clauses_first(g)):
-        assert _run_dp(f, td) == ref_dense_dp(f, td) == ref_tree_dp(f, td)
+        assert _run_dp(f, _elimination_of(td)) == ref_dense_dp(f, td) == ref_tree_dp(f, td)
+
+
+@given(small_formulas(n_max=8, max_len=4), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_dp_on_the_ladder_elimination(f, t):
+    # The ladder's AtMost verdict is counted on its elimination as it
+    # stands; the decomposition derived from it validates and gives the
+    # reference DP the same count. t = 3 stands for the min-fill rung: at
+    # the min-fill width (or 3) every query it reaches is decided there.
+    g = build_incidence(f)
+    if t == 3:
+        t = max(3, upper_bound_heuristic(g)[0])
+    verdict = treewidth.treewidth_at_most(g, t)
+    if verdict.kind != AT_MOST:
+        return
+    td = verdict.decomposition
+    assert validate_decomposition(g, td).ok
+    assert td.width == verdict.bound == verdict.elimination.width <= t
+    assert _run_dp(f, verdict.elimination) == count_bruteforce(f) == ref_tree_dp(f, td)
+
+
+def test_low_width_solve_builds_no_decomposition(monkeypatch):
+    # At t <= 2 the DP counts every branch on the reduction's own
+    # elimination: no tree decomposition is built anywhere in the solve.
+    def no_decomposition(*args):
+        raise AssertionError("a tree decomposition was built")
+
+    monkeypatch.setattr(treewidth, "_decomposition", no_decomposition)
+    res = solve(gen_grid_formula_x(8), 1, 1, tw_threshold=1)
+    assert (res.outcome, res.mode, res.backdoor) == ("counted", "backdoor", (65,))
+    assert res.count == 2 * 55**8  # 2 * Fib(10)^8

@@ -517,6 +517,19 @@ def test_orders_match_reference(g):
         assert upper_bound_heuristic(g, limit=width - 1) == (width, None)
 
 
+@given(graph_cases)
+@settings(max_examples=60, deadline=None)
+def test_is_simplicial_matches_fill_in(g):
+    # On the graph and at every step of its min-fill elimination game, whose
+    # fill makes ever more vertices simplicial.
+    adj = g.adjacency()
+    order, _ = tw._min_fill_order(adj)
+    for v in order:
+        for u in adj:
+            assert tw._is_simplicial(adj, u) == (tw._fill_in(adj, u) == 0)
+        tw._eliminate(adj, v)
+
+
 @given(st.integers(0, 400))
 @settings(max_examples=30, deadline=None)
 def test_exact_limit_stops_above_t(seed):
