@@ -28,9 +28,9 @@ def main() -> int:
     for r in range(2, max_r + 1):
         g, _ = make_wall(r)
         start = time.monotonic()
-        width, td = exact_treewidth(g, vertex_cap=r * r)
+        width, elimination = exact_treewidth(g, vertex_cap=r * r)
         elapsed = time.monotonic() - start
-        assert validate_decomposition(g, td).ok
+        assert validate_decomposition(g, elimination.decomposition()).ok
         print(
             json.dumps(
                 {

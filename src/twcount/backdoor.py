@@ -311,9 +311,13 @@ def _approx(
     """The leaf branches of approx_backdoor's search tree, x = 0 subtree first,
     or None: a path's killer values joined with each assignment to the set the
     exact search found below it, with F's reduction and its entry at t. path
-    holds the killer values that reduced the root formula to f."""
+    holds the killer values that reduced the root formula to f. A width the
+    caps leave undecided at the threshold is asked again at t, where an
+    Exceeds verdict still lets the search branch."""
     oracle.stats.nodes += 1
     kind = oracle.verdict(f, max(tw_threshold, t))[0]
+    if kind == UNKNOWN and tw_threshold > t:
+        kind = oracle.verdict(f, t)[0]
     if kind == UNKNOWN:
         raise InconclusiveTreewidth("treewidth undecided during approximation")
     if kind == AT_MOST:

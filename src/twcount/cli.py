@@ -68,12 +68,12 @@ def cmd_tw(args) -> int:
     except (OSError, FormulaError, ValueError) as exc:
         return _fail(str(exc))
     lower = treewidth.lower_bound(g)
-    upper, td = treewidth.upper_bound_heuristic(g)
+    upper, elimination = treewidth.upper_bound_heuristic(g)
     exact = None
-    if lower == upper:  # min-fill's decomposition is optimal: no search needed
+    if lower == upper:  # min-fill's elimination is optimal: no search needed
         exact = upper
     elif g.num_vertices() <= args.exact_cap:
-        exact, td = treewidth.exact_treewidth(g, args.exact_cap)
+        exact, elimination = treewidth.exact_treewidth(g, args.exact_cap)
     report = {
         "graph": mode,
         "n": g.num_vertices(),
@@ -86,7 +86,7 @@ def cmd_tw(args) -> int:
     if args.out_td:
         _, id_map = graphs.write_gr(g)
         with open(args.out_td, "w") as fh:
-            fh.write(treewidth.write_td(td, id_map))
+            fh.write(treewidth.write_td(elimination.decomposition(), id_map))
         with open(args.out_td + ".map.json", "w") as fh:
             json.dump({str(k): v for k, v in id_map.items()}, fh, sort_keys=True)
         report["td"] = args.out_td
@@ -106,8 +106,8 @@ def cmd_count(args) -> int:
             count, mode, verdict = counting.count_bruteforce(f), "brute", "counted"
             backdoor_vars, widths = None, None
         elif args.mode == "td":
-            width, td = treewidth.upper_bound_heuristic(graphs.build_incidence(f))
-            count, mode, verdict = counting.count_td(f, td), "td", "counted"
+            width, elimination = treewidth.upper_bound_heuristic(graphs.build_incidence(f))
+            count, mode, verdict = counting.count_td(f, elimination.decomposition()), "td", "counted"
             backdoor_vars, widths = None, (width,)
         else:
             run = counting.solve_by_backdoor if args.mode == "backdoor" else counting.solve

@@ -10,9 +10,10 @@ and those neighbours, so deep eliminations are fine. A bucket multiplies
 the messages it received into a dense table over its scope, zeroes the
 edges to its vertex, folds that vertex out and sends the result on as a
 message. A scope wider than the table budget (DP_TABLE_CAP entries) raises
-TableBudgetExceeded before any table is allocated. The ladder hands over
-its elimination as it built it; `count_td` reads one off a tree
-decomposition (`treewidth._elimination_of`).
+TableBudgetExceeded before any table is allocated. Every rung of the
+ladder hands over its elimination as its game built it; only `count_td`,
+whose input is a tree decomposition, reads one off it
+(`treewidth._elimination_of`).
 The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula. Free variables of a formula appear as isolated
@@ -27,7 +28,8 @@ reduction is decided twice and no graph is built for a verdict it already
 holds. It runs the DP on a miss at t that comes back AtMost, on the
 elimination the ladder just returned, and counts no verdict at any other
 width. `solve` counts an AtMost root at the threshold on the elimination
-of that first miss. At t <= 2 no tree decomposition is built on this path.
+of that first miss. No tree decomposition is built on this path, at any
+width.
 The search (`backdoor._approx`) returns its leaf branches with the counts
 its own checks made, and `solve` sums them; it reduces nothing and asks the
 oracle nothing of its own.
@@ -413,7 +415,8 @@ def solve(
     """Count satisfying assignments, or conclude no small strong backdoor exists.
 
     Small incidence treewidth (at most tw_threshold) is counted directly by
-    the decomposition DP. Otherwise solve_by_backdoor searches and counts.
+    the decomposition DP. Otherwise, and also when the caps leave that width
+    undecided, solve_by_backdoor searches and counts.
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
@@ -423,8 +426,6 @@ def solve(
         if count is None:  # decided above t, so not counted; the root is the first miss
             count = _run_dp(f, oracle.last[2].elimination)
         return SolveResult("counted", count, "td", t, k, note=_note(f))
-    if kind != EXCEEDS:
-        return SolveResult("inconclusive", None, None, t, k, note=_note(f))
     return _solve_by_backdoor(f, t, k, tw_threshold, oracle)
 
 

@@ -3,9 +3,13 @@
 `treewidth_at_most(g, t)` climbs a ladder of rungs, cheapest first, and
 stops at the first that decides (n vertices, m edges, d the degree at
 elimination). An AtMost verdict carries an elimination: the vertices in the
-order they were eliminated, each with its neighbours at that moment. That
-is what the counting DP reads; the tree decomposition it describes
-(`_decomposition`) is built only when asked for.
+order they were eliminated, each with its neighbours at that moment. Every
+rung that decides AtMost hands over the elimination its own game built, and
+that is what the counting DP reads. The tree decomposition an elimination
+describes (`Elimination.decomposition`) is built only when asked for: for
+PACE output, for validation, or for `counting.count_td`, whose input is a
+decomposition and which reads the elimination back off it
+(`_elimination_of`).
 
 1. for t <= 2, the reduction that eliminates vertices of degree at most t,
    degree at most 1 first: AtMost with its own elimination if it empties
@@ -17,17 +21,14 @@ is what the counting DP reads; the tree decomposition it describes
    & Colbourn, 1983). Its width is then the treewidth. The rungs below, and
    the vertex cap, only matter for t >= 3;
 2. degeneracy above t: Exceeds; a bucket-queue peel, O(n+m);
-3. min-fill width at most t: AtMost, with the decomposition recorded during
-   the elimination; a lazy heap that re-scores only the vertices within
-   distance 2 of each eliminated vertex, roughly O(sum of d^2 log n);
+3. min-fill width at most t: AtMost, with the min-fill game's elimination;
+   a lazy heap that re-scores only the vertices within distance 2 of each
+   eliminated vertex, roughly O(sum of d^2 log n);
 4. contraction bound (minor-min-width) above t: Exceeds; a lazy heap,
    O(m log n) heap work plus the merged neighbourhoods;
 5. at or below the vertex cap, exact search, which stops once width above t
    is proven; exponential in the worst case;
 6. otherwise Unknown.
-
-The min-fill and exact rungs return a decomposition, which the one adapter
-from decomposition to elimination (`_elimination_of`) reads back.
 
 The exact solver searches elimination orderings: safe reductions (simplicial,
 almost-simplicial, degree-2) shrink the graph, then a depth-first decision
@@ -49,7 +50,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .graphs import Graph
 
@@ -76,14 +77,10 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags.values()), default=0) - 1
 
 
-def single_bag_decomposition(vertices: Iterable[int]) -> TreeDecomposition:
-    return TreeDecomposition({1: frozenset(vertices)}, ())
-
-
 class Elimination(NamedTuple):
     """The elimination game along `order`: nbrs[i] holds order[i]'s
-    neighbours when it was eliminated, fill edges included. The ladder's
-    sets are the ones its game built, not copies. Read off a decomposition
+    neighbours when it was eliminated, fill edges included. The sets are the
+    ones the game built, not copies. Read off a decomposition
     (`_elimination_of`), it is the game on the graph with each bag made a
     clique."""
 
@@ -93,6 +90,10 @@ class Elimination(NamedTuple):
     @property
     def width(self) -> int:
         return max(map(len, self.nbrs), default=-1)
+
+    def decomposition(self) -> TreeDecomposition:
+        """The tree decomposition this elimination describes (`_decomposition`)."""
+        return _decomposition(self.order, self.nbrs)
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class TwVerdict:
 
     @cached_property
     def decomposition(self) -> TreeDecomposition | None:
-        return None if self.elimination is None else _decomposition(*self.elimination)
+        return None if self.elimination is None else self.elimination.decomposition()
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
@@ -320,18 +321,15 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
     return all(len(nbrs & adj[a]) == others for a in nbrs)
 
 
-def _greedy_order(
-    adj: Mapping[int, AbstractSet[int]], by_fill: bool
-) -> tuple[list[int], int, list[set[int]]]:
+def _greedy_order(adj: Mapping[int, AbstractSet[int]], by_fill: bool) -> Elimination:
     """Eliminate the vertex of least (fill-in or degree, vertex id) first.
 
-    Returns the order, its width and each vertex's neighbours when it was
-    eliminated; adj is copied, not changed. A lazy heap of (score, vertex)
-    picks the next vertex. After eliminating v with neighbours N, only
-    vertices within distance 2 of v change score: a vertex x outside N loses
-    one fill-in per added edge with both ends adjacent to x, and a vertex of
-    N is re-scored from scratch. Changed vertices get fresh entries; stale
-    entries are skipped when popped.
+    Returns the game's elimination; adj is copied, not changed. A lazy heap
+    of (score, vertex) picks the next vertex. After eliminating v with
+    neighbours N, only vertices within distance 2 of v change score: a
+    vertex x outside N loses one fill-in per added edge with both ends
+    adjacent to x, and a vertex of N is re-scored from scratch. Changed
+    vertices get fresh entries; stale entries are skipped when popped.
     """
     work = {v: set(s) for v, s in adj.items()}
     score = {v: _fill_in(work, v) if by_fill else len(s) for v, s in work.items()}
@@ -339,7 +337,6 @@ def _greedy_order(
     heapq.heapify(heap)
     order: list[int] = []
     bags: list[set[int]] = []
-    width = -1 if not work else 0
     while heap:
         s, v = heapq.heappop(heap)
         if score.get(v) != s:
@@ -348,7 +345,6 @@ def _greedy_order(
         nbrs = work.pop(v)
         order.append(v)
         bags.append(nbrs)
-        width = max(width, len(nbrs))
         for a in nbrs:
             work[a].discard(v)
         touched = set(nbrs)
@@ -367,17 +363,7 @@ def _greedy_order(
             score[x] = _fill_in(work, x) if by_fill else len(work[x])
         for x in touched:
             heapq.heappush(heap, (score[x], x))
-    return order, width, bags
-
-
-def _min_fill_order(adj) -> tuple[list[int], int]:
-    order, width, _ = _greedy_order(adj, by_fill=True)
-    return order, width
-
-
-def _min_degree_order(adj) -> tuple[list[int], int]:
-    order, width, _ = _greedy_order(adj, by_fill=False)
-    return order, width
+    return Elimination(order, bags)
 
 
 def _reduce_low_width(
@@ -474,41 +460,32 @@ def _decomposition(order: list[int], bags: list[AbstractSet[int]]) -> TreeDecomp
 
 
 def _elimination_of(td: TreeDecomposition) -> Elimination:
-    """The elimination td describes: each vertex it covers, in forget order,
-    with the vertices of its bucket's scope other than itself.
+    """The elimination a decomposition describes, for `counting.count_td`:
+    each vertex td covers, in forget order, with the vertices of its
+    bucket's scope other than itself.
 
-    td is rooted at its highest-numbered bag. A vertex is forgotten at the
-    bag nearest the root holding it, and its scope is that bag minus the
-    vertices forgotten before it. If every other bag has exactly one
-    higher-numbered neighbour, that neighbour is its parent and the bags go
-    in increasing order: on `_decomposition(order, nbrs)` this gives back
-    order and nbrs. Any other tree is walked children first.
+    td is rooted at its highest-numbered bag and walked children first. A
+    vertex is forgotten at the bag nearest the root holding it, and its
+    scope is that bag minus the vertices forgotten before it.
     """
     bags = td.bags
     if not bags:
         return Elimination([], [])
-    up: dict[int, int] = {}  # each bag's neighbour toward the root
+    adj: dict[int, list[int]] = {i: [] for i in bags}
     for i, j in td.edges:
-        if i < j:
-            up[i] = j
-        else:
-            up[j] = i
-    if len(up) == len(bags) - 1:
-        walk = sorted(bags)
-    else:
-        adj: dict[int, list[int]] = {i: [] for i in bags}
-        for i, j in td.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        root = max(bags)
-        walk, up, stack = [], {}, [root]
-        while stack:
-            i = stack.pop()
-            walk.append(i)
-            kids = [j for j in adj[i] if j not in up and j != root]
-            up.update(dict.fromkeys(kids, i))
-            stack.extend(kids)
-        walk.reverse()
+        adj[i].append(j)
+        adj[j].append(i)
+    root = max(bags)
+    walk: list[int] = []
+    up: dict[int, int] = {}  # each bag's neighbour toward the root
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        walk.append(i)
+        kids = [j for j in adj[i] if j not in up and j != root]
+        up.update(dict.fromkeys(kids, i))
+        stack.extend(kids)
+    walk.reverse()
     order: list[int] = []
     nbrs: list[AbstractSet[int]] = []
     for i in walk:
@@ -521,31 +498,28 @@ def _elimination_of(td: TreeDecomposition) -> Elimination:
     return Elimination(order, nbrs)
 
 
-def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Run the elimination game along `order` and collect bags (see `_decomposition`)."""
+def elimination_from_order(g: Graph, order: list[int]) -> Elimination:
+    """Run the elimination game on g along `order`."""
     adj = g.adjacency()
     if set(order) != set(adj):
         raise ValueError("order must cover the graph's vertices exactly")
-    bags = []
+    nbrs = []
     for v in order:
-        bags.append(set(adj[v]))
+        nbrs.append(adj[v])  # _eliminate pops this set and leaves it as it is
         _eliminate(adj, v)
-    return _decomposition(order, bags)
+    return Elimination(order, nbrs)
 
 
-def upper_bound_heuristic(
-    g: Graph, limit: int | None = None
-) -> tuple[int, TreeDecomposition | None]:
-    """Min-fill elimination ordering turned into a decomposition.
+def upper_bound_heuristic(g: Graph, limit: int | None = None) -> tuple[int, Elimination | None]:
+    """The min-fill elimination and its width.
 
-    With a limit, a width above it comes back without a decomposition.
+    With a limit, a width above it comes back without an elimination.
     """
-    if g.num_vertices() == 0:
-        return -1, single_bag_decomposition(())
-    order, width, bags = _greedy_order(g.adjacency_view(), by_fill=True)
+    elimination = _greedy_order(g.adjacency_view(), by_fill=True)
+    width = elimination.width
     if limit is not None and width > limit:
         return width, None
-    return width, _decomposition(order, bags)
+    return width, elimination
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +629,11 @@ def _solve_component(
     if not adj:
         return max(pwidth, lb), prefix
     lb_core = max(_degeneracy_adj(adj), _mmw_adj(adj))
-    fill_order, fill_width = _min_fill_order(adj)
-    degree_order, degree_width = _min_degree_order(adj)
-    ub_order, ub_width = (
-        (fill_order, fill_width) if fill_width <= degree_width else (degree_order, degree_width)
-    )
+    # The narrower of the two games, min-fill's on a tie.
+    games = (_greedy_order(adj, by_fill=True), _greedy_order(adj, by_fill=False))
+    ub = min(games, key=lambda e: e.width)
     lo = max(lb_core, lb, 0)
-    hi = max(ub_width, lb)
+    hi = max(ub.width, lb)
     top = hi if limit is None else min(hi, limit + 1)
     for w in range(lo, top):
         found = _decide({v: set(s) for v, s in adj.items()}, w, lb_core)
@@ -669,7 +641,7 @@ def _solve_component(
             return w, prefix + found
     if top < hi:
         return max(lo, top), None
-    return hi, prefix + ub_order
+    return hi, prefix + ub.order
 
 
 def _components(g: Graph) -> list[set[int]]:
@@ -693,18 +665,16 @@ def _components(g: Graph) -> list[set[int]]:
 
 def exact_treewidth(
     g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP, limit: int | None = None
-) -> tuple[int, TreeDecomposition | None]:
-    """Optimal width and a witnessing decomposition, per-component.
+) -> tuple[int, Elimination | None]:
+    """Optimal width and a witnessing elimination, per-component.
 
     With a limit, the search stops as soon as width above the limit is
-    proven, and returns a lower bound above the limit with no decomposition.
+    proven, and returns a lower bound above the limit with no elimination.
     Widths up to the limit come back exactly as without one.
     """
     n = g.num_vertices()
     if n > vertex_cap:
         raise VertexCapExceeded(f"{n} vertices exceed the exact-solver cap {vertex_cap}")
-    if n == 0:
-        return -1, single_bag_decomposition(())
     width = -1
     full_order: list[int] = []
     for comp in _components(g):
@@ -714,7 +684,7 @@ def exact_treewidth(
             return w, None
         width = max(width, w)
         full_order.extend(order)
-    return width, decomposition_from_order(g, full_order)
+    return width, elimination_from_order(g, full_order)
 
 
 def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> TwVerdict:
@@ -726,10 +696,11 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     elimination, whose width is the treewidth, when it empties the graph,
     else Exceeds with bound t + 1. For t >= 3 the rungs run cheapest first:
     degeneracy above t (O(n+m)) is Exceeds; min-fill width at most t is
-    AtMost with the elimination its decomposition describes;
-    the contraction bound above t is Exceeds; at or below the vertex cap,
-    exact search decides, stopping once width above t is proven; above the
-    cap the answer is Unknown. vertex_cap therefore only matters for t >= 3.
+    AtMost with the min-fill elimination; the contraction bound above t is
+    Exceeds; at or below the vertex cap, exact search decides, stopping once
+    width above t is proven, and AtMost carries the replay of its optimal
+    order; above the cap the answer is Unknown. vertex_cap therefore only
+    matters for t >= 3.
     """
     if g.num_vertices() == 0:
         return TwVerdict(AT_MOST, -1, Elimination([], []))
@@ -743,16 +714,16 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg)
-    ub, td = upper_bound_heuristic(g, limit=t)
+    ub, elimination = upper_bound_heuristic(g, limit=t)
     if ub <= t:
-        return TwVerdict(AT_MOST, ub, _elimination_of(td))
+        return TwVerdict(AT_MOST, ub, elimination)
     mmw = minor_min_width(g)
     if mmw > t:
         return TwVerdict(EXCEEDS, mmw)
     if g.num_vertices() <= vertex_cap:
-        w, etd = exact_treewidth(g, vertex_cap, limit=t)
+        w, elimination = exact_treewidth(g, vertex_cap, limit=t)
         if w <= t:
-            return TwVerdict(AT_MOST, w, _elimination_of(etd))
+            return TwVerdict(AT_MOST, w, elimination)
         return TwVerdict(EXCEEDS, w)
     return TwVerdict(UNKNOWN, ub)
 
@@ -868,18 +839,20 @@ def read_td(text: str) -> TreeDecomposition:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        parts = line.split()
         if line.startswith("s"):
-            parts = line.split()
             if len(parts) != 5 or parts[1] != "td":
                 raise ValueError(f"line {lineno}: malformed .td header")
             header_seen = True
             continue
-        if line.startswith("b"):
-            parts = line.split()
-            bags[int(parts[1])] = frozenset(int(x) for x in parts[2:])
-            continue
-        i, j = (int(x) for x in line.split())
-        edges.append((i, j))
+        try:
+            if line.startswith("b"):
+                bags[int(parts[1])] = frozenset(int(x) for x in parts[2:])
+            else:
+                i, j = map(int, parts)
+                edges.append((i, j))
+        except (IndexError, ValueError):
+            raise ValueError(f"line {lineno}: malformed .td line {line!r}") from None
     if not header_seen:
         raise ValueError("missing 's td' header")
     return TreeDecomposition(bags, tuple(edges))

@@ -66,8 +66,8 @@ def test_criterion_01_oracle_equivalence():
     for seed in range(1000):
         f = _random_formula(seed)
         brute = count_bruteforce(f)
-        _, td = upper_bound_heuristic(build_incidence(f))
-        assert count_td(f, td) == brute, f"seed {seed}: DP vs brute mismatch"
+        _, elimination = upper_bound_heuristic(build_incidence(f))
+        assert count_td(f, elimination.decomposition()) == brute, f"seed {seed}: DP vs brute mismatch"
         checked += 1
         report = find_smallest_strong_backdoor(f, 1, 2)
         if report is not None:
@@ -92,7 +92,7 @@ def test_criterion_02_grid_family():
             assert treewidth_at_most(g, 1).kind == "at_most"
     widths = {}
     for n in (3, 4):
-        w, td = exact_treewidth(build_incidence(gen_grid_formula(n)))
+        w, _ = exact_treewidth(build_incidence(gen_grid_formula(n)))
         assert w >= n, f"n={n}: incidence treewidth {w} below {n}"
         widths[n] = w
     print(f"criterion 02 PASS - switch variable verifies for n=2..8; grid widths {widths}")
@@ -112,17 +112,17 @@ def test_criterion_04_treewidth_anchors():
     from test_treewidth import complete_bipartite, complete_graph
 
     k5 = complete_graph(5)
-    w5, td5 = exact_treewidth(k5)
+    w5, e5 = exact_treewidth(k5)
     assert w5 == 4
-    assert validate_decomposition(k5, td5).ok
+    assert validate_decomposition(k5, e5.decomposition()).ok
     k44 = complete_bipartite(4, 4)
-    w44, td44 = exact_treewidth(k44)
+    w44, e44 = exact_treewidth(k44)
     assert w44 == 4
-    assert validate_decomposition(k44, td44).ok
+    assert validate_decomposition(k44, e44.decomposition()).ok
     wall, _ = make_wall(8)
-    w8, td8 = exact_treewidth(wall, vertex_cap=64)
+    w8, e8 = exact_treewidth(wall, vertex_cap=64)
     assert w8 >= 8 // 2
-    assert validate_decomposition(wall, td8).ok
+    assert validate_decomposition(wall, e8.decomposition()).ok
     print(f"criterion 04 PASS - K5=4, K44=4; 8-wall exact width {w8} (figure says 4)")
 
 

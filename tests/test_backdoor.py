@@ -25,7 +25,6 @@ from twcount.treewidth import (
     UNKNOWN,
     Elimination,
     TwVerdict,
-    _elimination_of,
     _find_cycle,
     degeneracy,
     exact_treewidth,
@@ -173,16 +172,16 @@ def ref_treewidth_at_most(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg)
-    ub, td = upper_bound_heuristic(g, limit=t)
+    ub, elimination = upper_bound_heuristic(g, limit=t)
     if ub <= t:
-        return TwVerdict(AT_MOST, ub, _elimination_of(td))
+        return TwVerdict(AT_MOST, ub, elimination)
     mmw = minor_min_width(g)
     if mmw > t:
         return TwVerdict(EXCEEDS, mmw)
     if g.num_vertices() <= vertex_cap:
-        w, etd = exact_treewidth(g, vertex_cap, limit=t)
+        w, elimination = exact_treewidth(g, vertex_cap, limit=t)
         if w <= t:
-            return TwVerdict(AT_MOST, w, _elimination_of(etd))
+            return TwVerdict(AT_MOST, w, elimination)
         return TwVerdict(EXCEEDS, w)
     return TwVerdict(UNKNOWN, ub)
 

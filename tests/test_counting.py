@@ -48,10 +48,9 @@ from twcount.treewidth import (
     TreeDecomposition,
     TwVerdict,
     _elimination_of,
-    decomposition_from_order,
+    elimination_from_order,
     exact_treewidth,
     read_td,
-    single_bag_decomposition,
     upper_bound_heuristic,
     validate_decomposition,
     write_td,
@@ -59,7 +58,7 @@ from twcount.treewidth import (
 
 
 def td_of(f):
-    return upper_bound_heuristic(build_incidence(f))[1]
+    return upper_bound_heuristic(build_incidence(f))[1].decomposition()
 
 
 def test_brute_empty():
@@ -128,18 +127,18 @@ def test_td_table_budget_checked_before_allocation():
     n = DP_TABLE_CAP.bit_length()  # one vertex more than the widest table allowed
     f = CnfFormula((), free_vars=frozenset(range(1, n + 1)))
     with pytest.raises(TableBudgetExceeded):
-        count_td(f, single_bag_decomposition(range(1, n + 1)))
+        count_td(f, TreeDecomposition({1: frozenset(range(1, n + 1))}, ()))
     assert count_td(f, td_of(f)) == 1 << n
 
 
 def test_td_table_budget_checked_before_any_bucket():
     f = gen_random_cnf(120, 300, 3, 0)
-    td = upper_bound_heuristic(build_incidence(f))[1]
-    assert td.width == 65
+    elimination = upper_bound_heuristic(build_incidence(f))[1]
+    assert elimination.width == 65
     tracemalloc.start()
     try:
         with pytest.raises(TableBudgetExceeded):
-            _run_dp(f, _elimination_of(td))
+            _run_dp(f, elimination)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -297,10 +296,29 @@ def test_solve_inconclusive_above_caps():
     assert res.outcome == "sb_exceeded"
     assert res.count is None
     # 95 incidence vertices, contraction bound 8, min-fill width 15: no rung
-    # decides width <= 10 above the default cap.
-    res = solve(gen_random_cnf(40, 55, 3, 0), 1, 1, tw_threshold=10)
+    # decides width <= 10 above the default cap. The search then asks at t:
+    # width above 1 is proven, and the search finds no strong backdoor of size 1.
+    f = gen_random_cnf(40, 55, 3, 0)
+    res = solve(f, 1, 1, tw_threshold=10)
+    assert res.outcome == "sb_exceeded"
+    assert res.count is None
+    # At t = 8 no rung decides either, so the caps really bit.
+    res = solve(f, 8, 1, tw_threshold=10)
     assert res.outcome == "inconclusive"
     assert res.count is None
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_solve_asks_at_t_when_the_threshold_is_undecided(n):
+    # Above the exact cap the root's width <= 8 is undecided (min-fill width
+    # above 8 on n >= 7), so the search asks at t = 1, where the width is
+    # decided above 1, and branches on the switch variable.
+    res = solve(gen_grid_formula_x(n), 1, 1, tw_threshold=8, vertex_cap=64)
+    assert (res.outcome, res.mode, res.backdoor) == ("counted", "backdoor", (n * n + 1,))
+    fib = [0, 1]
+    while len(fib) < n + 3:
+        fib.append(fib[-1] + fib[-2])
+    assert res.count == 2 * fib[n + 2] ** n
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -1000,24 +1018,26 @@ def clauses_first(g):
     adj = g.adjacency()
     clauses = sorted(v for v in adj if is_clause_vertex(v))
     variables = sorted((v for v in adj if not is_clause_vertex(v)), key=lambda v: (len(adj[v]), v))
-    return decomposition_from_order(g, clauses + variables)
+    return elimination_from_order(g, clauses + variables).decomposition()
 
 
 def decompositions(g):
     """Min-fill, clauses first, exact, one bag, a PACE round trip, a
     duplicated leaf bag, and min-fill numbered backwards, which
-    `_elimination_of` walks rather than taking its bags in increasing order."""
-    _, td = upper_bound_heuristic(g)
+    `_elimination_of` roots at the bag of min-fill's first vertex."""
+    td = upper_bound_heuristic(g)[1].decomposition()
     yield td
     yield clauses_first(g)
-    yield exact_treewidth(g)[1]
-    yield single_bag_decomposition(g.vertices())
+    yield exact_treewidth(g)[1].decomposition()
+    yield TreeDecomposition({1: frozenset(g.vertices())}, ())
     _, id_map = write_gr(g)
     back = {i: v for v, i in id_map.items()}
     pace = read_td(write_td(td, id_map))
     yield TreeDecomposition(
         {i: frozenset(back[v] for v in bag) for i, bag in pace.bags.items()}, pace.edges
     )
+    if not td.bags:  # the empty graph: min-fill's elimination describes no bag
+        return
     last = max(td.bags)
     yield TreeDecomposition({**td.bags, last + 1: td.bags[last]}, td.edges + ((last, last + 1),))
     yield TreeDecomposition(
@@ -1051,7 +1071,7 @@ def test_small_bucket_boundary(f):
     # the scope of exactly one bucket.
     g = build_incidence(f)
     expected = count_bruteforce(f)
-    tds = [upper_bound_heuristic(g)[1]]
+    tds = [upper_bound_heuristic(g)[1].decomposition()]
     verdict = treewidth.treewidth_at_most(g, 2)
     if verdict.kind == AT_MOST:
         tds.append(verdict.decomposition)
@@ -1071,7 +1091,7 @@ def test_dp_matches_dense_reference_beyond_brute_force(seed):
     n = DetRng(seed).randint(20, 35)
     f = gen_random_cnf(n, n + n // 4, 3, seed)
     g = build_incidence(f)
-    for td in (upper_bound_heuristic(g)[1], clauses_first(g)):
+    for td in (upper_bound_heuristic(g)[1].decomposition(), clauses_first(g)):
         assert _run_dp(f, _elimination_of(td)) == ref_dense_dp(f, td) == ref_tree_dp(f, td)
 
 
@@ -1094,13 +1114,29 @@ def test_dp_on_the_ladder_elimination(f, t):
     assert _run_dp(f, verdict.elimination) == count_bruteforce(f) == ref_tree_dp(f, td)
 
 
-def test_low_width_solve_builds_no_decomposition(monkeypatch):
-    # At t <= 2 the DP counts every branch on the reduction's own
+@pytest.mark.parametrize(
+    "f, t, threshold, mode, backdoor",
+    [
+        # t <= 2: every branch is counted on the reduction's own elimination.
+        (gen_grid_formula_x(8), 1, 1, "backdoor", (65,)),
+        # The root at the threshold, decided by min-fill (width 10).
+        (gen_random_cnf(30, 40, 3, 2), 1, 16, "td", None),
+        # The root at the threshold, decided under the cap by the exact
+        # search: degeneracy 2, contraction bound 4, treewidth 5, min-fill
+        # width 6.
+        (gen_random_cnf(10, 12, 3, 2), 1, 5, "td", None),
+    ],
+    ids=["reduction", "min_fill", "exact"],
+)
+def test_low_width_solve_builds_no_decomposition(monkeypatch, f, t, threshold, mode, backdoor):
+    # Every rung that decides AtMost hands the DP its own game's
     # elimination: no tree decomposition is built anywhere in the solve.
+    expected = count_td(f, td_of(f))  # taken before _decomposition is patched
+
     def no_decomposition(*args):
         raise AssertionError("a tree decomposition was built")
 
     monkeypatch.setattr(treewidth, "_decomposition", no_decomposition)
-    res = solve(gen_grid_formula_x(8), 1, 1, tw_threshold=1)
-    assert (res.outcome, res.mode, res.backdoor) == ("counted", "backdoor", (65,))
-    assert res.count == 2 * 55**8  # 2 * Fib(10)^8
+    res = solve(f, t, 1, tw_threshold=threshold)
+    assert (res.outcome, res.mode, res.backdoor) == ("counted", mode, backdoor)
+    assert res.count == expected

@@ -20,8 +20,8 @@ from twcount.treewidth import (
     UNKNOWN,
     TreeDecomposition,
     VertexCapExceeded,
-    decomposition_from_order,
     degeneracy,
+    elimination_from_order,
     exact_treewidth,
     lower_bound,
     minor_min_width,
@@ -136,11 +136,12 @@ def test_lower_bound_anchors():
 
 
 def test_upper_bound_heuristic():
-    w, td = upper_bound_heuristic(Graph())
-    assert w == -1 and len(td.bags) == 1
-    w, td = upper_bound_heuristic(cycle_graph(5))
+    w, elimination = upper_bound_heuristic(Graph())
+    assert w == -1 and elimination == ([], [])
+    assert elimination.decomposition() == TreeDecomposition({}, ())
+    w, elimination = upper_bound_heuristic(cycle_graph(5))
     assert w == 2
-    assert validate_decomposition(cycle_graph(5), td).ok
+    assert validate_decomposition(cycle_graph(5), elimination.decomposition()).ok
     w, _ = upper_bound_heuristic(complete_graph(5))
     assert w == 4
 
@@ -154,8 +155,9 @@ def test_exact_anchors():
 
 def test_exact_wall8():
     g, _ = make_wall(8)
-    w, td = exact_treewidth(g, vertex_cap=64)
+    w, elimination = exact_treewidth(g, vertex_cap=64)
     assert w >= 4
+    td = elimination.decomposition()
     assert validate_decomposition(g, td).ok
     assert td.width == w
 
@@ -170,9 +172,9 @@ def test_exact_isolated_vertices():
     g = Graph()
     for v in (1, 2, 3):
         g.add_vertex(v)
-    w, td = exact_treewidth(g)
+    w, elimination = exact_treewidth(g)
     assert w == 0
-    assert validate_decomposition(g, td).ok
+    assert validate_decomposition(g, elimination.decomposition()).ok
 
 
 def test_at_most_verdicts():
@@ -216,11 +218,12 @@ def test_bound_sandwich(seed):
     m = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
     g = random_gnm(n, m, seed)
     lb = max(lower_bound(g), minor_min_width(g))
-    exact, td = exact_treewidth(g)
-    ub, utd = upper_bound_heuristic(g)
+    exact, elimination = exact_treewidth(g)
+    ub, min_fill = upper_bound_heuristic(g)
     assert lb <= exact <= ub
+    td = elimination.decomposition()
     assert validate_decomposition(g, td).ok
-    assert validate_decomposition(g, utd).ok
+    assert validate_decomposition(g, min_fill.decomposition()).ok
     assert td.width == exact
 
 
@@ -253,19 +256,28 @@ def test_subgraph_monotonicity(seed):
 def test_decomposition_from_order_validates():
     g = random_gnm(8, 14, 99)
     order = g.sorted_vertices()
-    td = decomposition_from_order(g, order)
+    td = elimination_from_order(g, order).decomposition()
     assert validate_decomposition(g, td).ok
 
 
 def test_td_roundtrip():
     g = cycle_graph(5)
-    w, td = exact_treewidth(g)
+    w, elimination = exact_treewidth(g)
+    td = elimination.decomposition()
     id_map = {v: v for v in g.sorted_vertices()}
     text = write_td(td, id_map)
     assert text.startswith(f"s td {len(td.bags)} {w + 1} 5")
     back = read_td(text)
     assert validate_decomposition(g, back).ok
     assert back.width == td.width
+
+
+@pytest.mark.parametrize("line", ["b", "1 2 3", "b x 1"])
+def test_read_td_rejects_malformed_lines(line):
+    # A bag line with no index, an edge of three ids and a non-integer id
+    # each raise ValueError naming the line, as a malformed header does.
+    with pytest.raises(ValueError, match="^line 3: "):
+        read_td(f"s td 1 2 2\nb 1 1 2\n{line}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +514,19 @@ def test_bounds_match_reference(g):
 @settings(max_examples=120, deadline=None)
 def test_orders_match_reference(g):
     adj = g.adjacency()
-    assert tw._min_fill_order(adj) == ref_min_fill_order(adj)
-    assert tw._min_degree_order(adj) == ref_min_degree_order(adj)
+    for by_fill, ref_order in ((True, ref_min_fill_order), (False, ref_min_degree_order)):
+        elimination = tw._greedy_order(adj, by_fill)
+        assert (elimination.order, elimination.width) == ref_order(adj)
     assert adj == g.adjacency()  # the orderings work on a copy
-    width, td = upper_bound_heuristic(g)
+    width, elimination = upper_bound_heuristic(g)
     order, ref_width = ref_min_fill_order(adj)
     assert width == ref_width
     if g.num_vertices():
         ref_td = ref_decomposition_from_order(g, order)
+        td = elimination.decomposition()
         assert td == ref_td and list(td.bags) == list(ref_td.bags)
-        assert decomposition_from_order(g, order) == ref_td
-    assert upper_bound_heuristic(g, limit=width) == (width, td)
+        assert elimination_from_order(g, order).decomposition() == ref_td
+    assert upper_bound_heuristic(g, limit=width) == (width, elimination)
     if width >= 0:
         assert upper_bound_heuristic(g, limit=width - 1) == (width, None)
 
@@ -523,8 +537,7 @@ def test_is_simplicial_matches_fill_in(g):
     # On the graph and at every step of its min-fill elimination game, whose
     # fill makes ever more vertices simplicial.
     adj = g.adjacency()
-    order, _ = tw._min_fill_order(adj)
-    for v in order:
+    for v in tw._greedy_order(adj, by_fill=True).order:
         for u in adj:
             assert tw._is_simplicial(adj, u) == (tw._fill_in(adj, u) == 0)
         tw._eliminate(adj, v)
@@ -536,13 +549,13 @@ def test_exact_limit_stops_above_t(seed):
     rng = DetRng(seed)
     n = rng.randint(3, 12)
     g = random_gnm(n, rng.randint(n, 3 * n), seed + 3)
-    exact, td = exact_treewidth(g)
+    exact, elimination = exact_treewidth(g)
     for t in range(-1, exact + 2):
-        w, ltd = exact_treewidth(g, limit=t)
+        w, limited = exact_treewidth(g, limit=t)
         if exact <= t:
-            assert (w, ltd) == (exact, td)
+            assert (w, limited) == (exact, elimination)
         else:
-            assert t < w <= exact and ltd is None
+            assert t < w <= exact and limited is None
 
 
 def _broken(td, g, how, pick):
@@ -582,7 +595,7 @@ def _broken(td, g, how, pick):
 )
 @settings(max_examples=200, deadline=None)
 def test_validate_matches_reference(g, how, pick):
-    _, td = upper_bound_heuristic(g)
+    td = upper_bound_heuristic(g)[1].decomposition()
     bad = _broken(td, g, how, pick)
     assert validate_decomposition(g, bad) == ref_validate_decomposition(g, bad)
     if how == "none":
@@ -618,7 +631,7 @@ low_width_cases = st.builds(
 def test_min_degree_rung_matches_exact(g):
     n = g.num_vertices()
     assert n <= 40
-    full_order, _, _ = tw._greedy_order(g.adjacency(), by_fill=False)
+    full_order = tw._greedy_order(g.adjacency(), by_fill=False).order
     for t in (0, 1, 2):
         ref_order, ref_width, _ = ref_min_degree_rung(g.adjacency(), t)
         assert ref_order == full_order[: len(ref_order)]
