@@ -43,6 +43,8 @@ from .treewidth import (
 
 STRONG_CHECK_CAP = 20
 EXACT_SEARCH_CAP = 6
+# The width at or below which a formula is counted directly, not searched.
+DEFAULT_TW_THRESHOLD = 8
 
 
 class InconclusiveTreewidth(RuntimeError):
@@ -279,7 +281,7 @@ def approx_backdoor(
     f: CnfFormula,
     t: int,
     k: int,
-    tw_threshold: int = 8,
+    tw_threshold: int = DEFAULT_TW_THRESHOLD,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> BackdoorReport | None:
     """Strong backdoor of size at most 2^k - 1, or None meaning none of size <= k.

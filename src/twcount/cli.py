@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--t", type=int, default=1)
     cnt.add_argument("--k", type=int, default=2)
     cnt.add_argument("--mode", choices=["auto", "td", "brute", "backdoor"], default="auto")
-    cnt.add_argument("--tw-threshold", type=int, default=8)
+    cnt.add_argument("--tw-threshold", type=int, default=bd.DEFAULT_TW_THRESHOLD)
     cnt.add_argument("--exact-cap", type=int, default=treewidth.DEFAULT_VERTEX_CAP)
     cnt.set_defaults(func=cmd_count)
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--vars", default=None, help="comma-separated variable ids (verify)")
     b.add_argument("--deletion", action="store_true", help="verify as a deletion backdoor")
     b.add_argument("--mode", choices=["exact", "approx"], default="exact")
-    b.add_argument("--tw-threshold", type=int, default=8)
+    b.add_argument("--tw-threshold", type=int, default=bd.DEFAULT_TW_THRESHOLD)
     b.add_argument("--exact-cap", type=int, default=treewidth.DEFAULT_VERTEX_CAP)
     b.set_defaults(func=cmd_backdoor)
 

@@ -409,7 +409,7 @@ def solve(
     f: CnfFormula,
     t: int,
     k: int,
-    tw_threshold: int = 8,
+    tw_threshold: int = _backdoor.DEFAULT_TW_THRESHOLD,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SolveResult:
     """Count satisfying assignments, or conclude no small strong backdoor exists.
@@ -430,7 +430,11 @@ def solve(
 
 
 def solve_by_backdoor(
-    f: CnfFormula, t: int, k: int, tw_threshold: int = 8, vertex_cap: int = DEFAULT_VERTEX_CAP
+    f: CnfFormula,
+    t: int,
+    k: int,
+    tw_threshold: int = _backdoor.DEFAULT_TW_THRESHOLD,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> SolveResult:
     """solve without the direct-DP shortcut: search a strong backdoor, count its leaf branches.
 

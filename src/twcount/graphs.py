@@ -423,9 +423,9 @@ def read_gr(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        parts = line.split()
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "tw":
+            if len(parts) != 4 or parts[1] != "tw" or not parts[2].isdecimal():
                 raise ValueError(f"line {lineno}: malformed .gr header")
             n = int(parts[2])
             for v in range(1, n + 1):
@@ -433,7 +433,14 @@ def read_gr(text: str) -> Graph:
             continue
         if n is None:
             raise ValueError(f"line {lineno}: edge before header")
-        u, v = (int(x) for x in line.split())
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed .gr edge line {line!r}") from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"line {lineno}: vertex id outside 1..{n} in {line!r}")
+        if u == v:
+            raise ValueError(f"line {lineno}: loop {line!r}")
         g.add_edge(u, v)
     if n is None:
         raise ValueError("missing 'p tw' header")

@@ -30,10 +30,13 @@ decomposition and which reads the elimination back off it
    is proven; exponential in the worst case;
 6. otherwise Unknown.
 
-The exact solver searches elimination orderings: safe reductions (simplicial,
-almost-simplicial, degree-2) shrink the graph, then a depth-first decision
-search per target width with memoized dead states settles the rest. This is
-practical to roughly fifty vertices, larger for structured graphs.
+The exact solver runs a depth-first search over elimination orderings per
+target width, with memoized dead states. At every node one safe rule comes
+first: an almost-simplicial vertex of degree at most the width (which every
+simplicial vertex and every vertex of degree at most 2 is) is eliminated
+without branching (Bodlaender, Koster & van den Eijkhof, 2005; at every
+node, as in QuickBB, Gogate & Dechter, 2004). This is practical to roughly
+fifty vertices, larger for structured graphs.
 
 An Exceeds verdict carries only a bound. `witness(g, t)` finds, for a graph
 of width above t, a small vertex set whose induced subgraph still has width
@@ -321,8 +324,23 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
     return all(len(nbrs & adj[a]) == others for a in nbrs)
 
 
-def _greedy_order(adj: Mapping[int, AbstractSet[int]], by_fill: bool) -> Elimination:
-    """Eliminate the vertex of least (fill-in or degree, vertex id) first.
+def _almost_simplicial(adj: dict[int, set[int]], v: int) -> bool:
+    """Whether all of v's neighbours but at most one are pairwise adjacent.
+    If a misses b, the one left out is a or b."""
+    nbrs = adj[v]
+    others = len(nbrs) - 1
+    for a in nbrs:
+        if len(nbrs & adj[a]) < others:
+            b = next(iter(nbrs - adj[a] - {a}))
+            return any(
+                all(len(rest & adj[c]) == others - 1 for c in rest)
+                for rest in (nbrs - {a}, nbrs - {b})
+            )
+    return True
+
+
+def _greedy_order(adj: Mapping[int, AbstractSet[int]]) -> Elimination:
+    """The min-fill game: eliminate the vertex of least (fill-in, vertex id) first.
 
     Returns the game's elimination; adj is copied, not changed. A lazy heap
     of (score, vertex) picks the next vertex. After eliminating v with
@@ -332,7 +350,7 @@ def _greedy_order(adj: Mapping[int, AbstractSet[int]], by_fill: bool) -> Elimina
     vertices get fresh entries; stale entries are skipped when popped.
     """
     work = {v: set(s) for v, s in adj.items()}
-    score = {v: _fill_in(work, v) if by_fill else len(s) for v, s in work.items()}
+    score = {v: _fill_in(work, v) for v in work}
     heap = [(s, v) for v, s in score.items()]
     heapq.heapify(heap)
     order: list[int] = []
@@ -355,12 +373,11 @@ def _greedy_order(adj: Mapping[int, AbstractSet[int]], by_fill: bool) -> Elimina
                 if b not in wa:
                     wa.add(b)
                     work[b].add(a)
-                    if by_fill:
-                        for x in wa & work[b]:
-                            score[x] -= 1
-                            touched.add(x)
+                    for x in wa & work[b]:
+                        score[x] -= 1
+                        touched.add(x)
         for x in nbrs:
-            score[x] = _fill_in(work, x) if by_fill else len(work[x])
+            score[x] = _fill_in(work, x)
         for x in touched:
             heapq.heappush(heap, (score[x], x))
     return Elimination(order, bags)
@@ -510,104 +527,69 @@ def elimination_from_order(g: Graph, order: list[int]) -> Elimination:
     return Elimination(order, nbrs)
 
 
-def upper_bound_heuristic(g: Graph, limit: int | None = None) -> tuple[int, Elimination | None]:
-    """The min-fill elimination and its width.
-
-    With a limit, a width above it comes back without an elimination.
-    """
-    elimination = _greedy_order(g.adjacency_view(), by_fill=True)
-    width = elimination.width
-    if limit is not None and width > limit:
-        return width, None
-    return width, elimination
+def upper_bound_heuristic(g: Graph) -> tuple[int, Elimination]:
+    """The min-fill elimination and its width."""
+    elimination = _greedy_order(g.adjacency_view())
+    return elimination.width, elimination
 
 
 # ---------------------------------------------------------------------------
 # exact search
 
 
-def _preprocess(adj: dict[int, set[int]], lb: int) -> tuple[list[int], int, int]:
-    """Apply safe reductions; returns (eliminated prefix, prefix width, new lb)."""
-    prefix: list[int] = []
-    width = -1
-    changed = True
-    while changed and adj:
-        changed = False
-        for v in sorted(adj):
-            d = len(adj[v])
-            fill = _fill_in(adj, v)
-            if fill == 0:
-                lb = max(lb, d)
-            elif d == 2 and lb >= 2:
-                pass
-            elif fill == 1 and d <= lb:
-                pass
-            else:
-                continue
-            width = max(width, _eliminate(adj, v))
-            prefix.append(v)
-            changed = True
-            break
-    return prefix, width, lb
+def _decide(adj: dict[int, set[int]], w: int) -> list[int] | None:
+    """Is there an elimination ordering of width <= w? Returns one if so.
 
-
-def _decide(adj: dict[int, set[int]], w: int, comp_lb: int) -> list[int] | None:
-    """Is there an elimination ordering of width <= w? Returns one if so."""
+    A depth-first search with one forced move at every node: the first
+    vertex, in vertex order, of degree at most w that is almost simplicial
+    is eliminated without branching. That leaves the graph with the edge
+    to its special neighbour contracted, a minor, so the width stays at most
+    w exactly when it was (Bodlaender, Koster & van den Eijkhof, 2005). A
+    simplicial vertex of degree above w lies in a clique too large and ends
+    the branch. The rest is branched on, least (fill-in, degree, vertex)
+    first; vertex sets that failed, or whose minimum degree exceeds w, are
+    remembered: what an elimination leaves depends only on the set eliminated.
+    """
     order: list[int] = []
     journal: list = []
     dead: set[frozenset[int]] = set()
-    use_deg2 = w >= 2 and comp_lb >= 2
+
+    def forced_moves() -> bool:
+        """Make the forced moves; False if the branch ends."""
+        while True:
+            for v in sorted(adj):
+                if len(adj[v]) <= w:
+                    if _almost_simplicial(adj, v):
+                        order.append(v)
+                        _eliminate(adj, v, journal)
+                        break
+                elif _is_simplicial(adj, v):
+                    return False
+            else:
+                return True
 
     def dfs() -> bool:
         mark = len(journal)
         omark = len(order)
-        while True:
-            forced = None
-            for v in sorted(adj):
-                d = len(adj[v])
-                if d <= 1:
-                    forced = v
-                    break
-                if d == 2 and use_deg2:
-                    forced = v
-                    break
-                if _is_simplicial(adj, v):
-                    if d > w:
-                        _undo(adj, journal, mark)
-                        del order[omark:]
-                        return False
-                    forced = v
-                    break
-            if forced is None:
-                break
-            order.append(forced)
-            _eliminate(adj, forced, journal)
-        if len(adj) <= w + 1:
-            order.extend(sorted(adj))
-            return True
-        key = frozenset(adj)
-        if key in dead:
-            _undo(adj, journal, mark)
-            del order[omark:]
-            return False
-        if min(len(s) for s in adj.values()) > w:
-            dead.add(key)
-            _undo(adj, journal, mark)
-            del order[omark:]
-            return False
-        cands = sorted(
-            (v for v in adj if len(adj[v]) <= w),
-            key=lambda v: (_fill_in(adj, v), len(adj[v]), v),
-        )
-        for v in cands:
-            vmark = len(journal)
-            order.append(v)
-            _eliminate(adj, v, journal)
-            if dfs():
+        if forced_moves():
+            if len(adj) <= w + 1:
+                order.extend(sorted(adj))
                 return True
-            _undo(adj, journal, vmark)
-            order.pop()
-        dead.add(key)
+            key = frozenset(adj)
+            if key not in dead and min(len(s) for s in adj.values()) <= w:
+                cands = sorted(
+                    (v for v in adj if len(adj[v]) <= w),
+                    key=lambda v: (_fill_in(adj, v), len(adj[v]), v),
+                )
+                for v in cands:
+                    vmark = len(journal)
+                    order.append(v)
+                    _eliminate(adj, v, journal)
+                    if dfs():
+                        return True
+                    _undo(adj, journal, vmark)
+                    order.pop()
+            dead.add(key)
         _undo(adj, journal, mark)
         del order[omark:]
         return False
@@ -618,30 +600,23 @@ def _decide(adj: dict[int, set[int]], w: int, comp_lb: int) -> list[int] | None:
 def _solve_component(
     adj: dict[int, set[int]], limit: int | None = None
 ) -> tuple[int, list[int] | None]:
-    """Treewidth of a connected graph and an optimal elimination order.
+    """Treewidth of a connected graph and an optimal elimination order:
+    `_decide`, on a copy, at each width from the lower bound (degeneracy or
+    the contraction bound) up to the min-fill width.
 
     With a limit, the search stops once width above it is proven and returns
     that lower bound with no order.
     """
-    # Invariant of the safe reductions: tw(component) = max(lb, tw(core)).
     lb = max(_degeneracy_adj(adj), _mmw_adj(adj))
-    prefix, pwidth, lb = _preprocess(adj, lb)
-    if not adj:
-        return max(pwidth, lb), prefix
-    lb_core = max(_degeneracy_adj(adj), _mmw_adj(adj))
-    # The narrower of the two games, min-fill's on a tie.
-    games = (_greedy_order(adj, by_fill=True), _greedy_order(adj, by_fill=False))
-    ub = min(games, key=lambda e: e.width)
-    lo = max(lb_core, lb, 0)
-    hi = max(ub.width, lb)
-    top = hi if limit is None else min(hi, limit + 1)
-    for w in range(lo, top):
-        found = _decide({v: set(s) for v, s in adj.items()}, w, lb_core)
+    ub = _greedy_order(adj)
+    top = ub.width if limit is None else min(ub.width, limit + 1)
+    for w in range(lb, top):
+        found = _decide({v: set(s) for v, s in adj.items()}, w)
         if found is not None:
-            return w, prefix + found
-    if top < hi:
-        return max(lo, top), None
-    return hi, prefix + ub.order
+            return w, found
+    if top < ub.width:
+        return max(lb, top), None
+    return ub.width, ub.order
 
 
 def _components(g: Graph) -> list[set[int]]:
@@ -714,7 +689,7 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg)
-    ub, elimination = upper_bound_heuristic(g, limit=t)
+    ub, elimination = upper_bound_heuristic(g)
     if ub <= t:
         return TwVerdict(AT_MOST, ub, elimination)
     mmw = minor_min_width(g)

@@ -172,7 +172,7 @@ def ref_treewidth_at_most(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
     deg = degeneracy(g)
     if deg > t:
         return TwVerdict(EXCEEDS, deg)
-    ub, elimination = upper_bound_heuristic(g, limit=t)
+    ub, elimination = upper_bound_heuristic(g)
     if ub <= t:
         return TwVerdict(AT_MOST, ub, elimination)
     mmw = minor_min_width(g)

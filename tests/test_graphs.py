@@ -224,6 +224,26 @@ def test_gr_roundtrip():
     assert sorted(id_map.values()) == list(range(1, 17))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p tw 3 1\n1 2 3\n",
+        "p tw 3 1\n1\n",
+        "p tw 3 1\n1 x\n",
+        "p tw x 1\n",
+        "p tw 3 1\n1 4\n",
+        "p tw 3 1\n1 1\n",
+    ],
+    ids=["three-ids", "one-id", "non-integer-id", "non-integer-count", "id-above-n", "loop"],
+)
+def test_read_gr_rejects_malformed_lines(text):
+    # Each raises ValueError naming the line, not a message from Python's
+    # unpacking or Graph.add_edge.
+    line = 1 + text.count("\n")
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        read_gr("c comment\n" + text)
+
+
 def test_clause_vertex_helpers():
     cv = clause_vertex(7)
     assert is_clause_vertex(cv)

@@ -370,10 +370,6 @@ def ref_min_fill_order(adj):
     return ref_greedy_order(adj, lambda w, u: (ref_fill_in(w, u), u))
 
 
-def ref_min_degree_order(adj):
-    return ref_greedy_order(adj, lambda w, u: (len(w[u]), u))
-
-
 def ref_min_degree_rung(adj, t):
     """The t <= 2 rung as it was: the min-degree elimination game on a lazy
     heap, stopped once the least degree exceeds t. tw <= t exactly when the
@@ -514,10 +510,9 @@ def test_bounds_match_reference(g):
 @settings(max_examples=120, deadline=None)
 def test_orders_match_reference(g):
     adj = g.adjacency()
-    for by_fill, ref_order in ((True, ref_min_fill_order), (False, ref_min_degree_order)):
-        elimination = tw._greedy_order(adj, by_fill)
-        assert (elimination.order, elimination.width) == ref_order(adj)
-    assert adj == g.adjacency()  # the orderings work on a copy
+    elimination = tw._greedy_order(adj)
+    assert (elimination.order, elimination.width) == ref_min_fill_order(adj)
+    assert adj == g.adjacency()  # the ordering works on a copy
     width, elimination = upper_bound_heuristic(g)
     order, ref_width = ref_min_fill_order(adj)
     assert width == ref_width
@@ -526,21 +521,77 @@ def test_orders_match_reference(g):
         td = elimination.decomposition()
         assert td == ref_td and list(td.bags) == list(ref_td.bags)
         assert elimination_from_order(g, order).decomposition() == ref_td
-    assert upper_bound_heuristic(g, limit=width) == (width, elimination)
-    if width >= 0:
-        assert upper_bound_heuristic(g, limit=width - 1) == (width, None)
 
 
 @given(graph_cases)
 @settings(max_examples=60, deadline=None)
 def test_is_simplicial_matches_fill_in(g):
     # On the graph and at every step of its min-fill elimination game, whose
-    # fill makes ever more vertices simplicial.
+    # fill makes ever more vertices simplicial and almost simplicial.
     adj = g.adjacency()
-    for v in tw._greedy_order(adj, by_fill=True).order:
+    for v in tw._greedy_order(adj).order:
         for u in adj:
             assert tw._is_simplicial(adj, u) == (tw._fill_in(adj, u) == 0)
+            assert tw._almost_simplicial(adj, u) == ref_almost_simplicial(adj, u)
         tw._eliminate(adj, v)
+
+
+def ref_almost_simplicial(adj, v):
+    """For some neighbour, or for none, the other neighbours are pairwise adjacent."""
+    nbrs = adj[v]
+    return any(
+        all(b in adj[a] for a in rest for b in rest if a != b)
+        for rest in [nbrs] + [nbrs - {x} for x in nbrs]
+    )
+
+
+def ref_treewidth(g):
+    """Treewidth by the subset recurrence TW(S) = min over v in S of
+    max(TW(S - v), |Q(S - v, v)|), where Q(S, v) is the set of vertices
+    outside S + v reachable from v through S (Bodlaender, Fomin, Koster,
+    Kratsch & Thilikos, ESA 2006); exponential, for small graphs only."""
+    verts = g.sorted_vertices()
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    at = {b: v for v, b in bit.items()}
+    nbr = {v: sum(bit[u] for u in g.neighbors(v)) for v in verts}
+
+    def q(s, v):
+        seen = bit[v] | nbr[v]
+        frontier = nbr[v] & s
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[at[low]] & ~seen
+            seen |= new
+            frontier |= new & s
+        return (seen & ~s & ~bit[v]).bit_count()
+
+    tw_of = [-1] * (1 << len(verts))
+    for s in range(1, 1 << len(verts)):
+        tw_of[s] = min(
+            max(tw_of[s & ~bit[v]], q(s & ~bit[v], v)) for v in verts if s & bit[v]
+        )
+    return tw_of[-1]
+
+
+small_graphs = st.builds(
+    random_gnm, st.integers(0, 10), st.integers(0, 45), st.integers(0, 10_000)
+)
+
+
+@given(small_graphs)
+@settings(max_examples=150, deadline=None)
+def test_exact_matches_subset_reference(g):
+    ref = ref_treewidth(g)
+    assert exact_treewidth(g)[0] == ref
+    for t in range(-1, 5):
+        w, elimination = exact_treewidth(g, limit=t)
+        if ref <= t:
+            assert w == ref and elimination.width == ref
+        else:
+            assert t < w <= ref and elimination is None
+        verdict = treewidth_at_most(g, t, vertex_cap=10)
+        assert verdict.kind == (AT_MOST if ref <= t else EXCEEDS)
 
 
 @given(st.integers(0, 400))
@@ -631,10 +682,8 @@ low_width_cases = st.builds(
 def test_min_degree_rung_matches_exact(g):
     n = g.num_vertices()
     assert n <= 40
-    full_order = tw._greedy_order(g.adjacency(), by_fill=False).order
     for t in (0, 1, 2):
         ref_order, ref_width, _ = ref_min_degree_rung(g.adjacency(), t)
-        assert ref_order == full_order[: len(ref_order)]
         core = g.adjacency()
         order, bags, _ = tw._reduce_low_width(core, t)
         exact, _ = exact_treewidth(g, vertex_cap=40, limit=t)
