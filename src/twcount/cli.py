@@ -72,8 +72,11 @@ def cmd_tw(args) -> int:
     exact = None
     if lower == upper:  # min-fill's elimination is optimal: no search needed
         exact = upper
-    elif g.num_vertices() <= args.exact_cap:
-        exact, elimination = treewidth.exact_treewidth(g, args.exact_cap)
+    else:
+        try:
+            exact, elimination = treewidth.exact_treewidth(g, args.exact_cap)
+        except treewidth.VertexCapExceeded:
+            pass
     report = {
         "graph": mode,
         "n": g.num_vertices(),

@@ -22,12 +22,13 @@ decomposition and which reads the elimination back off it
    the vertex cap, only matter for t >= 3;
 2. degeneracy above t: Exceeds; a bucket-queue peel, O(n+m);
 3. min-fill width at most t: AtMost, with the min-fill game's elimination;
-   a lazy heap that re-scores only the vertices within distance 2 of each
-   eliminated vertex, roughly O(sum of d^2 log n);
+   a lazy heap whose scores follow each elimination by exact deltas, at one
+   set intersection per neighbour and one per fill edge, plus a heap push
+   per vertex within distance 2;
 4. contraction bound (minor-min-width) above t: Exceeds; a lazy heap,
    O(m log n) heap work plus the merged neighbourhoods;
-5. at or below the vertex cap, exact search, which stops once width above t
-   is proven; exponential in the worst case;
+5. if no connected component exceeds the vertex cap, exact search, which
+   stops once width above t is proven; exponential in the worst case;
 6. otherwise Unknown.
 
 The exact solver runs a depth-first search over elimination orderings per
@@ -65,7 +66,8 @@ UNKNOWN = "unknown"
 
 
 class VertexCapExceeded(RuntimeError):
-    """Exact treewidth was asked for a graph above the configured cap."""
+    """Exact treewidth was asked for a graph with a connected component
+    above the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -343,11 +345,16 @@ def _greedy_order(adj: Mapping[int, AbstractSet[int]]) -> Elimination:
     """The min-fill game: eliminate the vertex of least (fill-in, vertex id) first.
 
     Returns the game's elimination; adj is copied, not changed. A lazy heap
-    of (score, vertex) picks the next vertex. After eliminating v with
-    neighbours N, only vertices within distance 2 of v change score: a
-    vertex x outside N loses one fill-in per added edge with both ends
-    adjacent to x, and a vertex of N is re-scored from scratch. Changed
-    vertices get fresh entries; stale entries are skipped when popped.
+    of (score, vertex) picks the next vertex. Eliminating v with neighbours
+    N changes only the scores within distance 2 of v, and each by an exact
+    delta, so no vertex is re-scored from scratch:
+    - dropping v, each x in N loses the pairs of v with its neighbours
+      outside N: one intersection per neighbour;
+    - a fill edge a-b, added one at a time, gives a the pairs of b with a's
+      neighbours that miss b, and b likewise, and takes one pair from each
+      common neighbour of a and b: one intersection per fill edge.
+    Changed vertices get fresh entries; stale entries are skipped when
+    popped. Scores are the fill-in (`_fill_in`) at every step.
     """
     work = {v: set(s) for v, s in adj.items()}
     score = {v: _fill_in(work, v) for v in work}
@@ -364,20 +371,24 @@ def _greedy_order(adj: Mapping[int, AbstractSet[int]]) -> Elimination:
         order.append(v)
         bags.append(nbrs)
         for a in nbrs:
-            work[a].discard(v)
+            wa = work[a]
+            wa.discard(v)
+            score[a] -= len(wa) - len(wa & nbrs)
         touched = set(nbrs)
         nlist = list(nbrs)
         for i, a in enumerate(nlist):
             wa = work[a]
             for b in nlist[i + 1:]:
                 if b not in wa:
+                    wb = work[b]
+                    common = wa & wb
+                    score[a] += len(wa) - len(common)
+                    score[b] += len(wb) - len(common)
                     wa.add(b)
-                    work[b].add(a)
-                    for x in wa & work[b]:
+                    wb.add(a)
+                    for x in common:
                         score[x] -= 1
-                        touched.add(x)
-        for x in nbrs:
-            score[x] = _fill_in(work, x)
+                    touched |= common
         for x in touched:
             heapq.heappush(heap, (score[x], x))
     return Elimination(order, bags)
@@ -643,16 +654,22 @@ def exact_treewidth(
 ) -> tuple[int, Elimination | None]:
     """Optimal width and a witnessing elimination, per-component.
 
+    vertex_cap bounds each connected component, not the graph: isolated
+    vertices and other small components cost the search next to nothing.
+    Raises VertexCapExceeded, before any search, if a component exceeds it.
     With a limit, the search stops as soon as width above the limit is
     proven, and returns a lower bound above the limit with no elimination.
     Widths up to the limit come back exactly as without one.
     """
-    n = g.num_vertices()
-    if n > vertex_cap:
-        raise VertexCapExceeded(f"{n} vertices exceed the exact-solver cap {vertex_cap}")
+    comps = _components(g)
+    largest = max(map(len, comps), default=0)
+    if largest > vertex_cap:
+        raise VertexCapExceeded(
+            f"a component of {largest} vertices exceeds the exact-solver cap {vertex_cap}"
+        )
     width = -1
     full_order: list[int] = []
-    for comp in _components(g):
+    for comp in comps:
         adj = {v: {u for u in g.neighbors(v) if u in comp} for v in comp}
         w, order = _solve_component(adj, limit)
         if limit is not None and w > limit:
@@ -672,10 +689,11 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     else Exceeds with bound t + 1. For t >= 3 the rungs run cheapest first:
     degeneracy above t (O(n+m)) is Exceeds; min-fill width at most t is
     AtMost with the min-fill elimination; the contraction bound above t is
-    Exceeds; at or below the vertex cap, exact search decides, stopping once
-    width above t is proven, and AtMost carries the replay of its optimal
-    order; above the cap the answer is Unknown. vertex_cap therefore only
-    matters for t >= 3.
+    Exceeds; if no connected component exceeds the vertex cap, exact search
+    decides, stopping once width above t is proven, and AtMost carries the
+    replay of its optimal order; otherwise the answer is Unknown. vertex_cap
+    therefore only matters for t >= 3, and isolated vertices do not count
+    towards it.
     """
     if g.num_vertices() == 0:
         return TwVerdict(AT_MOST, -1, Elimination([], []))
@@ -695,12 +713,13 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     mmw = minor_min_width(g)
     if mmw > t:
         return TwVerdict(EXCEEDS, mmw)
-    if g.num_vertices() <= vertex_cap:
+    try:
         w, elimination = exact_treewidth(g, vertex_cap, limit=t)
-        if w <= t:
-            return TwVerdict(AT_MOST, w, elimination)
-        return TwVerdict(EXCEEDS, w)
-    return TwVerdict(UNKNOWN, ub)
+    except VertexCapExceeded:
+        return TwVerdict(UNKNOWN, ub)
+    if w <= t:
+        return TwVerdict(AT_MOST, w, elimination)
+    return TwVerdict(EXCEEDS, w)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,20 @@ def test_tw_wall_exact_from_the_lower_bound(capsys, tmp_path):
     assert rep["lower"] == rep["upper"] == rep["exact"] == rep["width"] == 4
 
 
+def test_tw_exact_cap_bounds_each_component(capsys, tmp_path):
+    # Two copies of a 9-vertex graph of treewidth 4 and min-fill width 5:
+    # the exact search runs while no component exceeds the cap.
+    edges = [(1, 2), (1, 8), (1, 9), (2, 4), (2, 6), (2, 7), (3, 4), (3, 6), (3, 7),
+             (3, 8), (3, 9), (4, 5), (4, 8), (5, 6), (5, 9), (6, 7), (6, 9), (7, 8)]
+    p = tmp_path / "two.gr"
+    lines = ["p tw 18 36"] + [f"{a + c} {b + c}" for c in (0, 9) for a, b in edges]
+    p.write_text("\n".join(lines) + "\n")
+    for cap, exact in (("9", 4), ("8", None)):
+        code, rep = run(capsys, "tw", str(p), "--exact-cap", cap)
+        assert code == 0
+        assert (rep["upper"], rep["exact"]) == (5, exact)
+
+
 def test_tw_parse_error_exit_2(capsys, tmp_path):
     p = tmp_path / "empty.cnf"
     p.write_text("")

@@ -168,6 +168,37 @@ def test_exact_cap():
         exact_treewidth(g, vertex_cap=48)
 
 
+def test_exact_cap_bounds_each_component():
+    g = cycle_graph(5)
+    for a in range(6, 12):  # a 6-cycle beside the 5-cycle
+        g.add_vertex(a)
+    for a in range(6, 12):
+        g.add_edge(a, 6 + (a - 5) % 6)
+    w, elimination = exact_treewidth(g, vertex_cap=6)
+    assert w == 2 and validate_decomposition(g, elimination.decomposition()).ok
+    for limit in (None, 1):
+        with pytest.raises(VertexCapExceeded):
+            exact_treewidth(g, vertex_cap=5, limit=limit)
+
+
+@pytest.mark.parametrize("n, m, seed, kind", [(9, 18, 49, AT_MOST), (8, 19, 12, EXCEEDS)])
+def test_at_most_cap_ignores_isolated_vertices(n, m, seed, kind):
+    # A connected graph on as many vertices as the cap, of min-fill width 5
+    # and lower bounds at most 4, so that only the exact search decides
+    # t = 4; isolated vertices beside it leave that so.
+    t = 4
+    g = random_gnm(n, m, seed)
+    assert len(tw._components(g)) == 1
+    assert max(degeneracy(g), minor_min_width(g)) <= t < upper_bound_heuristic(g)[0] == 5
+    for v in range(n + 1, n + 4):
+        g.add_vertex(v)
+    verdict = treewidth_at_most(g, t, vertex_cap=n)
+    assert verdict.kind == kind
+    if kind == AT_MOST:
+        assert verdict.bound == t and validate_decomposition(g, verdict.decomposition).ok
+    assert treewidth_at_most(g, t, vertex_cap=n - 1).kind == UNKNOWN
+
+
 def test_exact_isolated_vertices():
     g = Graph()
     for v in (1, 2, 3):
@@ -356,14 +387,16 @@ def ref_fill_in(adj, v):
 
 
 def ref_greedy_order(adj, key):
+    """The elimination game taking the least key first: the order and each
+    vertex's neighbours at its elimination."""
     work = {v: set(s) for v, s in adj.items()}
-    order = []
-    width = -1 if not work else 0
+    order, nbrs = [], []
     while work:
         v = min(work, key=lambda u: key(work, u))
         order.append(v)
-        width = max(width, ref_eliminate(work, v))
-    return order, width
+        nbrs.append(set(work[v]))
+        ref_eliminate(work, v)
+    return order, nbrs
 
 
 def ref_min_fill_order(adj):
@@ -506,16 +539,29 @@ def test_bounds_match_reference(g):
         assert tw._core_vertices(g, k) == ref_core_vertices(g, k)
 
 
-@given(graph_cases)
-@settings(max_examples=120, deadline=None)
+def _fill_heavy_graph(n, extra, seed):
+    return build_incidence(gen_random_cnf(n, 3 * n // 2 + extra, 3, seed))
+
+
+# Incidence graphs of random 3-CNF at min-fill width 8-15, whose games add
+# many fill edges per elimination, most between vertices that already share
+# neighbours.
+fill_heavy_cases = st.builds(
+    _fill_heavy_graph, st.integers(20, 30), st.integers(0, 10), st.integers(0, 1000)
+).filter(lambda g: 8 <= tw._greedy_order(g.adjacency_view()).width <= 15)
+
+
+@given(st.one_of(graph_cases, fill_heavy_cases))
+@settings(max_examples=160, deadline=None)
 def test_orders_match_reference(g):
     adj = g.adjacency()
     elimination = tw._greedy_order(adj)
-    assert (elimination.order, elimination.width) == ref_min_fill_order(adj)
+    order, nbrs = ref_min_fill_order(adj)
+    assert elimination.order == order
+    assert elimination.nbrs == nbrs
     assert adj == g.adjacency()  # the ordering works on a copy
     width, elimination = upper_bound_heuristic(g)
-    order, ref_width = ref_min_fill_order(adj)
-    assert width == ref_width
+    assert width == max(map(len, nbrs), default=-1)
     if g.num_vertices():
         ref_td = ref_decomposition_from_order(g, order)
         td = elimination.decomposition()
