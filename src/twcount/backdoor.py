@@ -14,7 +14,9 @@ returned, and `counting` sums them without a second walk.
 
 Every width query on a reduced formula goes through one `_Oracle`, which
 `counting.solve` creates per solve. It keeps (kind, bound, count) per
-(reduced formula, t), and of graphs only the last miss's: equal reductions
+(reduced formula, t), keyed on the formula's packed form
+(`CnfFormula.packed`, computed once per formula object however often it
+is asked about), and of graphs only the last miss's: equal reductions
 reached along different paths are decided once, and inc(F) is built to
 decide a miss, or for a witness whose formula is not the last miss's.
 `counting` passes in the solve's t and its DP, so this module imports
@@ -26,7 +28,6 @@ nothing.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .formula import Assignment, CnfFormula, FormulaError, assignments, delete_vars, reduce
@@ -81,20 +82,6 @@ class KillerSet:
     external: tuple[int, ...]
 
 
-def _formula_key(f: CnfFormula) -> bytes:
-    """The formula packed into one bytes object: equal keys iff equal formulas.
-
-    Free variables, then each clause as id, length and signed literals.
-    """
-    packed = array("q", sorted(f.free_vars))
-    packed.append(-1)
-    for c in f.clauses:
-        packed.append(c.id)
-        packed.append(len(c.literals))
-        packed.extend([lit.var if lit.positive else -lit.var for lit in c.literals])
-    return packed.tobytes()
-
-
 class _Oracle:
     """The width verdicts of one solve, keyed by (reduced formula, t), and
     the solve's search counts.
@@ -106,7 +93,10 @@ class _Oracle:
     ladder just returned and keeps the model count; every other entry has no
     count. Of graphs and eliminations it keeps at most the last miss's
     (`last`: formula, graph, verdict), and the formula key is one flat bytes
-    object, so a solve's memory stays close to what it was without it.
+    object, so a solve's memory stays close to what it was without it. That
+    key is `CnfFormula.packed`, kept on the formula, so a re-ask of the same
+    object (`_approx` at t after the threshold, `_witness`, `_branches` on
+    `reduce(f, {})`, which is f) does not pack it again.
     """
 
     __slots__ = ("vertex_cap", "t", "dp", "stats", "last", "_verdicts")
@@ -117,13 +107,13 @@ class _Oracle:
         self.dp = dp
         self.stats = SearchStats()
         self.last: tuple[CnfFormula, Graph, TwVerdict] | None = None
-        # (formula key, t) -> (kind, bound, count)
+        # (f.packed, t) -> (kind, bound, count)
         self._verdicts: dict[tuple[bytes, int], tuple[str, int, int | None]] = {}
 
     def verdict(self, f: CnfFormula, t: int) -> tuple[str, int, int | None]:
         """(kind, bound, count) of tw(inc(f)) <= t; the first ask builds inc(f)
         and runs the ladder on it."""
-        key = (_formula_key(f), t)
+        key = (f.packed, t)
         entry = self._verdicts.get(key)
         if entry is None:
             self.last = None  # drop the kept graph before building the next

@@ -74,7 +74,9 @@ def cmd_tw(args) -> int:
         exact = upper
     else:
         try:
-            exact, elimination = treewidth.exact_treewidth(g, args.exact_cap)
+            exact, elimination = treewidth.exact_treewidth(
+                g, args.exact_cap, min_fill=elimination
+            )
         except treewidth.VertexCapExceeded:
             pass
     report = {

@@ -1,15 +1,21 @@
 """CNF formula core: parsing, sizing, partial assignment, literal deletion.
 
 Formulas are immutable, so an operation that changes nothing, such as
-reducing by the empty assignment, may return its input. Clause ids are
-assigned in input order and survive reduction and deletion, so downstream
-consumers (witness extraction, obstruction templates) can track clauses
-across derived formulas.
+reducing by the empty assignment, may return its input, and objects are
+shared rather than rebuilt. One parse builds one `Literal` per distinct
+signed literal; reduction and deletion reuse their input's literals, and
+reduction its untouched clauses; a formula's packed form
+(`CnfFormula.packed`, the width oracle's key) is computed once per formula
+object. Clause ids are assigned in input order and survive reduction and
+deletion, so downstream consumers (witness extraction, obstruction
+templates) can track clauses across derived formulas.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 ASSIGNMENT_CAP = 30
@@ -178,6 +184,19 @@ class CnfFormula:
     def num_vars(self) -> int:
         return max(self.variables | self.free_vars, default=0)
 
+    @cached_property
+    def packed(self) -> bytes:
+        """The formula packed into one bytes object, built on first request
+        and kept: equal bytes iff equal formulas. Free variables, then each
+        clause as id, length and signed literals."""
+        out = array("q", sorted(self.free_vars))
+        out.append(-1)
+        for c in self.clauses:
+            out.append(c.id)
+            out.append(len(c.literals))
+            out.extend([lit.var if lit.positive else -lit.var for lit in c.literals])
+        return out.tobytes()
+
 
 def formula_size(f: CnfFormula) -> int:
     """|var(F)| plus, per clause, one plus its literal count. Free vars excluded."""
@@ -250,13 +269,15 @@ def parse_dimacs(source) -> CnfFormula:
     Variables declared in the header but occurring in no clause (including
     one that occurred only in dropped clauses) are recorded as free
     variables. A header declaring CLAUSE_VERTEX_STRIDE variables or more is
-    an error.
+    an error. Each distinct signed literal becomes one `Literal`, built on
+    its first occurrence and shared by every clause it occurs in.
     """
     text = source.read() if hasattr(source, "read") else source
     num_vars = None
     clauses: list[Clause] = []
     pending: list[int] = []
     pending_seen: dict[int, int] = {}
+    literal_of: dict[int, Literal] = {}
     tautology = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -291,9 +312,13 @@ def parse_dimacs(source) -> CnfFormula:
                 if not pending:
                     raise DimacsError(f"line {lineno}: empty clause (0 with no literals)")
                 if not tautology:
-                    clauses.append(
-                        Clause(len(clauses) + 1, tuple(Literal.from_int(x) for x in pending))
-                    )
+                    lits = []
+                    for x in pending:
+                        literal = literal_of.get(x)
+                        if literal is None:
+                            literal = literal_of[x] = Literal.from_int(x)
+                        lits.append(literal)
+                    clauses.append(Clause(len(clauses) + 1, tuple(lits)))
                 pending = []
                 pending_seen = {}
                 tautology = False
@@ -317,9 +342,14 @@ def parse_dimacs(source) -> CnfFormula:
 
 
 def write_dimacs(f: CnfFormula) -> str:
-    """Serialize to DIMACS: 'p cnf <max-var-id> <#clauses>', clauses 0-terminated."""
+    """Serialize to DIMACS: 'p cnf <max-var-id> <#clauses>', clauses 0-terminated.
+
+    A zero-literal clause has no DIMACS line that `parse_dimacs` reads back
+    (a bare 0 is an error there), so it raises FormulaError instead.
+    """
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for c in f.clauses:
-        body = " ".join(str(l) for l in c.literals)
-        lines.append(f"{body} 0" if body else "0")
+        if not c.literals:
+            raise FormulaError(f"clause {c.id} is empty and has no DIMACS form")
+        lines.append(" ".join(str(l) for l in c.literals) + " 0")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,9 @@ decomposition and which reads the elimination back off it
 4. contraction bound (minor-min-width) above t: Exceeds; a lazy heap,
    O(m log n) heap work plus the merged neighbourhoods;
 5. if no connected component exceeds the vertex cap, exact search, which
-   stops once width above t is proven; exponential in the worst case;
+   stops once width above t is proven, each component's search bounded by
+   rung 3's game restricted to that component; exponential in the worst
+   case;
 6. otherwise Unknown.
 
 The exact solver runs a depth-first search over elimination orderings per
@@ -609,25 +611,25 @@ def _decide(adj: dict[int, set[int]], w: int) -> list[int] | None:
 
 
 def _solve_component(
-    adj: dict[int, set[int]], limit: int | None = None
+    adj: dict[int, set[int]], ub_order: list[int], ub: int, limit: int | None = None
 ) -> tuple[int, list[int] | None]:
     """Treewidth of a connected graph and an optimal elimination order:
     `_decide`, on a copy, at each width from the lower bound (degeneracy or
-    the contraction bound) up to the min-fill width.
+    the contraction bound) up to ub, the width of the elimination order
+    ub_order (the min-fill game's), which is returned if nothing beats it.
 
     With a limit, the search stops once width above it is proven and returns
     that lower bound with no order.
     """
     lb = max(_degeneracy_adj(adj), _mmw_adj(adj))
-    ub = _greedy_order(adj)
-    top = ub.width if limit is None else min(ub.width, limit + 1)
+    top = ub if limit is None else min(ub, limit + 1)
     for w in range(lb, top):
         found = _decide({v: set(s) for v, s in adj.items()}, w)
         if found is not None:
             return w, found
-    if top < ub.width:
+    if top < ub:
         return max(lb, top), None
-    return ub.width, ub.order
+    return ub, ub_order
 
 
 def _components(g: Graph) -> list[set[int]]:
@@ -650,7 +652,11 @@ def _components(g: Graph) -> list[set[int]]:
 
 
 def exact_treewidth(
-    g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP, limit: int | None = None
+    g: Graph,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    limit: int | None = None,
+    *,
+    min_fill: Elimination | None = None,
 ) -> tuple[int, Elimination | None]:
     """Optimal width and a witnessing elimination, per-component.
 
@@ -660,6 +666,14 @@ def exact_treewidth(
     With a limit, the search stops as soon as width above the limit is
     proven, and returns a lower bound above the limit with no elimination.
     Widths up to the limit come back exactly as without one.
+
+    Each component's search starts from the min-fill game on g, restricted
+    to the component: its order and its largest neighbour set there. That
+    is the component's own game, as fill edges never leave a component and
+    the (score, vertex id) heap pops a component's vertices in the order its
+    own game would. A caller that has just played the game on g
+    (`upper_bound_heuristic`) passes that elimination as min_fill, and the
+    game is not played again.
     """
     comps = _components(g)
     largest = max(map(len, comps), default=0)
@@ -667,11 +681,20 @@ def exact_treewidth(
         raise VertexCapExceeded(
             f"a component of {largest} vertices exceeds the exact-solver cap {vertex_cap}"
         )
+    if min_fill is None:
+        min_fill = _greedy_order(g.adjacency_view())
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    orders: list[list[int]] = [[] for _ in comps]
+    widths = [-1] * len(comps)
+    for v, nbrs in zip(min_fill.order, min_fill.nbrs):
+        i = comp_of[v]
+        orders[i].append(v)
+        widths[i] = max(widths[i], len(nbrs))
     width = -1
     full_order: list[int] = []
-    for comp in comps:
+    for comp, ub_order, ub in zip(comps, orders, widths):
         adj = {v: {u for u in g.neighbors(v) if u in comp} for v in comp}
-        w, order = _solve_component(adj, limit)
+        w, order = _solve_component(adj, ub_order, ub, limit)
         if limit is not None and w > limit:
             return w, None
         width = max(width, w)
@@ -714,7 +737,7 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     if mmw > t:
         return TwVerdict(EXCEEDS, mmw)
     try:
-        w, elimination = exact_treewidth(g, vertex_cap, limit=t)
+        w, elimination = exact_treewidth(g, vertex_cap, limit=t, min_fill=elimination)
     except VertexCapExceeded:
         return TwVerdict(UNKNOWN, ub)
     if w <= t:

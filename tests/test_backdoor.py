@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from twcount import backdoor
 from twcount import treewidth as tw
 from twcount.backdoor import (
-    _formula_key,
     approx_backdoor,
     extract_witness,
     find_smallest_strong_backdoor,
@@ -379,11 +378,17 @@ def test_approx_reports_every_check(monkeypatch, f, t, k, threshold):
 # the oracle's packed storage
 
 
+def fresh_packing(f):
+    """CnfFormula.packed computed anew, bypassing the value kept on f."""
+    return CnfFormula.packed.func(f)
+
+
 @given(st.integers(0, 5000))
 @settings(max_examples=60, deadline=None)
 def test_formula_key_is_exact(seed):
     # Reductions of one formula under random assignments meet often; their
-    # keys must agree exactly when the formulas do.
+    # packed forms must agree exactly when the formulas do, and the kept
+    # value is the one a fresh packing gives.
     rng = DetRng(seed)
     n = rng.randint(3, 7)
     f = gen_random_cnf(n, rng.randint(2, 2 * n), rng.randint(1, 3), seed)
@@ -393,7 +398,10 @@ def test_formula_key_is_exact(seed):
         for _ in range(12)
     ]
     for a, b in combinations(reductions, 2):
-        assert (_formula_key(a) == _formula_key(b)) == (a == b)
+        assert (a.packed == b.packed) == (a == b)
+    for fr in reductions:
+        assert fr.packed is fr.packed
+        assert fr.packed == fresh_packing(fr)
     # A free variable, a clause id or a sign alone tells formulas apart.
     g = CnfFormula((clause_of(1, 1, -2),))
     for other in (
@@ -402,5 +410,5 @@ def test_formula_key_is_exact(seed):
         CnfFormula((clause_of(1, 1, 2),)),
         CnfFormula((clause_of(1, 1), clause_of(2, -2))),
     ):
-        assert _formula_key(other) != _formula_key(g)
+        assert other.packed != g.packed
 

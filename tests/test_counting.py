@@ -2,6 +2,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, mul, sub
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from twcount import backdoor, counting, graphs, treewidth
 from twcount.backdoor import (
     InconclusiveTreewidth,
-    _formula_key,
     approx_backdoor,
     find_smallest_strong_backdoor,
     is_strong_backdoor,
@@ -572,7 +572,7 @@ def assert_dp_runs_only_for_counts(f, t, k, tw_threshold):
     assert res == expected
     root_above_t = res.mode == "td" and tw_threshold > t
     assert len(dp_runs) == at_most_misses + root_above_t
-    keys = [_formula_key(fr) for fr, _ in dp_runs]
+    keys = [fr.packed for fr, _ in dp_runs]
     assert len(set(keys)) == len(keys)
     assert all(width <= t for fr, width in dp_runs if not (root_above_t and fr is f))
     (oracle,) = oracles
@@ -589,6 +589,47 @@ def test_dp_runs_only_for_counts_on_grid_switch_above_threshold():
     res = assert_dp_runs_only_for_counts(gen_grid_formula_x(12), 1, 1, 4)
     assert (res.outcome, res.mode, res.backdoor) == ("counted", "backdoor", (145,))
     assert res.count == 16486413873426357287751077221442
+
+
+@pytest.mark.parametrize(
+    "make, t, k, tw_threshold",
+    [
+        (lambda: gen_grid_formula_x(8), 1, 1, 1),
+        (lambda: gen_planted(40, 1, 2, 0)[0], 1, 2, 1),
+    ],
+    ids=["grid-x n=8", "planted 40 1 2 0"],
+)
+def test_oracle_packs_each_formula_once(make, t, k, tw_threshold):
+    # The oracle asks about some formula objects more than once (the witness
+    # re-ask, the size-0 branch check on f itself); each is packed on its
+    # first ask only. A fresh f, as f keeps its packing once asked about.
+    # Equal reductions reached along different paths are distinct objects,
+    # each packed once, and share one oracle entry.
+    expected = solve(make(), t, k, tw_threshold=tw_threshold)
+    f = make()
+    packed: list[CnfFormula] = []
+    asked: list[CnfFormula] = []
+    pack = CnfFormula.packed.func
+    verdict = backdoor._Oracle.verdict
+
+    def counted_pack(fr):
+        packed.append(fr)
+        return pack(fr)
+
+    def recorded_verdict(oracle, fr, tq):
+        asked.append(fr)
+        return verdict(oracle, fr, tq)
+
+    prop = cached_property(counted_pack)
+    prop.__set_name__(CnfFormula, "packed")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CnfFormula, "packed", prop)
+        mp.setattr(backdoor._Oracle, "verdict", recorded_verdict)
+        res = solve(f, t, k, tw_threshold=tw_threshold)
+    assert res == expected and res.outcome == "counted"
+    distinct_objects = {id(fr): fr for fr in asked}
+    assert len(asked) > len(distinct_objects)
+    assert sorted(map(id, packed)) == sorted(distinct_objects)
 
 
 @given(st.integers(0, 10_000))

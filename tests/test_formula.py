@@ -62,6 +62,36 @@ def test_parse_duplicate_literal_collapses_silently():
     assert f.clauses[0].literals == (Literal(1), Literal(2))
 
 
+def count_literal_builds(monkeypatch) -> list[int]:
+    """Record each Literal.from_int call's argument from here on."""
+    calls: list[int] = []
+    from_int = Literal.from_int.__func__
+
+    def counted(cls, lit):
+        calls.append(lit)
+        return from_int(cls, lit)
+
+    monkeypatch.setattr(Literal, "from_int", classmethod(counted))
+    return calls
+
+
+def test_parse_builds_one_literal_per_distinct_signed_literal(monkeypatch):
+    calls = count_literal_builds(monkeypatch)
+    text = write_dimacs(gen_grid_formula_x(6))
+    f = parse_dimacs(text)
+    distinct = {lit.to_int() for c in f.clauses for lit in c.literals}
+    assert sorted(calls) == sorted(distinct)
+    occurrences = [lit for c in f.clauses for lit in c.literals]
+    assert len(occurrences) > len(distinct)
+    assert len({id(lit) for lit in occurrences}) == len(distinct)
+    assert f == parse_dimacs(text)
+    # Built on first occurrence, not for every declared variable.
+    calls.clear()
+    f = parse_dimacs("p cnf 999999 2\n1 -999999 0\n-999999 2 0\n")
+    assert sorted(calls) == [-999999, 1, 2]
+    assert f.clauses[0].literals[1] is f.clauses[1].literals[0]
+
+
 def test_parse_errors():
     with pytest.raises(DimacsError):
         parse_dimacs("")
@@ -126,6 +156,15 @@ def test_reduce_to_empty_clause_is_kept():
     r = reduce(f, Assignment({1: 0}))
     assert len(r.clauses) == 1
     assert len(r.clauses[0]) == 0
+
+
+def test_write_rejects_empty_clause():
+    # reduce keeps a falsified clause as a zero-literal clause, which no
+    # DIMACS line that parse_dimacs accepts can express.
+    f = reduce(parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n"), Assignment({1: 1}))
+    assert [len(c) for c in f.clauses] == [0]
+    with pytest.raises(FormulaError, match="clause 2"):
+        write_dimacs(f)
 
 
 def test_reduce_domain_check():

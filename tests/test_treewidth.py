@@ -199,6 +199,21 @@ def test_at_most_cap_ignores_isolated_vertices(n, m, seed, kind):
     assert treewidth_at_most(g, t, vertex_cap=n - 1).kind == UNKNOWN
 
 
+def test_exact_rung_plays_the_game_once(monkeypatch):
+    # The exact search starts from the ladder's own min-fill game, restricted
+    # to each component, rather than playing the game again per component.
+    g = random_gnm(9, 18, 49)
+    for v in range(10, 13):
+        g.add_vertex(v)
+    expected = exact_treewidth(g)
+    games = []
+    greedy_order = tw._greedy_order
+    monkeypatch.setattr(tw, "_greedy_order", lambda adj: games.append(adj) or greedy_order(adj))
+    verdict = treewidth_at_most(g, 4, vertex_cap=9)
+    assert (verdict.kind, verdict.bound, len(games)) == (AT_MOST, 4, 1)
+    assert exact_treewidth(g) == expected and len(games) == 2
+
+
 def test_exact_isolated_vertices():
     g = Graph()
     for v in (1, 2, 3):
@@ -567,6 +582,33 @@ def test_orders_match_reference(g):
         td = elimination.decomposition()
         assert td == ref_td and list(td.bags) == list(ref_td.bags)
         assert elimination_from_order(g, order).decomposition() == ref_td
+
+
+def _interleaved_union(graphs):
+    """The graphs side by side, each renumbered 1..n and then interleaved
+    (vertex i of part p becomes k * i + p + 1), so that ties between parts
+    in the min-fill game fall either way."""
+    k = len(graphs)
+    g = Graph()
+    for p, h in enumerate(graphs):
+        ids = {v: k * i + p + 1 for i, v in enumerate(h.sorted_vertices())}
+        for v in ids.values():
+            g.add_vertex(v)
+        for u, v in h.edges():
+            g.add_edge(ids[u], ids[v])
+    return g
+
+
+@given(st.lists(graph_cases, min_size=2, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_game_restricted_to_a_component_is_its_own_game(graphs):
+    g = _interleaved_union(graphs)
+    game = tw._greedy_order(g.adjacency_view())
+    for comp in tw._components(g):
+        alone = tw._greedy_order({v: g.neighbors(v) for v in comp})
+        kept = [i for i, v in enumerate(game.order) if v in comp]
+        assert [game.order[i] for i in kept] == alone.order
+        assert [game.nbrs[i] for i in kept] == alone.nbrs
 
 
 @given(graph_cases)
