@@ -195,10 +195,9 @@ def killer_set(f: CnfFormula, w, t: int) -> KillerSet:
         c = f.clauses_by_id.get(clause_id(v))
         if c is None:
             raise FormulaError(f"obstruction references unknown clause {clause_id(v)}")
-        for lit in c.literals:
-            if lit.var in internal:
-                continue
-            (pos if lit.positive else neg).add(lit.var)
+        for x in c.lits:
+            if abs(x) not in internal:
+                (pos if x > 0 else neg).add(abs(x))
     return KillerSet(wset, tuple(sorted(internal)), tuple(sorted(pos & neg)))
 
 

@@ -28,8 +28,9 @@ reduction is decided twice and no graph is built for a verdict it already
 holds. It runs the DP on a miss at t that comes back AtMost, on the
 elimination the ladder just returned, and counts no verdict at any other
 width. `solve` counts an AtMost root at the threshold on the elimination
-of that first miss. No tree decomposition is built on this path, at any
-width.
+of that first miss, or, when that elimination is too wide for the table
+budget, searches it as it would a root above the threshold. No tree
+decomposition is built on this path, at any width.
 The search (`backdoor._approx`) returns its leaf branches with the counts
 its own checks made, and `solve` sums them; it reduces nothing and asks the
 oracle nothing of its own.
@@ -80,11 +81,11 @@ def count_bruteforce(f: CnfFormula) -> int:
     masks = []
     for c in f.clauses:
         pos = neg = 0
-        for lit in c.literals:
-            if lit.positive:
-                pos |= 1 << idx[lit.var]
+        for x in c.lits:
+            if x > 0:
+                pos |= 1 << idx[x]
             else:
-                neg |= 1 << idx[lit.var]
+                neg |= 1 << idx[-x]
         masks.append((pos, neg))
     count = 0
     for m in range(1 << n):
@@ -263,12 +264,12 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
     for c in f.clauses:
         cv = clause_vertex(c.id)
         rc = rank[cv]
-        for lit in c.literals:
-            x = lit.var
+        for lit in c.lits:
+            x = abs(lit)
             if rank[x] > rc:
-                edges.setdefault(cv, []).append((x, lit.positive, 1))
+                edges.setdefault(cv, []).append((x, lit > 0, 1))
             else:
-                edges.setdefault(x, []).append((cv, 1, lit.positive))
+                edges.setdefault(x, []).append((cv, 1, lit > 0))
     inbox: dict[int, list[tuple[list[int], list[int]]]] = {}
     count = 1
     for v, nbrs in zip(*elimination):
@@ -416,7 +417,8 @@ def solve(
 
     Small incidence treewidth (at most tw_threshold) is counted directly by
     the decomposition DP. Otherwise, and also when the caps leave that width
-    undecided, solve_by_backdoor searches and counts.
+    undecided or its elimination is too wide for the DP's table budget,
+    solve_by_backdoor searches and counts.
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
@@ -424,8 +426,11 @@ def solve(
     kind, _, count = oracle.verdict(f, max(tw_threshold, t))
     if kind == AT_MOST:
         if count is None:  # decided above t, so not counted; the root is the first miss
-            count = _run_dp(f, oracle.last[2].elimination)
-        return SolveResult("counted", count, "td", t, k, note=_note(f))
+            elimination = oracle.last[2].elimination
+            if 1 << (elimination.width + 1) <= DP_TABLE_CAP:
+                count = _run_dp(f, elimination)
+        if count is not None:
+            return SolveResult("counted", count, "td", t, k, note=_note(f))
     return _solve_by_backdoor(f, t, k, tw_threshold, oracle)
 
 

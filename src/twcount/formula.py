@@ -1,14 +1,15 @@
 """CNF formula core: parsing, sizing, partial assignment, literal deletion.
 
-Formulas are immutable, so an operation that changes nothing, such as
-reducing by the empty assignment, may return its input, and objects are
-shared rather than rebuilt. One parse builds one `Literal` per distinct
-signed literal; reduction and deletion reuse their input's literals, and
-reduction its untouched clauses; a formula's packed form
-(`CnfFormula.packed`, the width oracle's key) is computed once per formula
-object. Clause ids are assigned in input order and survive reduction and
-deletion, so downstream consumers (witness extraction, obstruction
-templates) can track clauses across derived formulas.
+A clause holds its literals as a tuple of signed ints (`Clause.lits`),
+validated once, by its constructor or by the parser or reduction that
+built it; every hot path reads those ints. `Literal` and the
+`Clause.literals` view are API sugar off those paths. Formulas are
+immutable, so objects are shared rather than rebuilt: the empty assignment
+returns its input, reduction keeps its untouched clauses, and a formula's
+packed form (`CnfFormula.packed`, the width oracle's key) is computed once
+per formula object. Clause ids are assigned in input order and survive
+reduction and deletion, so downstream consumers (witness extraction,
+obstruction templates) can track clauses across derived formulas.
 """
 
 from __future__ import annotations
@@ -57,47 +58,63 @@ class Literal:
         return str(self.to_int())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A disjunction of literals over pairwise distinct variables.
 
-    A clause may be empty (zero literals); such clauses are unsatisfiable but
-    legal objects, so reduction stays total.
+    `lits` is the data: the signed ints, in order. `variables` is the set of
+    their variables, and `literals` a view that builds `Literal`s on demand.
+    `Clause(id, lits)` takes signed ints or `Literal`s and rejects 0, a
+    repeated literal and a complementary pair. A clause may be empty: it is
+    unsatisfiable but legal, so reduction stays total.
     """
 
     id: int
-    literals: tuple[Literal, ...]
+    lits: tuple[int, ...]
     variables: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        seen: dict[int, bool] = {}
-        for lit in self.literals:
-            if lit.var in seen:
-                if seen[lit.var] != lit.positive:
-                    raise FormulaError(
-                        f"clause {self.id} contains a complementary pair on {lit.var}"
-                    )
-                raise FormulaError(f"clause {self.id} repeats literal {lit}")
-            seen[lit.var] = lit.positive
-        object.__setattr__(self, "variables", frozenset(seen))
+        lits = tuple(self.lits)
+        if not set(map(type, lits)) <= {int}:
+            lits = tuple(x if type(x) is int else x.to_int() for x in lits)
+        variables = frozenset(map(abs, lits))
+        if len(variables) != len(lits) or 0 in variables:  # name the first bad literal
+            for i, x in enumerate(lits):
+                if x == 0:
+                    raise FormulaError("0 is not a literal")
+                if x in lits[:i]:
+                    raise FormulaError(f"clause {self.id} repeats literal {x}")
+                if -x in lits[:i]:
+                    raise FormulaError(f"clause {self.id} contains a complementary pair on {abs(x)}")
+        _set_lits(self, lits)
+        _set_variables(self, variables)
+
+    @property
+    def literals(self) -> tuple[Literal, ...]:
+        return tuple(map(Literal.from_int, self.lits))
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return len(self.lits)
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
 
 
+_set_id, _set_lits, _set_variables = Clause.id.__set__, Clause.lits.__set__, Clause.variables.__set__
+
+
+def _clause(cid: int, lits: tuple[int, ...], variables: frozenset[int]) -> Clause:
+    """A clause from signed ints already known to be valid, and their variables."""
+    c = object.__new__(Clause)
+    _set_id(c, cid)
+    _set_lits(c, lits)
+    _set_variables(c, variables)
+    return c
+
+
 def clause_of(cid: int, *lits: int) -> Clause:
     """Build a clause from signed ints, collapsing duplicate literals."""
-    out: list[Literal] = []
-    seen: set[int] = set()
-    for raw in lits:
-        if raw in seen:
-            continue
-        seen.add(raw)
-        out.append(Literal.from_int(raw))
-    return Clause(cid, tuple(out))
+    return Clause(cid, dict.fromkeys(lits))
 
 
 class Assignment:
@@ -193,8 +210,8 @@ class CnfFormula:
         out.append(-1)
         for c in self.clauses:
             out.append(c.id)
-            out.append(len(c.literals))
-            out.extend([lit.var if lit.positive else -lit.var for lit in c.literals])
+            out.append(len(c.lits))
+            out.extend(c.lits)
         return out.tobytes()
 
 
@@ -236,15 +253,15 @@ def reduce(f: CnfFormula, tau: Assignment) -> CnfFormula:
         if assigned.isdisjoint(c.variables):
             new_clauses.append(c)
             continue
-        kept: list[Literal] = []
-        for lit in c.literals:
-            val = values.get(lit.var)
+        kept: list[int] = []
+        for x in c.lits:
+            val = values.get(abs(x))
             if val is None:
-                kept.append(lit)
-            elif val == lit.positive:
+                kept.append(x)
+            elif val == (x > 0):
                 break
         else:
-            new_clauses.append(Clause(c.id, tuple(kept)))
+            new_clauses.append(_clause(c.id, tuple(kept), c.variables.difference(values)))
     return CnfFormula(tuple(new_clauses), f.free_vars.difference(values))
 
 
@@ -255,7 +272,8 @@ def delete_vars(f: CnfFormula, b: Iterable[int]) -> CnfFormula:
         extra = sorted(bset - f.variables)
         raise FormulaError(f"deletion set mentions non-occurring variables {extra}")
     new_clauses = tuple(
-        Clause(c.id, tuple(l for l in c.literals if l.var not in bset)) for c in f.clauses
+        _clause(c.id, tuple(x for x in c.lits if abs(x) not in bset), c.variables - bset)
+        for c in f.clauses
     )
     return CnfFormula(new_clauses, f.free_vars)
 
@@ -269,30 +287,25 @@ def parse_dimacs(source) -> CnfFormula:
     Variables declared in the header but occurring in no clause (including
     one that occurred only in dropped clauses) are recorded as free
     variables. A header declaring CLAUSE_VERTEX_STRIDE variables or more is
-    an error. Each distinct signed literal becomes one `Literal`, built on
-    its first occurrence and shared by every clause it occurs in.
+    an error.
     """
     text = source.read() if hasattr(source, "read") else source
     num_vars = None
     clauses: list[Clause] = []
     pending: list[int] = []
-    pending_seen: dict[int, int] = {}
-    literal_of: dict[int, Literal] = {}
-    tautology = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        toks = raw.split()
+        if not toks or toks[0][0] == "c":
             continue
-        if line.startswith("p"):
+        if toks[0][0] == "p":
             if num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"line {lineno}: malformed header {line!r}")
+            if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
+                raise DimacsError(f"line {lineno}: malformed header {raw.strip()!r}")
             try:
-                num_vars, _declared_clauses = int(parts[2]), int(parts[3])
+                num_vars, _declared_clauses = int(toks[2]), int(toks[3])
             except ValueError as exc:
-                raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
+                raise DimacsError(f"line {lineno}: malformed header {raw.strip()!r}") from exc
             if num_vars < 0:
                 raise DimacsError(f"line {lineno}: negative variable count")
             if num_vars >= CLAUSE_VERTEX_STRIDE:
@@ -303,42 +316,29 @@ def parse_dimacs(source) -> CnfFormula:
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before header")
-        for tok in line.split():
+        for tok in toks:
             try:
                 lit = int(tok)
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: bad token {tok!r}") from exc
-            if lit == 0:
-                if not pending:
-                    raise DimacsError(f"line {lineno}: empty clause (0 with no literals)")
-                if not tautology:
-                    lits = []
-                    for x in pending:
-                        literal = literal_of.get(x)
-                        if literal is None:
-                            literal = literal_of[x] = Literal.from_int(x)
-                        lits.append(literal)
-                    clauses.append(Clause(len(clauses) + 1, tuple(lits)))
+            if lit:
+                if abs(lit) > num_vars:
+                    raise DimacsError(f"line {lineno}: variable {abs(lit)} exceeds declared {num_vars}")
+                pending.append(lit)
+            elif not pending:
+                raise DimacsError(f"line {lineno}: empty clause (0 with no literals)")
+            else:
+                lits = tuple(dict.fromkeys(pending))
+                variables = frozenset(map(abs, lits))
+                if len(variables) == len(lits):  # else a complementary pair: always true
+                    clauses.append(_clause(len(clauses) + 1, lits, variables))
                 pending = []
-                pending_seen = {}
-                tautology = False
-                continue
-            var = abs(lit)
-            if var > num_vars:
-                raise DimacsError(f"line {lineno}: variable {var} exceeds declared {num_vars}")
-            if var in pending_seen:
-                if pending_seen[var] != lit:
-                    tautology = True
-                continue
-            pending_seen[var] = lit
-            pending.append(lit)
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header")
     if pending:
         raise DimacsError("unterminated final clause (missing 0)")
-    used = frozenset().union(*(c.variables for c in clauses)) if clauses else frozenset()
-    free = frozenset(range(1, num_vars + 1)) - used
-    return CnfFormula(tuple(clauses), free)
+    used = frozenset().union(*(c.variables for c in clauses))
+    return CnfFormula(tuple(clauses), frozenset(range(1, num_vars + 1)) - used)
 
 
 def write_dimacs(f: CnfFormula) -> str:
@@ -349,7 +349,7 @@ def write_dimacs(f: CnfFormula) -> str:
     """
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for c in f.clauses:
-        if not c.literals:
+        if not c.lits:
             raise FormulaError(f"clause {c.id} is empty and has no DIMACS form")
-        lines.append(" ".join(str(l) for l in c.literals) + " 0")
+        lines.append(" ".join(map(str, c.lits)) + " 0")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ byte-identical instances on every platform.
 
 from __future__ import annotations
 
-from .formula import Clause, CnfFormula, Literal
+from .formula import Clause, CnfFormula
 from .graphs import WallModel, clause_vertex, make_wall, wall_edges, wall_vertex_id
 
 _MASK64 = (1 << 64) - 1
@@ -74,9 +74,7 @@ def gen_grid_formula(n: int) -> CnfFormula:
         raise ValueError("grid formulas need n >= 2")
     clauses = []
     for cid, (_, a, b) in enumerate(_grid_edges(n), start=1):
-        clauses.append(
-            Clause(cid, (Literal(_grid_var(n, *a)), Literal(_grid_var(n, *b))))
-        )
+        clauses.append(Clause(cid, (_grid_var(n, *a), _grid_var(n, *b))))
     return CnfFormula(tuple(clauses))
 
 
@@ -94,9 +92,14 @@ def gen_grid_formula_x(n: int) -> CnfFormula:
     orientations = grid_clause_orientations(n)
     clauses = []
     for c in base.clauses:
-        extra = Literal(x, orientations[c.id] == "horizontal")
-        clauses.append(Clause(c.id, c.literals + (extra,)))
+        extra = x if orientations[c.id] == "horizontal" else -x
+        clauses.append(Clause(c.id, c.lits + (extra,)))
     return CnfFormula(tuple(clauses))
+
+
+def _signed(v: int, rng: DetRng) -> int:
+    """v positive or negative, by one bit of rng."""
+    return v if rng.bit() == 1 else -v
 
 
 def gen_random_cnf(n: int, m: int, width: int, seed: int) -> CnfFormula:
@@ -107,7 +110,7 @@ def gen_random_cnf(n: int, m: int, width: int, seed: int) -> CnfFormula:
     clauses = []
     for cid in range(1, m + 1):
         vs = sorted(rng.sample(range(1, n + 1), width))
-        clauses.append(Clause(cid, tuple(Literal(v, rng.bit() == 1) for v in vs)))
+        clauses.append(Clause(cid, tuple(_signed(v, rng) for v in vs)))
     used = frozenset().union(*(c.variables for c in clauses)) if clauses else frozenset()
     return CnfFormula(tuple(clauses), frozenset(range(1, n + 1)) - used)
 
@@ -121,7 +124,9 @@ def gen_planted(base_n: int, t: int, k: int, seed: int) -> tuple[CnfFormula, fro
     tree); for larger t clauses stay within windows of t consecutive
     variables. Each planted variable joins one clause subset positively and a
     disjoint subset negatively, so any full assignment to the planted set
-    leaves an induced piece of the base.
+    leaves an induced piece of the base. Base variables that occur in no
+    clause are free, as in gen_random_cnf, so the formula's DIMACS text
+    (which declares them) has its model count.
     """
     if base_n < 3:
         raise ValueError("base_n too small")
@@ -136,9 +141,9 @@ def gen_planted(base_n: int, t: int, k: int, seed: int) -> tuple[CnfFormula, fro
         while next_var <= base_n:
             anchor = rng.choice(existing)
             fresh_count = min(rng.randint(1, 2), base_n - next_var + 1)
-            lits = [Literal(anchor, rng.bit() == 1)]
+            lits = [_signed(anchor, rng)]
             for _ in range(fresh_count):
-                lits.append(Literal(next_var, rng.bit() == 1))
+                lits.append(_signed(next_var, rng))
                 existing.append(next_var)
                 next_var += 1
             clauses.append(Clause(cid, tuple(lits)))
@@ -150,10 +155,10 @@ def gen_planted(base_n: int, t: int, k: int, seed: int) -> tuple[CnfFormula, fro
             window = list(range(start, start + t))
             width = rng.randint(2, min(t, 4)) if t >= 2 else 1
             vs = sorted(rng.sample(window, width))
-            clauses.append(Clause(cid, tuple(Literal(v, rng.bit() == 1) for v in vs)))
+            clauses.append(Clause(cid, tuple(_signed(v, rng) for v in vs)))
     while len(clauses) < 2:
         # unit clauses keep the incidence graph a forest
-        clauses.append(Clause(len(clauses) + 1, (Literal(1, rng.bit() == 1),)))
+        clauses.append(Clause(len(clauses) + 1, (_signed(1, rng),)))
     planted = []
     for i in range(k):
         x = base_n + 1 + i
@@ -167,13 +172,14 @@ def gen_planted(base_n: int, t: int, k: int, seed: int) -> tuple[CnfFormula, fro
         new_clauses = []
         for j, c in enumerate(clauses):
             if j in pos_set:
-                new_clauses.append(Clause(c.id, c.literals + (Literal(x, True),)))
+                new_clauses.append(Clause(c.id, c.lits + (x,)))
             elif j in neg_set:
-                new_clauses.append(Clause(c.id, c.literals + (Literal(x, False),)))
+                new_clauses.append(Clause(c.id, c.lits + (-x,)))
             else:
                 new_clauses.append(c)
         clauses = new_clauses
-    return CnfFormula(tuple(clauses)), frozenset(planted)
+    used = frozenset().union(*(c.variables for c in clauses))
+    return CnfFormula(tuple(clauses), frozenset(range(1, base_n + 1)) - used), frozenset(planted)
 
 
 def gen_wall_formula(r: int) -> CnfFormula:
@@ -181,9 +187,7 @@ def gen_wall_formula(r: int) -> CnfFormula:
     so the incidence graph subdivides the r-wall."""
     clauses = []
     for cid, (a, b) in enumerate(wall_edges(r), start=1):
-        clauses.append(
-            Clause(cid, (Literal(wall_vertex_id(r, *a)), Literal(wall_vertex_id(r, *b))))
-        )
+        clauses.append(Clause(cid, (wall_vertex_id(r, *a), wall_vertex_id(r, *b))))
     return CnfFormula(tuple(clauses))
 
 

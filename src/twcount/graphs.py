@@ -135,10 +135,11 @@ def build_incidence(f: CnfFormula) -> Graph:
         if cv in adj:
             raise ValueError(f"clause {c.id} has vertex {cv}, already a variable vertex")
         nbrs = adj[cv] = set()
-        for lit in c.literals:
-            adj[lit.var].add(cv)
-            nbrs.add(lit.var)
-        edges += len(c.literals)
+        for x in c.lits:
+            v = abs(x)
+            adj[v].add(cv)
+            nbrs.add(v)
+        edges += len(c.lits)
     g._num_edges = edges
     return g
 

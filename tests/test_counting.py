@@ -31,6 +31,7 @@ from twcount.counting import (
     count_td,
     count_via_backdoor,
     solve,
+    solve_by_backdoor,
 )
 from twcount.formula import Assignment, Clause, CnfFormula, assignments, clause_of, reduce, write_dimacs
 from twcount.generators import (
@@ -143,6 +144,22 @@ def test_td_table_budget_checked_before_any_bucket():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # no bucket's table was built
+
+
+def test_solve_searches_a_root_too_wide_for_the_table_budget():
+    # At these thresholds the root is AtMost on an elimination whose tables
+    # would need 2^29 and 2^66 entries: solve goes on to the search, as for
+    # a root above the threshold, instead of raising TableBudgetExceeded.
+    f = gen_grid_formula_x(18)
+    width = upper_bound_heuristic(build_incidence(f))[1].width
+    assert 1 << (width + 1) > DP_TABLE_CAP
+    res = solve(f, 1, 1, tw_threshold=width)
+    assert (res.outcome, res.mode, res.backdoor) == ("counted", "backdoor", (325,))
+    assert res.count == solve(f, 1, 1, tw_threshold=1).count
+    f = gen_random_cnf(120, 300, 3, 0)
+    res = solve(f, 1, 1, tw_threshold=65)
+    assert res.outcome == "sb_exceeded"
+    assert res == solve_by_backdoor(f, 1, 1, tw_threshold=65)
 
 
 def test_via_backdoor_d_factor():

@@ -22,7 +22,9 @@ from twcount.generators import (
     DetRng,
     gen_grid_formula,
     gen_grid_formula_x,
+    gen_planted,
     gen_random_cnf,
+    gen_wall_formula,
     grid_clause_orientations,
 )
 
@@ -62,34 +64,136 @@ def test_parse_duplicate_literal_collapses_silently():
     assert f.clauses[0].literals == (Literal(1), Literal(2))
 
 
-def count_literal_builds(monkeypatch) -> list[int]:
-    """Record each Literal.from_int call's argument from here on."""
-    calls: list[int] = []
-    from_int = Literal.from_int.__func__
+def count_literal_builds(monkeypatch) -> list[tuple]:
+    """Record the arguments of each Literal built from here on."""
+    calls: list[tuple] = []
+    init = Literal.__init__
 
-    def counted(cls, lit):
-        calls.append(lit)
-        return from_int(cls, lit)
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Literal, "from_int", classmethod(counted))
+    monkeypatch.setattr(Literal, "__init__", counted)
     return calls
 
 
-def test_parse_builds_one_literal_per_distinct_signed_literal(monkeypatch):
+def test_parse_and_solve_build_no_literal(monkeypatch):
+    # One base of each benchmark family, parsed and solved as the benchmark
+    # does: clauses hold signed ints from the parser to the DP.
+    cases = [
+        (gen_grid_formula_x(8), 1, 1, 1),
+        (gen_planted(40, 1, 2, 0)[0], 1, 2, 1),
+        (gen_random_cnf(30, 40, 3, 2), 1, 1, 16),
+    ]
+    texts = [(write_dimacs(f), t, k, thr) for f, t, k, thr in cases]
     calls = count_literal_builds(monkeypatch)
-    text = write_dimacs(gen_grid_formula_x(6))
+    results = [
+        solve(parse_dimacs(text), t, k, tw_threshold=thr, vertex_cap=64) for text, t, k, thr in texts
+    ]
+    assert [r.outcome for r in results] == ["counted"] * 3
+    assert calls == []
+    # The view still builds them, on request.
+    view = parse_dimacs(texts[0][0]).clauses[0].literals
+    assert calls == [(1, True), (2, True), (65, True)]
+    assert view == (Literal(1), Literal(2), Literal(65))
+
+
+nonzero = st.integers(-6, 6).filter(bool)
+
+
+@given(st.integers(1, 9), st.lists(nonzero, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_clause_from_ints_agrees_with_clause_from_literals(cid, ints):
+    def build(lits):
+        try:
+            return Clause(cid, lits)
+        except FormulaError as exc:
+            return str(exc)
+
+    from_ints = build(ints)
+    from_literals = build([Literal.from_int(x) for x in ints])
+    if isinstance(from_ints, str):
+        assert from_ints == from_literals
+        assert len({abs(x) for x in ints}) < len(ints)
+        return
+    assert from_ints == from_literals
+    assert hash(from_ints) == hash(from_literals)
+    assert from_ints.lits == from_literals.lits == tuple(ints)
+    assert from_ints.literals == from_literals.literals == tuple(map(Literal.from_int, ints))
+    assert list(from_ints) == list(from_ints.literals)
+    assert from_ints.variables == {abs(x) for x in ints} and len(from_ints) == len(ints)
+    assert from_ints != Clause(cid + 1, ints)
+
+
+def test_clause_errors_name_the_first_bad_literal():
+    with pytest.raises(FormulaError, match="0 is not a literal"):
+        Clause(1, (1, 0))
+    with pytest.raises(FormulaError, match="clause 4 repeats literal -2"):
+        Clause(4, (-2, 3, -2, 2))
+    with pytest.raises(FormulaError, match="clause 4 contains a complementary pair on 3"):
+        Clause(4, (-2, 3, -3, -2))
+    with pytest.raises(FormulaError, match="0 is not a literal"):
+        clause_of(1, 0)
+    c = Clause(1, [Literal(2, False), 5])  # mixed input, any iterable
+    assert c.lits == (-2, 5) and c == clause_of(1, -2, 5, 5)
+    with pytest.raises(AttributeError):
+        c.lits = (1,)
+
+
+def ref_parse(text: str) -> CnfFormula:
+    """The reference: the header and comments by line, then one stream of
+    tokens cut at each 0, repeated literals collapsed, tautologies dropped."""
+    num_vars, tokens = 0, []
+    for line in text.splitlines():
+        words = line.split()
+        if not words or words[0].startswith("c"):
+            continue
+        if words[0] == "p":
+            num_vars = int(words[2])
+        else:
+            tokens += map(int, words)
+    clauses, current = [], []
+    for x in tokens:
+        if x:
+            current.append(x)
+            continue
+        lits = list(dict.fromkeys(current))
+        current = []
+        if not any(-x in lits for x in lits):
+            clauses.append(Clause(len(clauses) + 1, lits))
+    used = set().union(*(c.variables for c in clauses))
+    return CnfFormula(tuple(clauses), frozenset(range(1, num_vars + 1)) - used)
+
+
+@st.composite
+def dimacs_texts(draw):
+    n = draw(st.integers(1, 8))
+    lit = st.integers(-n, n).filter(bool)
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=5), max_size=8))
+    tokens = [str(x) for c in clauses for x in (*c, 0)]
+    lines = ["c a comment", f"p cnf {n} {len(clauses)}"]
+    # Break the token stream into lines anywhere, or one clause per line,
+    # with comment lines and stray blanks between them.
+    one_per_line = draw(st.booleans())
+    line: list[str] = []
+    for tok in tokens:
+        line.append(tok)
+        if (tok == "0" and one_per_line) or (not one_per_line and draw(st.booleans())):
+            lines.append(draw(st.sampled_from([" ", "  ", "\t"])).join(line))
+            line = []
+            if draw(st.integers(0, 4)) == 0:
+                lines.append(draw(st.sampled_from(["c", "c 1 2 0", "", "   "])))
+    lines.append(" ".join(line))
+    return "\n".join(lines) + "\n"
+
+
+@given(dimacs_texts())
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_reference_parser(text):
     f = parse_dimacs(text)
-    distinct = {lit.to_int() for c in f.clauses for lit in c.literals}
-    assert sorted(calls) == sorted(distinct)
-    occurrences = [lit for c in f.clauses for lit in c.literals]
-    assert len(occurrences) > len(distinct)
-    assert len({id(lit) for lit in occurrences}) == len(distinct)
-    assert f == parse_dimacs(text)
-    # Built on first occurrence, not for every declared variable.
-    calls.clear()
-    f = parse_dimacs("p cnf 999999 2\n1 -999999 0\n-999999 2 0\n")
-    assert sorted(calls) == [-999999, 1, 2]
-    assert f.clauses[0].literals[1] is f.clauses[1].literals[0]
+    assert f == ref_parse(text)
+    assert [c.variables for c in f.clauses] == [{abs(x) for x in c.lits} for c in f.clauses]
+    assert f.packed == ref_parse(text).packed
 
 
 def test_parse_errors():
@@ -244,13 +348,23 @@ def test_assignment_api():
         a.merged(Assignment({1: 1}))
 
 
-@given(st.integers(0, 500))
+@given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_parse_write_parse(seed):
-    f = gen_random_cnf(8, 12, 3, seed)
-    again = parse_dimacs(write_dimacs(f))
-    assert again == f
-    assert write_dimacs(again) == write_dimacs(f)
+    # Every generator family: equal formulas, free variables included, so
+    # equal model counts.
+    rng = DetRng(seed)
+    n = rng.randint(3, 30)
+    for f in (
+        gen_grid_formula(rng.randint(2, 6)),
+        gen_grid_formula_x(rng.randint(2, 6)),
+        gen_random_cnf(n, rng.randint(1, 2 * n), rng.randint(1, 3), seed),
+        gen_planted(n, min(rng.randint(1, 3), n - 1), rng.randint(0, 4), seed)[0],
+        gen_wall_formula(rng.randint(2, 5)),
+    ):
+        again = parse_dimacs(write_dimacs(f))
+        assert again == f
+        assert write_dimacs(again) == write_dimacs(f)
 
 
 @given(st.integers(0, 300))

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twcount.backdoor import is_strong_backdoor
-from twcount.counting import count_bruteforce
-from twcount.formula import Assignment, reduce, write_dimacs
+from twcount.counting import count_bruteforce, solve
+from twcount.formula import Assignment, parse_dimacs, reduce, write_dimacs
 from twcount.generators import (
     DetRng,
     gen_grid_formula,
@@ -106,6 +106,18 @@ def test_planted_deterministic():
 def test_planted_window_construction():
     f, planted = gen_planted(8, 2, 1, 4)
     assert is_strong_backdoor(f, planted, 2).valid
+
+
+def test_planted_declares_unused_base_variables_free():
+    # Base variables 1 and 4 occur in no clause. The DIMACS header declares
+    # them, so the in-memory formula has them free too, and both count 4320.
+    f, planted = gen_planted(20, 2, 1, 2)
+    assert f.free_vars == {1, 4} and planted == {21}
+    text = write_dimacs(f)
+    assert text.startswith("p cnf 21 ")
+    assert solve(f, 2, 1, tw_threshold=2).count == 4320
+    assert solve(parse_dimacs(text), 2, 1, tw_threshold=2).count == 4320
+    assert count_bruteforce(f) == 4320
 
 
 def test_wall_formula_is_subdivision():
