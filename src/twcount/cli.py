@@ -112,7 +112,7 @@ def cmd_count(args) -> int:
             backdoor_vars, widths = None, None
         elif args.mode == "td":
             width, elimination = treewidth.upper_bound_heuristic(graphs.build_incidence(f))
-            count, mode, verdict = counting.count_td(f, elimination.decomposition()), "td", "counted"
+            count, mode, verdict = counting._run_dp(f, elimination), "td", "counted"
             backdoor_vars, widths = None, (width,)
         else:
             run = counting.solve_by_backdoor if args.mode == "backdoor" else counting.solve

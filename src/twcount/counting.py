@@ -38,12 +38,13 @@ oracle nothing of its own.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add, mul, sub
 
 from . import backdoor as _backdoor
-from .formula import Assignment, CnfFormula, FormulaError
-from .graphs import build_incidence, clause_vertex, is_clause_vertex
+from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, FormulaError
+from .graphs import build_incidence, clause_vertex
 from .treewidth import (
     AT_MOST,
     DEFAULT_VERTEX_CAP,
@@ -128,19 +129,23 @@ def count_bruteforce(f: CnfFormula) -> int:
 # - A bucket of at most SMALL_MESSAGE_BITS vertices (every bucket of width
 #   at most 3, so every t <= 2 bucket) reads each message through an index
 #   list precomputed at import, which names for every entry of the bucket
-#   the message entry its bits select, and multiplies them in; an edge
-#   zeroes the entries another precomputed list names.
+#   the message entry its bits select, and multiplies them in: the message's
+#   positions in the scope list choose it, and a message over the whole
+#   scope, or repeated over a prefix of it, needs none. An edge zeroes the
+#   entries another list names. A one-vertex bucket folds into the count.
 # - A wider bucket applies a message over at most SMALL_MESSAGE_BITS
 #   vertices entry by entry: an entry of 1 is skipped, any other scales (and
-#   0 zeroes) the sub-cube of entries whose bits match it. Every 3-CNF clause
+#   0 zeroes) the sub-cube of entries whose bits match it, sliced by one plan
+#   made for the message (`_plan`), as an edge is by one. Every 3-CNF clause
 #   leaf {c} + vars(c) sends one, "c is satisfied", a single zero entry.
 #   Any other message is spread to all the bucket's bits, one pass per run
 #   of missing positions, and multiplied in; the first becomes the table. A
 #   bucket that gets only small messages starts from all ones.
 #
-# The bound is 4 because a message over more vertices has more entries than
-# slicing them one by one pays for, while a bucket of at most 16 entries is
-# built faster entry by entry, through its index lists, than by any slicing.
+# The bound is 4 because a wider message has more entries than slicing them
+# one by one pays for, while a bucket of at most 16 entries is built faster
+# through index lists than by any slicing. 3, 4 and 5 tie in perfbench (5 s,
+# seeds 1-4, 2 vCPUs): random-td 163.9, 166.2 and 165.6 solves/s.
 #
 # Every operation on a wide table is a loop of slice or strided-slice
 # operations along the longest run of index bits it leaves free, so its
@@ -150,7 +155,8 @@ DP_TABLE_CAP = 1 << 22  # entries of one table; a few live tables stay well unde
 # The cap bounds each list, not how many are live: a message waits in its
 # bucket's inbox until that bucket runs, next to the bucket's table and a
 # spread copy of each wide message, so a bucket near the cap that receives
-# several wide messages holds that many lists of its own size at once.
+# several wide messages holds that many lists of its own size at once; a
+# sub-cube plan only while its message or edge is applied.
 # The widest bucket read through index lists, and the widest message a wider
 # bucket applies sub-cube by sub-cube (see above).
 SMALL_MESSAGE_BITS = 4
@@ -169,12 +175,12 @@ def _pick(k: int, at: int) -> list[int]:
     return idx
 
 
-# _PICK[k][at] is _pick(k, at). _ZEROS[k][q][b] lists the entries of a table
-# over k bits whose bit 0 is b & 1 and whose bit at q, a power of two, is b >> 1.
+# _PICK[k][at] is _pick(k, at). _ZEROS[k][p][b] lists the entries of a table
+# over k bits whose bit 0 is b & 1 and whose bit p is b >> 1.
 _PICK = [[_pick(k, at) for at in range(1 << k)] for k in range(SMALL_MESSAGE_BITS + 1)]
 _ZEROS = [
-    {q: [[e for e in range(1 << k) if e & 1 == b & 1 and bool(e & q) == b >> 1] for b in range(4)]
-     for q in (1 << p for p in range(1, k))}
+    [[[e for e in range(1 << k) if e & 1 == b & 1 and e >> p & 1 == b >> 1] for b in range(4)]
+     for p in range(k)]
     for k in range(SMALL_MESSAGE_BITS + 1)
 ]
 
@@ -218,31 +224,35 @@ def _spread_to(m: list[int], at: list[int], n: int) -> list[int]:
     return m
 
 
-def _scale(t: list[int], n: int, at: list[int], off: int, v: int) -> None:
-    """Multiply by v, in place, the entries of t (over n bits) whose bits at
-    the sorted positions `at` equal those of off (which has no other bits).
-
-    They form a sub-cube, cut into slices along its longest run of free bits.
-    """
+def _plan(n: int, at: list[int]) -> tuple[list[int], int, int, int]:
+    """How `_scale` slices the sub-cube of a table over n bits whose bits at the sorted
+    positions `at` are 0: along its longest free run, as (starts, step, span, length)."""
     lo = run_lo = run = 0
     for p in (*at, n):
         if p - lo > run:
             run_lo, run = lo, p - lo
         lo = p + 1
-    starts = [off]
+    starts = [0]
     lo = 0
     for p in (*at, n):
         if p > lo and lo != run_lo:
             starts = [s + k for k in range(0, 1 << p, 1 << lo) for s in starts]
         lo = p + 1
     step = 1 << run_lo
-    span = step << run
+    return starts, step, step << run, 1 << run
+
+
+def _scale(t: list[int], plan: tuple[list[int], int, int, int], off: int, v: int) -> None:
+    """Multiply by v, in place, the entries of t whose bits at the positions
+    `plan` was made for equal those of off (which has no other bits)."""
+    starts, step, span, size = plan
     if v == 0:
-        z = [0] * (1 << run)
+        z = [0] * size
         for s in starts:
-            t[s : s + span : step] = z
+            t[s + off : s + off + span : step] = z
     else:
         for s in starts:
+            s += off
             t[s : s + span : step] = [v * x for x in t[s : s + span : step]]
 
 
@@ -270,24 +280,32 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
                 edges.setdefault(cv, []).append((x, lit > 0, 1))
             else:
                 edges.setdefault(x, []).append((cv, 1, lit > 0))
-    inbox: dict[int, list[tuple[list[int], list[int]]]] = {}
+    inbox: defaultdict[int, list[tuple[list[int], list[int]]]] = defaultdict(list)
     count = 1
     for v, nbrs in zip(*elimination):
-        s = [v, *sorted(nbrs, key=rank.__getitem__)]
-        n = len(s)
         got = inbox.pop(v, ())
+        fold = sub if v >= CLAUSE_VERTEX_STRIDE else add  # is_clause_vertex(v)
+        if not nbrs:  # no edge, and every message is over v alone
+            a = b = 1
+            for (x, y), _ in got:
+                a, b = a * x, b * y
+            count *= fold(a, b)
+            continue
+        s = [v, *sorted(nbrs, key=rank.__getitem__)] if len(nbrs) > 1 else [v, *nbrs]
+        n = len(s)
         if n <= SMALL_MESSAGE_BITS:
-            bit = {w: 1 << p for p, w in enumerate(s)}
             picks = _PICK[n]
             t = None
             for m, ws in got:
-                col = map(m.__getitem__, picks[sum(map(bit.__getitem__, ws))])
-                t = list(col) if t is None else list(map(mul, t, col))
-            if t is None:
-                t = [1] * (1 << n)
-            zeros = _ZEROS[n]
+                if len(ws) < n:
+                    at = 0
+                    for w in ws:
+                        at |= 1 << s.index(w)
+                    m = map(m.__getitem__, picks[at]) if at & at + 1 else m * (1 << n >> len(ws))
+                t = m if t is None else map(mul, t, m)
+            t = [1] * (1 << n) if t is None else t if type(t) is list else list(t)
             for w, bw, bv in edges.get(v, ()):
-                for e in zeros[bit[w]][bv | bw << 1]:
+                for e in _ZEROS[n][s.index(w)][bv | bw << 1]:
                     t[e] = 0
         else:
             pos = {w: p for p, w in enumerate(s)}
@@ -304,20 +322,17 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
             if t is None:
                 t = [1] * (1 << n)
             for m, at in small:
+                plan = _plan(n, at)
                 offs = [0]  # offs[e]: the bits of entry e of m, at their bucket positions
                 for p in at:
                     offs += [o | 1 << p for o in offs]
                 for off, x in zip(offs, m):
                     if x != 1:
-                        _scale(t, n, at, off, x)
+                        _scale(t, plan, off, x)
             for w, bw, bv in edges.get(v, ()):
                 p = pos[w]
-                _scale(t, n, [0, p], bv | bw << p, 0)
-        m = list(map(sub if is_clause_vertex(v) else add, t[::2], t[1::2]))
-        if n == 1:
-            count *= m[0]
-        else:
-            inbox.setdefault(s[1], []).append((m, s[1:]))
+                _scale(t, _plan(n, [0, p]), bv | bw << p, 0)
+        inbox[s[1]].append((list(map(fold, t[::2], t[1::2])), s[1:]))
     return count
 
 

@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from twcount import treewidth
 from twcount.cli import main
+from twcount.counting import count_bruteforce, count_td
+from twcount.graphs import build_incidence
 from twcount.formula import parse_dimacs
 from twcount.generators import gen_grid_formula, gen_grid_formula_x, gen_random_cnf
 from twcount.formula import write_dimacs
@@ -213,6 +216,25 @@ def test_count_td_mode(capsys, grid_file):
     code, rep = run(capsys, "count", grid_file, "--mode", "td")
     assert code == 0
     assert rep["count"] == "63"
+
+
+def test_count_td_mode_counts_on_the_min_fill_elimination(capsys, monkeypatch, tmp_path):
+    # count --mode td runs the DP on min-fill's elimination as it stands:
+    # no tree decomposition is built, so none is validated or read back.
+    f = gen_random_cnf(20, 60, 3, 4)
+    width, elimination = treewidth.upper_bound_heuristic(build_incidence(f))
+    expected = count_td(f, elimination.decomposition())  # taken before _decomposition is patched
+    assert width == 13 and expected == count_bruteforce(f) == 294
+    p = tmp_path / "r20.cnf"
+    p.write_text(write_dimacs(f))
+
+    def no_decomposition(*args):
+        raise AssertionError("a tree decomposition was built")
+
+    monkeypatch.setattr(treewidth, "_decomposition", no_decomposition)
+    code, rep = run(capsys, "count", str(p), "--mode", "td")
+    assert code == 0 and rep["mode"] == "td"
+    assert rep["count"] == str(expected) and rep["branch_widths"] == [width]
 
 
 def test_count_deterministic_json(capsys, grid_x_file):

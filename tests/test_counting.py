@@ -23,8 +23,8 @@ from twcount.counting import (
     SMALL_MESSAGE_BITS,
     TableBudgetExceeded,
     VariableCapExceeded,
+    _PICK,
     _run_dp,
-    _scale,
     _spread_to,
     backdoor_branch_counts,
     count_bruteforce,
@@ -1032,7 +1032,7 @@ def ref_tree_dp(f, td):
                 offs += [o | 1 << p for o in offs]
             for off, v in zip(offs, m):
                 if v != 1:
-                    _scale(t, n, at, off, v)
+                    ref_scale(t, n, at, off, v)
         for c in bag:
             if not is_clause_vertex(c):
                 continue
@@ -1042,10 +1042,109 @@ def ref_tree_dp(f, td):
                 if x in pos and not (c_up and x in up):
                     px, pc = pos[x], pos[c]
                     edge = [px, pc] if px < pc else [pc, px]
-                    _scale(t, n, edge, lit.positive << px | 1 << pc, 0)
+                    ref_scale(t, n, edge, lit.positive << px | 1 << pc, 0)
         tables[i] = t
     count, _ = _message(tables.pop(root), bags[root], {})
     return count[0]
+
+
+# A reference bucket DP with the tables and operations of `_run_dp`, written
+# plainly: one position dict per bucket, a keyed sort of every scope, and
+# each sub-cube's slicing recomputed for every entry it scales.
+
+REF_ZEROS = [
+    {q: [[e for e in range(1 << k) if e & 1 == b & 1 and bool(e & q) == b >> 1] for b in range(4)]
+     for q in (1 << p for p in range(1, k))}
+    for k in range(SMALL_MESSAGE_BITS + 1)
+]
+
+
+def ref_scale(t, n, at, off, v):
+    """Multiply by v, in place, the entries of t (over n bits) whose bits at
+    the sorted positions `at` equal those of off (which has no other bits)."""
+    lo = run_lo = run = 0
+    for p in (*at, n):
+        if p - lo > run:
+            run_lo, run = lo, p - lo
+        lo = p + 1
+    starts = [off]
+    lo = 0
+    for p in (*at, n):
+        if p > lo and lo != run_lo:
+            starts = [s + k for k in range(0, 1 << p, 1 << lo) for s in starts]
+        lo = p + 1
+    step = 1 << run_lo
+    span = step << run
+    if v == 0:
+        z = [0] * (1 << run)
+        for s in starts:
+            t[s : s + span : step] = z
+    else:
+        for s in starts:
+            t[s : s + span : step] = [v * x for x in t[s : s + span : step]]
+
+
+def ref_bucket_dp(f, elimination):
+    rank = {v: r for r, v in enumerate(elimination.order)}
+    edges = {}
+    for c in f.clauses:
+        cv = graphs.clause_vertex(c.id)
+        rc = rank[cv]
+        for lit in c.lits:
+            x = abs(lit)
+            if rank[x] > rc:
+                edges.setdefault(cv, []).append((x, lit > 0, 1))
+            else:
+                edges.setdefault(x, []).append((cv, 1, lit > 0))
+    inbox = {}
+    count = 1
+    for v, nbrs in zip(*elimination):
+        s = [v, *sorted(nbrs, key=rank.__getitem__)]
+        n = len(s)
+        got = inbox.pop(v, ())
+        if n <= SMALL_MESSAGE_BITS:
+            bit = {w: 1 << p for p, w in enumerate(s)}
+            picks = _PICK[n]
+            t = None
+            for m, ws in got:
+                col = map(m.__getitem__, picks[sum(map(bit.__getitem__, ws))])
+                t = list(col) if t is None else list(map(mul, t, col))
+            if t is None:
+                t = [1] * (1 << n)
+            zeros = REF_ZEROS[n]
+            for w, bw, bv in edges.get(v, ()):
+                for e in zeros[bit[w]][bv | bw << 1]:
+                    t[e] = 0
+        else:
+            pos = {w: p for p, w in enumerate(s)}
+            t = None
+            small = []
+            for m, ws in got:
+                at = [pos[w] for w in ws]
+                if len(at) <= SMALL_MESSAGE_BITS:
+                    small.append((m, at))
+                    continue
+                if len(at) < n:
+                    m = _spread_to(m, at, n)
+                t = m if t is None else list(map(mul, t, m))
+            if t is None:
+                t = [1] * (1 << n)
+            for m, at in small:
+                offs = [0]
+                for p in at:
+                    offs += [o | 1 << p for o in offs]
+                for off, x in zip(offs, m):
+                    if x != 1:
+                        ref_scale(t, n, at, off, x)
+            for w, bw, bv in edges.get(v, ()):
+                p = pos[w]
+                ref_scale(t, n, [0, p], bv | bw << p, 0)
+        m = list(map(sub if is_clause_vertex(v) else add, t[::2], t[1::2]))
+        if n == 1:
+            count *= m[0]
+        else:
+            inbox.setdefault(s[1], []).append((m, s[1:]))
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -1113,6 +1212,7 @@ def test_dense_dp_matches_reference(f):
         assert ref_run_dp(f, td) == expected
         assert ref_dense_dp(f, td) == expected
         assert ref_tree_dp(f, td) == expected
+        assert ref_bucket_dp(f, _elimination_of(td)) == expected
         assert _run_dp(f, _elimination_of(td)) == expected
         assert count_td(f, td) == expected
 
@@ -1137,7 +1237,7 @@ def test_small_bucket_boundary(f):
         elimination = _elimination_of(td)
         scopes = Counter(frozenset(nbrs) | {v} for v, nbrs in zip(*elimination))
         assert scopes == Counter(filter(None, td.bags.values()))
-        assert _run_dp(f, elimination) == expected
+        assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination) == expected
 
 
 @given(st.integers(0, 10_000))
@@ -1150,7 +1250,38 @@ def test_dp_matches_dense_reference_beyond_brute_force(seed):
     f = gen_random_cnf(n, n + n // 4, 3, seed)
     g = build_incidence(f)
     for td in (upper_bound_heuristic(g)[1].decomposition(), clauses_first(g)):
-        assert _run_dp(f, _elimination_of(td)) == ref_dense_dp(f, td) == ref_tree_dp(f, td)
+        elimination = _elimination_of(td)
+        expected = ref_dense_dp(f, td)
+        assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination) == expected == ref_tree_dp(f, td)
+
+
+def test_one_sub_cube_plan_per_message(monkeypatch):
+    # A wide bucket plans the slicing of a small message's sub-cubes once
+    # for the message, and an edge's once for the edge, not once per entry.
+    f = gen_random_cnf(30, 40, 3, 2)
+    width, elimination = upper_bound_heuristic(build_incidence(f))
+    assert width == 10
+    rank = {v: r for r, v in enumerate(elimination.order)}
+    edges = Counter()
+    for c in f.clauses:
+        cv = graphs.clause_vertex(c.id)
+        for x in map(abs, c.lits):
+            edges[min(cv, x, key=rank.__getitem__)] += 1
+    received = {v: [] for v in elimination.order}
+    for v, nbrs in zip(*elimination):
+        if nbrs:
+            received[min(nbrs, key=rank.__getitem__)].append(len(nbrs))
+    expected = sum(
+        sum(size <= SMALL_MESSAGE_BITS for size in received[v]) + edges[v]
+        for v, nbrs in zip(*elimination)
+        if len(nbrs) >= SMALL_MESSAGE_BITS
+    )
+    plans, scaled = [], []
+    plan, scale = counting._plan, counting._scale
+    monkeypatch.setattr(counting, "_plan", lambda n, at: plans.append(n) or plan(n, at))
+    monkeypatch.setattr(counting, "_scale", lambda *args: scaled.append(args[2]) or scale(*args))
+    assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination)
+    assert len(plans) == expected < len(scaled)
 
 
 @given(small_formulas(n_max=8, max_len=4), st.integers(0, 3))
