@@ -434,7 +434,10 @@ def solve(
     the decomposition DP. Otherwise, and also when the caps leave that width
     undecided or its elimination is too wide for the DP's table budget,
     solve_by_backdoor searches and counts.
-    Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
+    Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP. The
+    oracle counts every AtMost verdict at t at once, so for t >= 22 an
+    elimination too wide for the table budget there raises
+    TableBudgetExceeded instead of going to the search.
     """
     _check_parameters(t, k)
     oracle = _backdoor._Oracle(vertex_cap, t, _run_dp)

@@ -27,10 +27,10 @@ decomposition and which reads the elimination back off it
    per vertex within distance 2;
 4. contraction bound (minor-min-width) above t: Exceeds; a lazy heap,
    O(m log n) heap work plus the merged neighbourhoods;
-5. if no connected component exceeds the vertex cap, exact search, which
-   stops once width above t is proven, each component's search bounded by
-   rung 3's game restricted to that component; exponential in the worst
-   case;
+5. if no connected component exceeds the vertex cap, exact search per
+   component, which stops once width above t is proven; the components are
+   read off rung 3's game, whose restriction to a component bounds its
+   search; exponential in the worst case;
 6. otherwise Unknown.
 
 The exact solver runs a depth-first search over elimination orderings per
@@ -38,8 +38,10 @@ target width, with memoized dead states. At every node one safe rule comes
 first: an almost-simplicial vertex of degree at most the width (which every
 simplicial vertex and every vertex of degree at most 2 is) is eliminated
 without branching (Bodlaender, Koster & van den Eijkhof, 2005; at every
-node, as in QuickBB, Gogate & Dechter, 2004). This is practical to roughly
-fifty vertices, larger for structured graphs.
+node, as in QuickBB, Gogate & Dechter, 2004). The journal it undoes its
+moves by is the elimination it hands over; a component it cannot beat keeps
+rung 3's game. This is practical to roughly fifty vertices, larger for
+structured graphs.
 
 An Exceeds verdict carries only a bound. `witness(g, t)` finds, for a graph
 of width above t, a small vertex set whose induced subgraph still has width
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from typing import AbstractSet, Mapping, NamedTuple
 
 from .graphs import Graph
@@ -86,10 +87,11 @@ class TreeDecomposition:
 
 class Elimination(NamedTuple):
     """The elimination game along `order`: nbrs[i] holds order[i]'s
-    neighbours when it was eliminated, fill edges included. The sets are the
-    ones the game built, not copies. Read off a decomposition
-    (`_elimination_of`), it is the game on the graph with each bag made a
-    clique."""
+    neighbours when it was eliminated, fill edges included. The min-fill
+    game and the t <= 2 reduction hand over the sets they built; sets read
+    off a journal of `_eliminate` moves (`_journal_elimination`) are copies.
+    Read off a decomposition (`_elimination_of`), it is the game on the
+    graph with each bag made a clique."""
 
     order: list[int]
     nbrs: list[AbstractSet[int]]
@@ -116,8 +118,7 @@ class ValidationReport:
 class TwVerdict:
     """Outcome of a treewidth-at-most query.
 
-    kind 'at_most' carries a witnessing elimination and its width as bound;
-    the decomposition it describes is built on first request and kept.
+    kind 'at_most' carries a witnessing elimination and its width as bound.
     'exceeds' carries, as bound, a proven lower bound above the target, not
     the width: each rung reports what it proved, so the reduction for
     t <= 2 says t + 1 where the contraction bound or the exact search may
@@ -127,10 +128,6 @@ class TwVerdict:
     kind: str
     bound: int
     elimination: Elimination | None = None
-
-    @cached_property
-    def decomposition(self) -> TreeDecomposition | None:
-        return None if self.elimination is None else self.elimination.decomposition()
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
@@ -284,8 +281,9 @@ def _core_vertices(g: Graph, k: int) -> frozenset[int]:
 # elimination orderings
 
 
-def _eliminate(adj: dict[int, set[int]], v: int, journal: list | None = None) -> int:
-    """Remove v, clique its neighborhood; returns v's degree at elimination."""
+def _eliminate(adj: dict[int, set[int]], v: int, journal: list) -> None:
+    """Remove v and clique its neighborhood; journals v, its neighbours
+    (sorted) and the fill edges added, for `_undo`."""
     nbrs = sorted(adj.pop(v))
     added = []
     for i, a in enumerate(nbrs):
@@ -295,9 +293,12 @@ def _eliminate(adj: dict[int, set[int]], v: int, journal: list | None = None) ->
                 adj[a].add(b)
                 adj[b].add(a)
                 added.append((a, b))
-    if journal is not None:
-        journal.append((v, nbrs, added))
-    return len(nbrs)
+    journal.append((v, nbrs, added))
+
+
+def _journal_elimination(journal: list) -> Elimination:
+    """The elimination a journal of `_eliminate` moves records."""
+    return Elimination([v for v, _, _ in journal], [set(nbrs) for _, nbrs, _ in journal])
 
 
 def _undo(adj: dict[int, set[int]], journal: list, mark: int) -> None:
@@ -533,11 +534,10 @@ def elimination_from_order(g: Graph, order: list[int]) -> Elimination:
     adj = g.adjacency()
     if set(order) != set(adj):
         raise ValueError("order must cover the graph's vertices exactly")
-    nbrs = []
+    journal: list = []
     for v in order:
-        nbrs.append(adj[v])  # _eliminate pops this set and leaves it as it is
-        _eliminate(adj, v)
-    return Elimination(order, nbrs)
+        _eliminate(adj, v, journal)
+    return _journal_elimination(journal)
 
 
 def upper_bound_heuristic(g: Graph) -> tuple[int, Elimination]:
@@ -550,8 +550,9 @@ def upper_bound_heuristic(g: Graph) -> tuple[int, Elimination]:
 # exact search
 
 
-def _decide(adj: dict[int, set[int]], w: int) -> list[int] | None:
-    """Is there an elimination ordering of width <= w? Returns one if so.
+def _decide(adj: dict[int, set[int]], w: int) -> Elimination | None:
+    """Is there an elimination ordering of width <= w? If so, empties adj
+    and returns the search's journal as an elimination; if not, restores adj.
 
     A depth-first search with one forced move at every node: the first
     vertex, in vertex order, of degree at most w that is almost simplicial
@@ -562,8 +563,8 @@ def _decide(adj: dict[int, set[int]], w: int) -> list[int] | None:
     the branch. The rest is branched on, least (fill-in, degree, vertex)
     first; vertex sets that failed, or whose minimum degree exceeds w, are
     remembered: what an elimination leaves depends only on the set eliminated.
+    The last w + 1 vertices go in vertex order.
     """
-    order: list[int] = []
     journal: list = []
     dead: set[frozenset[int]] = set()
 
@@ -573,7 +574,6 @@ def _decide(adj: dict[int, set[int]], w: int) -> list[int] | None:
             for v in sorted(adj):
                 if len(adj[v]) <= w:
                     if _almost_simplicial(adj, v):
-                        order.append(v)
                         _eliminate(adj, v, journal)
                         break
                 elif _is_simplicial(adj, v):
@@ -583,10 +583,10 @@ def _decide(adj: dict[int, set[int]], w: int) -> list[int] | None:
 
     def dfs() -> bool:
         mark = len(journal)
-        omark = len(order)
         if forced_moves():
             if len(adj) <= w + 1:
-                order.extend(sorted(adj))
+                for v in sorted(adj):
+                    _eliminate(adj, v, journal)
                 return True
             key = frozenset(adj)
             if key not in dead and min(len(s) for s in adj.values()) <= w:
@@ -596,59 +596,15 @@ def _decide(adj: dict[int, set[int]], w: int) -> list[int] | None:
                 )
                 for v in cands:
                     vmark = len(journal)
-                    order.append(v)
                     _eliminate(adj, v, journal)
                     if dfs():
                         return True
                     _undo(adj, journal, vmark)
-                    order.pop()
             dead.add(key)
         _undo(adj, journal, mark)
-        del order[omark:]
         return False
 
-    return order if dfs() else None
-
-
-def _solve_component(
-    adj: dict[int, set[int]], ub_order: list[int], ub: int, limit: int | None = None
-) -> tuple[int, list[int] | None]:
-    """Treewidth of a connected graph and an optimal elimination order:
-    `_decide`, on a copy, at each width from the lower bound (degeneracy or
-    the contraction bound) up to ub, the width of the elimination order
-    ub_order (the min-fill game's), which is returned if nothing beats it.
-
-    With a limit, the search stops once width above it is proven and returns
-    that lower bound with no order.
-    """
-    lb = max(_degeneracy_adj(adj), _mmw_adj(adj))
-    top = ub if limit is None else min(ub, limit + 1)
-    for w in range(lb, top):
-        found = _decide({v: set(s) for v, s in adj.items()}, w)
-        if found is not None:
-            return w, found
-    if top < ub:
-        return max(lb, top), None
-    return ub, ub_order
-
-
-def _components(g: Graph) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for v in g.sorted_vertices():
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for x in g.neighbors(u):
-                if x not in comp:
-                    comp.add(x)
-                    stack.append(x)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    return _journal_elimination(journal) if dfs() else None
 
 
 def exact_treewidth(
@@ -667,39 +623,52 @@ def exact_treewidth(
     proven, and returns a lower bound above the limit with no elimination.
     Widths up to the limit come back exactly as without one.
 
-    Each component's search starts from the min-fill game on g, restricted
-    to the component: its order and its largest neighbour set there. That
-    is the component's own game, as fill edges never leave a component and
-    the (score, vertex id) heap pops a component's vertices in the order its
-    own game would. A caller that has just played the game on g
-    (`upper_bound_heuristic`) passes that elimination as min_fill, and the
-    game is not played again.
+    The components, taken by smallest vertex id, are read off the min-fill
+    game on g: a vertex's neighbours at its elimination are in its component
+    and eliminated after it, and a component's last vertex has none. The
+    game restricted to a component is its own game: fill edges never leave
+    a component, and the (score, vertex id) heap pops its vertices in the
+    order its own game would. Each component runs `_decide` at each width
+    from its lower bound (degeneracy or the contraction bound) that is below
+    its game's width and at most the limit, and keeps its game if nothing
+    beats it. A caller that has just played the game on g (`upper_bound_heuristic`)
+    passes it as min_fill.
     """
-    comps = _components(g)
-    largest = max(map(len, comps), default=0)
+    if min_fill is None:
+        min_fill = _greedy_order(g.adjacency_view())
+    order, nbrs = min_fill
+    part_of: dict[int, list[int]] = {}
+    parts: list[list[int]] = []  # each component's positions in the game, last first
+    for i in range(len(order) - 1, -1, -1):
+        part = part_of[next(iter(nbrs[i]))] if nbrs[i] else []
+        if not part:
+            parts.append(part)
+        part_of[order[i]] = part
+        part.append(i)
+    largest = max(map(len, parts), default=0)
     if largest > vertex_cap:
         raise VertexCapExceeded(
             f"a component of {largest} vertices exceeds the exact-solver cap {vertex_cap}"
         )
-    if min_fill is None:
-        min_fill = _greedy_order(g.adjacency_view())
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    orders: list[list[int]] = [[] for _ in comps]
-    widths = [-1] * len(comps)
-    for v, nbrs in zip(min_fill.order, min_fill.nbrs):
-        i = comp_of[v]
-        orders[i].append(v)
-        widths[i] = max(widths[i], len(nbrs))
-    width = -1
-    full_order: list[int] = []
-    for comp, ub_order, ub in zip(comps, orders, widths):
-        adj = {v: {u for u in g.neighbors(v) if u in comp} for v in comp}
-        w, order = _solve_component(adj, ub_order, ub, limit)
+    width, out = -1, Elimination([], [])
+    for part in sorted(parts, key=lambda ps: min(order[i] for i in ps)):
+        game = Elimination([order[i] for i in part[::-1]], [nbrs[i] for i in part[::-1]])
+        adj = {v: set(g.neighbors(v)) for v in game.order}
+        lb = max(_degeneracy_adj(adj), _mmw_adj(adj))
+        top = game.width if limit is None else min(game.width, limit + 1)
+        for w in range(lb, top):
+            found = _decide(adj, w)
+            if found is not None:
+                game = found
+                break
+        else:
+            w = max(lb, top)
         if limit is not None and w > limit:
             return w, None
         width = max(width, w)
-        full_order.extend(order)
-    return width, elimination_from_order(g, full_order)
+        out.order.extend(game.order)
+        out.nbrs.extend(game.nbrs)
+    return width, out
 
 
 def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> TwVerdict:
@@ -713,8 +682,8 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     degeneracy above t (O(n+m)) is Exceeds; min-fill width at most t is
     AtMost with the min-fill elimination; the contraction bound above t is
     Exceeds; if no connected component exceeds the vertex cap, exact search
-    decides, stopping once width above t is proven, and AtMost carries the
-    replay of its optimal order; otherwise the answer is Unknown. vertex_cap
+    decides, stopping once width above t is proven, and AtMost carries its
+    elimination; otherwise the answer is Unknown. vertex_cap
     therefore only matters for t >= 3, and isolated vertices do not count
     towards it.
     """

@@ -171,6 +171,21 @@ def test_count_table_budget_exit_2(capsys, tmp_path):
     assert "budget" in captured.err
 
 
+def test_count_auto_at_t_above_the_table_budget_exit_2(capsys, tmp_path):
+    # At t >= 22 the width oracle counts an AtMost verdict at t at once, so
+    # an elimination too wide for the table budget (grid-x n = 17: min-fill
+    # width 24) stops the count rather than going to the search.
+    p = str(tmp_path / "g17.cnf")
+    assert main(["generate", "--family", "grid-x", "--n", "17", "--out", p]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["count", p, "--t", "24", "--k", "1", "--tw-threshold", "24"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a bag of 25 vertices" in captured.err and "budget" in captured.err
+
+
 def test_count_td_mode_long_chain(capsys, tmp_path):
     # Decomposition validation is near-linear: 4000 variables, about 8000 bags.
     p = tmp_path / "chain.cnf"

@@ -1232,7 +1232,7 @@ def test_small_bucket_boundary(f):
     tds = [upper_bound_heuristic(g)[1].decomposition()]
     verdict = treewidth.treewidth_at_most(g, 2)
     if verdict.kind == AT_MOST:
-        tds.append(verdict.decomposition)
+        tds.append(verdict.elimination.decomposition())
     for td in tds:
         elimination = _elimination_of(td)
         scopes = Counter(frozenset(nbrs) | {v} for v, nbrs in zip(*elimination))
@@ -1297,7 +1297,7 @@ def test_dp_on_the_ladder_elimination(f, t):
     verdict = treewidth.treewidth_at_most(g, t)
     if verdict.kind != AT_MOST:
         return
-    td = verdict.decomposition
+    td = verdict.elimination.decomposition()
     assert validate_decomposition(g, td).ok
     assert td.width == verdict.bound == verdict.elimination.width <= t
     assert _run_dp(f, verdict.elimination) == count_bruteforce(f) == ref_tree_dp(f, td)

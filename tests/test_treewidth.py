@@ -73,6 +73,23 @@ def random_gnm(n, m, seed):
     return g
 
 
+def ref_components(g):
+    """Connected components by breadth-first search, by smallest vertex."""
+    seen, comps = set(), []
+    for s in g.sorted_vertices():
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for u in comp:  # comp grows as the search reaches new vertices
+            for x in g.neighbors(u):
+                if x not in seen:
+                    seen.add(x)
+                    comp.append(x)
+        comps.append(set(comp))
+    return comps
+
+
 def test_validate_single_bag():
     g = complete_graph(5)
     td = TreeDecomposition({1: frozenset(range(1, 6))}, ())
@@ -168,19 +185,6 @@ def test_exact_cap():
         exact_treewidth(g, vertex_cap=48)
 
 
-def test_exact_cap_bounds_each_component():
-    g = cycle_graph(5)
-    for a in range(6, 12):  # a 6-cycle beside the 5-cycle
-        g.add_vertex(a)
-    for a in range(6, 12):
-        g.add_edge(a, 6 + (a - 5) % 6)
-    w, elimination = exact_treewidth(g, vertex_cap=6)
-    assert w == 2 and validate_decomposition(g, elimination.decomposition()).ok
-    for limit in (None, 1):
-        with pytest.raises(VertexCapExceeded):
-            exact_treewidth(g, vertex_cap=5, limit=limit)
-
-
 @pytest.mark.parametrize("n, m, seed, kind", [(9, 18, 49, AT_MOST), (8, 19, 12, EXCEEDS)])
 def test_at_most_cap_ignores_isolated_vertices(n, m, seed, kind):
     # A connected graph on as many vertices as the cap, of min-fill width 5
@@ -188,30 +192,36 @@ def test_at_most_cap_ignores_isolated_vertices(n, m, seed, kind):
     # t = 4; isolated vertices beside it leave that so.
     t = 4
     g = random_gnm(n, m, seed)
-    assert len(tw._components(g)) == 1
+    assert len(ref_components(g)) == 1
     assert max(degeneracy(g), minor_min_width(g)) <= t < upper_bound_heuristic(g)[0] == 5
     for v in range(n + 1, n + 4):
         g.add_vertex(v)
     verdict = treewidth_at_most(g, t, vertex_cap=n)
     assert verdict.kind == kind
     if kind == AT_MOST:
-        assert verdict.bound == t and validate_decomposition(g, verdict.decomposition).ok
+        td = verdict.elimination.decomposition()
+        assert verdict.bound == t and validate_decomposition(g, td).ok
     assert treewidth_at_most(g, t, vertex_cap=n - 1).kind == UNKNOWN
 
 
 def test_exact_rung_plays_the_game_once(monkeypatch):
     # The exact search starts from the ladder's own min-fill game, restricted
-    # to each component, rather than playing the game again per component.
+    # to each component, rather than playing the game again per component,
+    # and hands over the elimination its search built rather than replaying
+    # its order on g. Only the exact rung decides t = 4 on this graph (see
+    # test_at_most_cap_ignores_isolated_vertices).
     g = random_gnm(9, 18, 49)
     for v in range(10, 13):
         g.add_vertex(v)
     expected = exact_treewidth(g)
-    games = []
-    greedy_order = tw._greedy_order
+    games, replays = [], []
+    greedy_order, replay = tw._greedy_order, tw.elimination_from_order
     monkeypatch.setattr(tw, "_greedy_order", lambda adj: games.append(adj) or greedy_order(adj))
+    monkeypatch.setattr(tw, "elimination_from_order", lambda *a: replays.append(a) or replay(*a))
     verdict = treewidth_at_most(g, 4, vertex_cap=9)
-    assert (verdict.kind, verdict.bound, len(games)) == (AT_MOST, 4, 1)
-    assert exact_treewidth(g) == expected and len(games) == 2
+    assert (verdict.kind, verdict.bound, len(games), replays) == (AT_MOST, 4, 1, [])
+    assert verdict.elimination == replay(g, verdict.elimination.order)
+    assert exact_treewidth(g) == expected and len(games) == 2 and not replays
 
 
 def test_exact_isolated_vertices():
@@ -284,8 +294,8 @@ def test_at_most_matches_exact(seed):
         verdict = treewidth_at_most(g, t)
         assert (verdict.kind == AT_MOST) == (exact <= t)
         if verdict.kind == AT_MOST:
-            assert verdict.decomposition.width <= t
-            assert validate_decomposition(g, verdict.decomposition).ok
+            td = verdict.elimination.decomposition()
+            assert td.width <= t and validate_decomposition(g, td).ok
 
 
 @given(st.integers(0, 300))
@@ -604,7 +614,7 @@ def _interleaved_union(graphs):
 def test_game_restricted_to_a_component_is_its_own_game(graphs):
     g = _interleaved_union(graphs)
     game = tw._greedy_order(g.adjacency_view())
-    for comp in tw._components(g):
+    for comp in ref_components(g):
         alone = tw._greedy_order({v: g.neighbors(v) for v in comp})
         kept = [i for i, v in enumerate(game.order) if v in comp]
         assert [game.order[i] for i in kept] == alone.order
@@ -621,7 +631,7 @@ def test_is_simplicial_matches_fill_in(g):
         for u in adj:
             assert tw._is_simplicial(adj, u) == (tw._fill_in(adj, u) == 0)
             assert tw._almost_simplicial(adj, u) == ref_almost_simplicial(adj, u)
-        tw._eliminate(adj, v)
+        tw._eliminate(adj, v, [])
 
 
 def ref_almost_simplicial(adj, v):
@@ -680,6 +690,51 @@ def test_exact_matches_subset_reference(g):
             assert t < w <= ref and elimination is None
         verdict = treewidth_at_most(g, t, vertex_cap=10)
         assert verdict.kind == (AT_MOST if ref <= t else EXCEEDS)
+
+
+def _with_isolated(g, isolated):
+    top = max(g.vertices(), default=0)
+    for v in range(top + 1, top + 1 + isolated):
+        g.add_vertex(v)
+    return g
+
+
+# Disjoint unions of small random graphs, beside 0-3 isolated vertices.
+small_unions = st.builds(
+    _with_isolated, st.lists(small_graphs, min_size=1, max_size=3).map(_interleaved_union),
+    st.integers(0, 3),
+)
+
+
+@given(st.one_of(small_graphs, small_unions))
+@settings(max_examples=100, deadline=None)
+def test_exact_rung_hands_back_its_own_game(g):
+    # The elimination is the search's own journal, or the min-fill game
+    # restricted to a component: the elimination game along its order.
+    for limit in (None, -1, 0, 1, 2, 3, 4):
+        w, elimination = exact_treewidth(g, limit=limit)
+        assert (elimination is None) == (limit is not None and w > limit)
+        if elimination is not None:
+            assert elimination == elimination_from_order(g, elimination.order)
+            assert elimination.width == w
+
+
+@given(small_unions.filter(lambda g: g.num_vertices() > 0))
+@settings(max_examples=60, deadline=None)
+def test_exact_cap_bounds_each_component(g):
+    # The cap bounds the largest component, as an independent search finds
+    # it, not the graph; the width is the largest of the components'.
+    comps = ref_components(g)
+    largest = max(map(len, comps))
+    ref = max(ref_treewidth(g.subgraph(comp)) for comp in comps)
+    for limit in (None, 1):
+        w, elimination = exact_treewidth(g, vertex_cap=largest, limit=limit)
+        if elimination is not None:
+            assert w == ref and validate_decomposition(g, elimination.decomposition()).ok
+        else:
+            assert limit < w <= ref
+        with pytest.raises(VertexCapExceeded):
+            exact_treewidth(g, vertex_cap=largest - 1, limit=limit)
 
 
 @given(st.integers(0, 400))
@@ -780,9 +835,9 @@ def test_min_degree_rung_matches_exact(g):
         if exact <= t:
             assert ref_width == exact
             assert verdict.kind == AT_MOST and verdict.bound == exact
-            assert verdict.decomposition == tw._decomposition(order, bags)
-            assert verdict.decomposition.width == exact
-            assert validate_decomposition(g, verdict.decomposition).ok
+            td = verdict.elimination.decomposition()
+            assert td == tw._decomposition(order, bags) and td.width == exact
+            assert validate_decomposition(g, td).ok
         else:
             assert verdict.kind == EXCEEDS and verdict.bound > t
 
@@ -878,7 +933,8 @@ def test_low_width_rung_decides_above_cap(monkeypatch):
     sp = series_parallel_graph(240, 5)
     for g, t, width in ((tree, 1, 1), (cycle_graph(300), 2, 2), (sp, 2, 2)):
         v = treewidth_at_most(g, t, vertex_cap=8)
-        assert v.kind == AT_MOST and v.bound == width == v.decomposition.width
-        assert validate_decomposition(g, v.decomposition).ok
+        td = v.elimination.decomposition()
+        assert v.kind == AT_MOST and v.bound == width == td.width
+        assert validate_decomposition(g, td).ok
         v = treewidth_at_most(g, t - 1, vertex_cap=8)
         assert v.kind == EXCEEDS and v.bound == t
