@@ -95,7 +95,7 @@ class _Oracle:
     (`last`: formula, graph, verdict), and the formula key is one flat bytes
     object, so a solve's memory stays close to what it was without it. That
     key is `CnfFormula.packed`, kept on the formula, so a re-ask of the same
-    object (`_approx` at t after the threshold, `_witness`, `_branches` on
+    object (`_approx` at t after the threshold, `_branches` on
     `reduce(f, {})`, which is f) does not pack it again.
     """
 
@@ -206,14 +206,16 @@ def extract_witness(
 ) -> frozenset[int]:
     """A small vertex set of inc(F[tau]) whose induced subgraph has width
     above t (see `treewidth.witness`); ValueError unless F[tau] has width above t."""
-    return _witness(reduce(f, tau), t, _Oracle(vertex_cap))
+    fr, oracle = reduce(f, tau), _Oracle(vertex_cap)
+    if oracle.verdict(fr, t)[0] != EXCEEDS:
+        raise ValueError("witness extraction needs a reduction of width above t")
+    return _witness(fr, t, oracle)
 
 
 def _witness(fr: CnfFormula, t: int, oracle: _Oracle) -> frozenset[int]:
-    """extract_witness on the reduction fr, asking the oracle for its verdict;
-    the shrink runs on the last miss's graph when that miss was fr's."""
-    if oracle.verdict(fr, t)[0] != EXCEEDS:
-        raise ValueError("witness extraction needs a reduction of width above t")
+    """extract_witness on a reduction fr the oracle has found above t, at t
+    or at a threshold above it; the shrink runs on the last miss's graph
+    when that miss was fr's."""
     last_f, g, _ = oracle.last
     return witness(g if last_f == fr else build_incidence(fr), t, oracle.vertex_cap)
 

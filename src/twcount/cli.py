@@ -43,28 +43,19 @@ def _decimal(n: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _load_graph(path: str, graph_mode: str) -> graphs.Graph:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".gr"):
-        if graph_mode == "incidence":
-            raise FormulaError(".gr input has no incidence form; use --graph raw")
-        return graphs.read_gr(text)
-    f = parse_dimacs(text)
-    if graph_mode == "raw":
-        raise FormulaError("DIMACS input is a formula; use --graph incidence")
-    return graphs.build_incidence(f)
-
-
 def _load_formula(path: str) -> CnfFormula:
     with open(path) as fh:
         return parse_dimacs(fh.read())
 
 
 def cmd_tw(args) -> int:
+    """A .gr file is the graph itself; any other file is read as DIMACS, and
+    its formula's incidence graph is the graph."""
+    raw = args.path.endswith(".gr")
     try:
-        mode = args.graph or ("raw" if args.path.endswith(".gr") else "incidence")
-        g = _load_graph(args.path, mode)
+        with open(args.path) as fh:
+            text = fh.read()
+        g = graphs.read_gr(text) if raw else graphs.build_incidence(parse_dimacs(text))
     except (OSError, FormulaError, ValueError) as exc:
         return _fail(str(exc))
     lower = treewidth.lower_bound(g)
@@ -80,7 +71,7 @@ def cmd_tw(args) -> int:
         except treewidth.VertexCapExceeded:
             pass
     report = {
-        "graph": mode,
+        "graph": "raw" if raw else "incidence",
         "n": g.num_vertices(),
         "m": g.num_edges(),
         "lower": lower,
@@ -237,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     tw = sub.add_parser("tw", help="treewidth bounds and exact value")
     tw.add_argument("path")
     tw.add_argument("--exact-cap", type=int, default=treewidth.DEFAULT_VERTEX_CAP)
-    tw.add_argument("--graph", choices=["incidence", "raw"], default=None)
     tw.add_argument("--out-td", default=None)
     tw.set_defaults(func=cmd_tw)
 

@@ -11,9 +11,9 @@ the messages it received into a dense table over its scope, zeroes the
 edges to its vertex, folds that vertex out and sends the result on as a
 message. A scope wider than the table budget (DP_TABLE_CAP entries) raises
 TableBudgetExceeded before any table is allocated. Every rung of the
-ladder hands over its elimination as its game built it; only `count_td`,
-whose input is a tree decomposition, reads one off it
-(`treewidth._elimination_of`).
+ladder hands over its elimination as its game built it. `count_td`, whose
+input is a tree decomposition, counts on the min-fill game played on the
+graph with each of its bags made a clique (`treewidth._elimination_of`).
 The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula. Free variables of a formula appear as isolated
@@ -337,16 +337,19 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
-    """Exact model count via the DP over the elimination a decomposition of
-    inc(F) describes (`treewidth._elimination_of`)."""
-    g = build_incidence(f)
-    report = validate_decomposition(g, td)
+    """Exact model count via the DP over the min-fill game on the graph
+    with each bag of td, a decomposition of inc(F), made a clique
+    (`treewidth._elimination_of`), whose width is td's.
+
+    Raises ValueError if td is not a decomposition of inc(F)
+    (`validate_decomposition`), and TableBudgetExceeded, before that graph
+    is built, if its widest bag is too wide for the table budget.
+    """
+    report = validate_decomposition(build_incidence(f), td)
     if not report.ok:
         raise ValueError(f"invalid decomposition: {report.violations[0]}")
-    vertices = set(g.vertices())
-    for i, bag in td.bags.items():
-        if not bag <= vertices:
-            raise ValueError(f"bag {i} contains vertices outside inc(F)")
+    if 1 << (td.width + 1) > DP_TABLE_CAP:
+        raise TableBudgetExceeded(td.width + 1)
     return _run_dp(f, _elimination_of(td))
 
 

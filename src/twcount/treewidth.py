@@ -7,9 +7,10 @@ order they were eliminated, each with its neighbours at that moment. Every
 rung that decides AtMost hands over the elimination its own game built, and
 that is what the counting DP reads. The tree decomposition an elimination
 describes (`Elimination.decomposition`) is built only when asked for: for
-PACE output, for validation, or for `counting.count_td`, whose input is a
-decomposition and which reads the elimination back off it
-(`_elimination_of`).
+PACE output or for validation. `counting.count_td`, whose input is a
+decomposition, plays the min-fill game on the graph with each bag made a
+clique: a chordal graph, which the game eliminates with no fill, at the
+decomposition's width (`_elimination_of`).
 
 1. for t <= 2, the reduction that eliminates vertices of degree at most t,
    degree at most 1 first: AtMost with its own elimination if it empties
@@ -90,7 +91,7 @@ class Elimination(NamedTuple):
     neighbours when it was eliminated, fill edges included. The min-fill
     game and the t <= 2 reduction hand over the sets they built; sets read
     off a journal of `_eliminate` moves (`_journal_elimination`) are copies.
-    Read off a decomposition (`_elimination_of`), it is the game on the
+    For a decomposition (`_elimination_of`), it is the min-fill game on the
     graph with each bag made a clique."""
 
     order: list[int]
@@ -131,7 +132,8 @@ class TwVerdict:
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """Check tree-ness, vertex coverage, edge coverage, and occurrence connectivity.
+    """Check tree-ness, that every bag vertex is a vertex of g, vertex
+    coverage, edge coverage, and occurrence connectivity.
 
     Near-linear: each vertex's bags are indexed once. In a tree, the bags holding
     v are connected iff one fewer tree edge than bags has v at both ends.
@@ -158,10 +160,14 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
         if len(seen) != len(idx) or len(td.edges) != len(idx) - 1:
             violations.append(("tree", "not a connected acyclic index set"))
     holding: dict[int, set[int]] = {v: set() for v in g.vertices()}
+    foreign: set[int] = set()
     for i, b in td.bags.items():
         for v in b:
             if v in holding:
                 holding[v].add(i)
+            else:
+                foreign.add(v)
+    violations.extend(("vertex-foreign", v) for v in sorted(foreign))
     for v in g.sorted_vertices():
         if not holding[v]:
             violations.append(("vertex-coverage", v))
@@ -491,42 +497,25 @@ def _decomposition(order: list[int], bags: list[AbstractSet[int]]) -> TreeDecomp
 
 
 def _elimination_of(td: TreeDecomposition) -> Elimination:
-    """The elimination a decomposition describes, for `counting.count_td`:
-    each vertex td covers, in forget order, with the vertices of its
-    bucket's scope other than itself.
+    """The elimination `counting.count_td` runs on: the min-fill game on the
+    graph in which every bag of td is a clique.
 
-    td is rooted at its highest-numbered bag and walked children first. A
-    vertex is forgotten at the bag nearest the root holding it, and its
-    scope is that bag minus the vertices forgotten before it.
+    td must be valid. Two vertices are adjacent in that graph when their
+    subtrees of td (the bags holding each) meet, so it is chordal (Gavril,
+    1974), and by the Helly property of subtrees each of its cliques lies in
+    a bag: its largest has td.width + 1 vertices. A chordal graph has a
+    simplicial vertex, of fill-in 0, and removing one leaves a chordal
+    graph, so the game adds no fill and plays a perfect elimination ordering
+    (Rose, Tarjan & Lueker, 1976): each vertex's neighbours at elimination
+    are a clique, and the width is td.width.
     """
-    bags = td.bags
-    if not bags:
-        return Elimination([], [])
-    adj: dict[int, list[int]] = {i: [] for i in bags}
-    for i, j in td.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    root = max(bags)
-    walk: list[int] = []
-    up: dict[int, int] = {}  # each bag's neighbour toward the root
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        walk.append(i)
-        kids = [j for j in adj[i] if j not in up and j != root]
-        up.update(dict.fromkeys(kids, i))
-        stack.extend(kids)
-    walk.reverse()
-    order: list[int] = []
-    nbrs: list[AbstractSet[int]] = []
-    for i in walk:
-        scope = bags[i]
-        gone = scope - bags[up[i]] if i in up else scope
-        for v in sorted(gone):
-            scope = scope - {v}
-            order.append(v)
-            nbrs.append(scope)
-    return Elimination(order, nbrs)
+    adj: dict[int, set[int]] = {}
+    for bag in td.bags.values():
+        for v in bag:
+            adj.setdefault(v, set()).update(bag)
+    for v, s in adj.items():
+        s.discard(v)
+    return _greedy_order(adj)
 
 
 def elimination_from_order(g: Graph, order: list[int]) -> Elimination:
@@ -687,8 +676,6 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     therefore only matters for t >= 3, and isolated vertices do not count
     towards it.
     """
-    if g.num_vertices() == 0:
-        return TwVerdict(AT_MOST, -1, Elimination([], []))
     if t <= 2:
         adj = g.adjacency()
         order, bags, _ = _reduce_low_width(adj, t)

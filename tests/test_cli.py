@@ -37,6 +37,7 @@ def run(capsys, *argv):
 def test_tw_incidence(capsys, grid_x_file):
     code, rep = run(capsys, "tw", grid_x_file)
     assert code == 0
+    assert rep["graph"] == "incidence"
     assert rep["exact"] >= 2
     assert rep["n"] == 22
 
@@ -57,6 +58,7 @@ def test_tw_gr_k5(capsys, tmp_path):
     p.write_text("\n".join(lines) + "\n")
     code, rep = run(capsys, "tw", str(p))
     assert code == 0
+    assert rep["graph"] == "raw"
     assert rep["exact"] == 4
 
 

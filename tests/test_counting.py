@@ -41,11 +41,12 @@ from twcount.generators import (
     gen_planted,
     gen_random_cnf,
 )
-from twcount.graphs import build_incidence, clause_id, is_clause_vertex, write_gr
+from twcount.graphs import build_incidence, clause_id, clause_vertex, is_clause_vertex, write_gr
 from twcount.treewidth import (
     AT_MOST,
     DEFAULT_VERTEX_CAP,
     UNKNOWN,
+    Elimination,
     TreeDecomposition,
     TwVerdict,
     _elimination_of,
@@ -130,6 +131,35 @@ def test_td_table_budget_checked_before_allocation():
     with pytest.raises(TableBudgetExceeded):
         count_td(f, TreeDecomposition({1: frozenset(range(1, n + 1))}, ()))
     assert count_td(f, td_of(f)) == 1 << n
+
+
+def test_td_table_budget_checked_before_the_bag_cliques():
+    # One bag of 3000 free variables: count_td refuses it from td.width,
+    # before the 3000-clique the min-fill game would be played on is built.
+    n = 3000
+    f = CnfFormula((), free_vars=frozenset(range(1, n + 1)))
+    td = TreeDecomposition({1: frozenset(range(1, n + 1))}, ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableBudgetExceeded):
+            count_td(f, td)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24  # validation's; a 3000-clique's sets take hundreds of MB
+
+
+@pytest.mark.parametrize("foreign", [3, clause_vertex(2)], ids=["variable", "clause"])
+def test_td_rejects_a_vertex_outside_the_incidence_graph(foreign):
+    # Counted as a bag vertex, a foreign variable would double the count and
+    # a foreign clause would zero it.
+    f = CnfFormula((clause_of(1, 1, 2),))
+    td = td_of(f)
+    bad = TreeDecomposition({**td.bags, 1: td.bags[1] | {foreign}}, td.edges)
+    assert validate_decomposition(build_incidence(f), bad).violations == (("vertex-foreign", foreign),)
+    with pytest.raises(ValueError, match="vertex-foreign"):
+        count_td(f, bad)
+    assert count_td(f, td) == 3
 
 
 def test_td_table_budget_checked_before_any_bucket():
@@ -1181,7 +1211,7 @@ def clauses_first(g):
 def decompositions(g):
     """Min-fill, clauses first, exact, one bag, a PACE round trip, a
     duplicated leaf bag, and min-fill numbered backwards, which
-    `_elimination_of` roots at the bag of min-fill's first vertex."""
+    `ref_elimination_of` roots at the bag of min-fill's first vertex."""
     td = upper_bound_heuristic(g)[1].decomposition()
     yield td
     yield clauses_first(g)
@@ -1201,6 +1231,58 @@ def decompositions(g):
         {last + 1 - i: bag for i, bag in td.bags.items()},
         tuple((last + 1 - i, last + 1 - j) for i, j in td.edges),
     )
+
+
+def ref_elimination_of(td):
+    """The elimination a decomposition describes, as `count_td` once read it:
+    each vertex td covers, in forget order, with the vertices of its
+    bucket's scope other than itself.
+
+    td is rooted at its highest-numbered bag and walked children first. A
+    vertex is forgotten at the bag nearest the root holding it, and its
+    scope is that bag minus the vertices forgotten before it.
+    """
+    bags = td.bags
+    if not bags:
+        return Elimination([], [])
+    adj = {i: [] for i in bags}
+    for i, j in td.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    root = max(bags)
+    walk = []
+    up = {}  # each bag's neighbour toward the root
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        walk.append(i)
+        kids = [j for j in adj[i] if j not in up and j != root]
+        up.update(dict.fromkeys(kids, i))
+        stack.extend(kids)
+    walk.reverse()
+    order, nbrs = [], []
+    for i in walk:
+        scope = bags[i]
+        gone = scope - bags[up[i]] if i in up else scope
+        for v in sorted(gone):
+            scope = scope - {v}
+            order.append(v)
+            nbrs.append(scope)
+    return Elimination(order, nbrs)
+
+
+@given(small_formulas(n_max=8, max_len=4))
+@settings(max_examples=150, deadline=None)
+def test_elimination_of_matches_the_forget_order_walk(f):
+    # The min-fill game on the bag cliques adds no fill: its width is the
+    # decomposition's, which the walk's forget order also has, and the DP
+    # counts the same on both, for every shape of decomposition.
+    g = build_incidence(f)
+    for td in decompositions(g):
+        elimination, ref = _elimination_of(td), ref_elimination_of(td)
+        assert elimination.width == ref.width == td.width
+        assert sorted(elimination.order) == sorted(ref.order) == sorted(g.vertices())
+        assert _run_dp(f, elimination) == _run_dp(f, ref) == ref_bucket_dp(f, ref)
 
 
 @given(small_formulas())
@@ -1225,8 +1307,8 @@ def test_small_bucket_boundary(f):
     # Clauses of up to 5 literals give buckets of 1 to 6 vertices, on both
     # sides of SMALL_MESSAGE_BITS. Empty clauses and free variables give
     # buckets of one vertex, whose message multiplies into the count. Both
-    # decompositions come from an elimination order, so each nonempty bag is
-    # the scope of exactly one bucket.
+    # decompositions come from an elimination order, so the forget-order walk
+    # makes each nonempty bag the scope of exactly one bucket.
     g = build_incidence(f)
     expected = count_bruteforce(f)
     tds = [upper_bound_heuristic(g)[1].decomposition()]
@@ -1234,10 +1316,11 @@ def test_small_bucket_boundary(f):
     if verdict.kind == AT_MOST:
         tds.append(verdict.elimination.decomposition())
     for td in tds:
-        elimination = _elimination_of(td)
-        scopes = Counter(frozenset(nbrs) | {v} for v, nbrs in zip(*elimination))
+        walked = ref_elimination_of(td)
+        scopes = Counter(frozenset(nbrs) | {v} for v, nbrs in zip(*walked))
         assert scopes == Counter(filter(None, td.bags.values()))
-        assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination) == expected
+        for elimination in (_elimination_of(td), walked):
+            assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination) == expected
 
 
 @given(st.integers(0, 10_000))

@@ -262,8 +262,10 @@ def test_at_most_above_cap():
 
 
 def test_empty_graph_verdict():
-    v = treewidth_at_most(Graph(), 0)
-    assert v.kind == AT_MOST and v.bound == -1
+    # Both the t <= 2 reduction and the min-fill rung decide the empty graph.
+    for t in range(5):
+        v = treewidth_at_most(Graph(), t)
+        assert v.kind == AT_MOST and v.bound == -1 and v.elimination == ([], [])
 
 
 @given(st.integers(0, 400))
