@@ -93,7 +93,7 @@ def cmd_tw(args) -> int:
 def cmd_count(args) -> int:
     try:
         f = _load_formula(args.path)
-    except (OSError, FormulaError) as exc:
+    except (OSError, UnicodeDecodeError, FormulaError) as exc:
         return _fail(str(exc))
     start = time.monotonic()
     note = None
@@ -153,7 +153,7 @@ def _report_json(report: bd.BackdoorReport) -> dict:
 def cmd_backdoor(args) -> int:
     try:
         f = _load_formula(args.path)
-    except (OSError, FormulaError) as exc:
+    except (OSError, UnicodeDecodeError, FormulaError) as exc:
         return _fail(str(exc))
     if args.t < 0:
         return _fail(f"--t must be at least 0, got {args.t}")

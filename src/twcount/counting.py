@@ -6,14 +6,14 @@ with clause bits in the "still unsatisfied" form of Slivovsky & Szeider
 (SAT 2020). Its one input is an elimination of inc(F)
 (`treewidth.Elimination`): the vertices in order, each with its neighbours
 when it was eliminated. Each vertex is one bucket, whose scope is the vertex
-and those neighbours, so deep eliminations are fine. A bucket multiplies
-the messages it received into a dense table over its scope, zeroes the
-edges to its vertex, folds that vertex out and sends the result on as a
-message. A scope wider than the table budget (DP_TABLE_CAP entries) raises
-TableBudgetExceeded before any table is allocated. Every rung of the
-ladder hands over its elimination as its game built it. `count_td`, whose
-input is a tree decomposition, counts on the min-fill game played on the
-graph with each of its bags made a clique (`treewidth._elimination_of`).
+and those neighbours, so deep eliminations are fine. A bucket multiplies the
+messages it received into a table over its scope (four ints for two
+vertices), zeroes the edges to its vertex, folds that vertex out and sends
+the result on as a message. A scope wider than the table budget (DP_TABLE_CAP
+entries) raises TableBudgetExceeded before any table is allocated. Every rung
+of the ladder hands over its elimination as its game built it. `count_td`,
+whose input is a tree decomposition, counts on the min-fill game played on
+the graph with each of its bags made a clique (`treewidth._elimination_of`).
 The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula. Free variables of a formula appear as isolated
@@ -126,13 +126,16 @@ def count_bruteforce(f: CnfFormula) -> int:
 # count. These scopes are the bags of the elimination's decomposition
 # (`treewidth._decomposition`), but the DP never builds it.
 #
-# - A bucket of at most SMALL_MESSAGE_BITS vertices (every bucket of width
-#   at most 3, so every t <= 2 bucket) reads each message through an index
-#   list precomputed at import, which names for every entry of the bucket
-#   the message entry its bits select, and multiplies them in: the message's
-#   positions in the scope list choose it, and a message over the whole
-#   scope, or repeated over a prefix of it, needs none. An edge zeroes the
-#   entries another list names. A one-vertex bucket folds into the count.
+# - A bucket {v, w} or {v} (every bucket of a width-1 elimination) holds its
+#   four entries as ints: its messages are over [v] or [v, w], as N(v) is at
+#   most {w}, and an edge zeroes one entry. It sends v folded out at w = 0
+#   and at w = 1 on over [w], or, with no w, folds into the count.
+# - A bucket of 3 to SMALL_MESSAGE_BITS vertices reads each message through
+#   an index list precomputed at import, which names for every entry of the
+#   bucket the message entry its bits select, and multiplies them in: the
+#   message's positions in the scope list choose it, and a message over the
+#   whole scope, or repeated over a prefix of it, needs none. An edge zeroes
+#   the entries another list names.
 # - A wider bucket applies a message over at most SMALL_MESSAGE_BITS
 #   vertices entry by entry: an entry of 1 is skipped, any other scales (and
 #   0 zeroes) the sub-cube of entries whose bits match it, sliced by one plan
@@ -175,14 +178,14 @@ def _pick(k: int, at: int) -> list[int]:
     return idx
 
 
-# _PICK[k][at] is _pick(k, at). _ZEROS[k][p][b] lists the entries of a table
-# over k bits whose bit 0 is b & 1 and whose bit p is b >> 1.
-_PICK = [[_pick(k, at) for at in range(1 << k)] for k in range(SMALL_MESSAGE_BITS + 1)]
-_ZEROS = [
-    [[[e for e in range(1 << k) if e & 1 == b & 1 and e >> p & 1 == b >> 1] for b in range(4)]
-     for p in range(k)]
-    for k in range(SMALL_MESSAGE_BITS + 1)
-]
+# Keyed by bucket size, 3 to SMALL_MESSAGE_BITS: _PICK[k][at] is _pick(k, at).
+# _ZEROS[k][p][b] lists the entries of a table over k bits whose bit 0 is
+# b & 1 and whose bit p is b >> 1.
+_PICK = {k: [_pick(k, at) for at in range(1 << k)] for k in range(3, SMALL_MESSAGE_BITS + 1)}
+_ZEROS = {
+    k: [[[e for e in range(1 << k) if e & 1 == b & 1 and e >> p & 1 == b >> 1] for b in range(4)]
+        for p in range(k)] for k in _PICK
+}
 
 
 class TableBudgetExceeded(RuntimeError):
@@ -285,13 +288,30 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
     for v, nbrs in zip(*elimination):
         got = inbox.pop(v, ())
         fold = sub if v >= CLAUSE_VERTEX_STRIDE else add  # is_clause_vertex(v)
-        if not nbrs:  # no edge, and every message is over v alone
-            a = b = 1
-            for (x, y), _ in got:
-                a, b = a * x, b * y
-            count *= fold(a, b)
+        if len(nbrs) < 2:  # four scalars: entry (v, w) is a_v for w = 0, b_v for w = 1
+            a0 = a1 = b0 = b1 = 1
+            for m, _ in got:  # over [v], or over [v, w]
+                if len(m) == 2:
+                    x0, x1 = y0, y1 = m
+                else:
+                    x0, x1, y0, y1 = m
+                a0 *= x0
+                a1 *= x1
+                b0 *= y0
+                b1 *= y1
+            for _, bw, bv in edges.get(v, ()):  # the one edge to w zeroes (bv, bw), never (0, 0)
+                if not bw:
+                    a1 = 0
+                elif bv:
+                    b1 = 0
+                else:
+                    b0 = 0
+            for w in nbrs:
+                inbox[w].append(([fold(a0, a1), fold(b0, b1)], [w]))
+            if not nbrs:
+                count *= fold(a0, a1)
             continue
-        s = [v, *sorted(nbrs, key=rank.__getitem__)] if len(nbrs) > 1 else [v, *nbrs]
+        s = [v, *sorted(nbrs, key=rank.__getitem__)]
         n = len(s)
         if n <= SMALL_MESSAGE_BITS:
             picks = _PICK[n]

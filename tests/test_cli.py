@@ -1,5 +1,6 @@
 import decimal
 import json
+import random
 import sys
 import time
 
@@ -91,6 +92,18 @@ def test_tw_parse_error_exit_2(capsys, tmp_path):
     p = tmp_path / "empty.cnf"
     p.write_text("")
     assert main(["tw", str(p)]) == 2
+
+
+@pytest.mark.parametrize("command", [["count"], ["backdoor", "find"], ["tw"]], ids=lambda c: c[0])
+def test_undecodable_file_exit_2(capsys, tmp_path, command):
+    data = random.Random(0).randbytes(200)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    p = tmp_path / "bytes.cnf"
+    p.write_bytes(data)
+    assert main([command[0], str(p), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_count_auto_backdoor(capsys, grid_x_file):

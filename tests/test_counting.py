@@ -23,7 +23,6 @@ from twcount.counting import (
     SMALL_MESSAGE_BITS,
     TableBudgetExceeded,
     VariableCapExceeded,
-    _PICK,
     _run_dp,
     _spread_to,
     backdoor_branch_counts,
@@ -1078,10 +1077,21 @@ def ref_tree_dp(f, td):
     return count[0]
 
 
-# A reference bucket DP with the tables and operations of `_run_dp`, written
-# plainly: one position dict per bucket, a keyed sort of every scope, and
-# each sub-cube's slicing recomputed for every entry it scales.
+# A reference bucket DP with the tables of `_run_dp`, written plainly: every
+# bucket of at most SMALL_MESSAGE_BITS vertices, one or two included, read
+# through index lists built here, one position dict per bucket, a keyed sort
+# of every scope, and each sub-cube's slicing recomputed for every entry it
+# scales.
 
+
+def ref_pick(k, at):
+    """For each entry of a table over k bits, the index of the entry of a
+    message whose bits stand for the positions in the bitmask `at`."""
+    ps = [p for p in range(k) if at >> p & 1]
+    return [sum((e >> p & 1) << i for i, p in enumerate(ps)) for e in range(1 << k)]
+
+
+REF_PICK = [[ref_pick(k, at) for at in range(1 << k)] for k in range(SMALL_MESSAGE_BITS + 1)]
 REF_ZEROS = [
     {q: [[e for e in range(1 << k) if e & 1 == b & 1 and bool(e & q) == b >> 1] for b in range(4)]
      for q in (1 << p for p in range(1, k))}
@@ -1134,7 +1144,7 @@ def ref_bucket_dp(f, elimination):
         got = inbox.pop(v, ())
         if n <= SMALL_MESSAGE_BITS:
             bit = {w: 1 << p for p, w in enumerate(s)}
-            picks = _PICK[n]
+            picks = REF_PICK[n]
             t = None
             for m, ws in got:
                 col = map(m.__getitem__, picks[sum(map(bit.__getitem__, ws))])
@@ -1367,12 +1377,28 @@ def test_one_sub_cube_plan_per_message(monkeypatch):
     assert len(plans) == expected < len(scaled)
 
 
+def formula_of(*clauses):
+    return CnfFormula(tuple(clause_of(i, *lits) for i, lits in enumerate(clauses, start=1)))
+
+
 @given(small_formulas(n_max=8, max_len=4), st.integers(0, 3))
+# Four-int buckets {v, w} of the t <= 2 reduction's elimination, each
+# zeroing its edge to w. At t = 1 they get messages over [v] alone, with v a
+# clause and a variable and the edge negative, then positive. At t = 2 one
+# gets a message over [v, w] from a three-vertex bucket, with v a clause and
+# w negative, then positive in it, then v a variable positive, then
+# negative in w.
+@example(formula_of((-1, -2), (-1,)), 1)
+@example(formula_of((1, 2), (2,)), 1)
+@example(formula_of((-2,), (-3, -1, 2), (2, -3, -1)), 2)
+@example(formula_of((3,), (1, 4, 3), (1, 3, -4)), 2)
+@example(formula_of((1, 2), (1, 2), (-1,)), 2)
+@example(formula_of((-1, -2), (-2, -1), (-1, -2), (2,)), 2)
 @settings(max_examples=150, deadline=None)
 def test_dp_on_the_ladder_elimination(f, t):
     # The ladder's AtMost verdict is counted on its elimination as it
     # stands; the decomposition derived from it validates and gives the
-    # reference DP the same count. t = 3 stands for the min-fill rung: at
+    # reference DPs the same count. t = 3 stands for the min-fill rung: at
     # the min-fill width (or 3) every query it reaches is decided there.
     g = build_incidence(f)
     if t == 3:
@@ -1383,7 +1409,41 @@ def test_dp_on_the_ladder_elimination(f, t):
     td = verdict.elimination.decomposition()
     assert validate_decomposition(g, td).ok
     assert td.width == verdict.bound == verdict.elimination.width <= t
-    assert _run_dp(f, verdict.elimination) == count_bruteforce(f) == ref_tree_dp(f, td)
+    count = _run_dp(f, verdict.elimination)
+    assert count == count_bruteforce(f) == ref_tree_dp(f, td) == ref_bucket_dp(f, verdict.elimination)
+
+
+def recorded_lookups(table, reads):
+    """A copy of the index-list table that appends each key it is read at to reads."""
+
+    class Recorded(type(table)):
+        def __getitem__(self, k):
+            reads.append(k)
+            return super().__getitem__(k)
+
+    return Recorded(table)
+
+
+def test_width_one_elimination_reads_no_index_list(monkeypatch):
+    # Every bucket of a width-1 elimination has at most two vertices and is
+    # counted on scalars: the pick and zero lists of the wider buckets are
+    # never read. The same recorders see a width-2 cycle's three-vertex
+    # buckets read them.
+    reads = []
+    for name in ("_PICK", "_ZEROS"):
+        monkeypatch.setattr(counting, name, recorded_lookups(getattr(counting, name), reads))
+    f = gen_grid_formula_x(8)
+    for value in (0, 1):
+        fr = reduce(f, Assignment({65: value}))
+        verdict = treewidth.treewidth_at_most(build_incidence(fr), 1)
+        assert verdict.kind == AT_MOST and verdict.elimination.width == 1
+        assert _run_dp(fr, verdict.elimination) == ref_bucket_dp(fr, verdict.elimination)
+    assert reads == []
+    cycle = formula_of((1, 2), (2, 3), (1, -3))
+    elimination = treewidth.treewidth_at_most(build_incidence(cycle), 2).elimination
+    assert elimination.width == 2
+    assert _run_dp(cycle, elimination) == count_bruteforce(cycle)
+    assert reads
 
 
 @pytest.mark.parametrize(
