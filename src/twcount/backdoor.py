@@ -12,13 +12,13 @@ a candidate set for the verification, the exact search and
 `counting.backdoor_branch_counts`; each leaf keeps the branches its check
 returned, and `counting` sums them without a second walk.
 
-Every width query on a reduced formula goes through one `_Oracle`, which
-`counting.solve` creates per solve. It keeps (kind, bound, count) per
-(reduced formula, t), keyed on the formula's packed form
-(`CnfFormula.packed`, computed once per formula object however often it
-is asked about), and of graphs only the last miss's: equal reductions
-reached along different paths are decided once, and inc(F) is built to
-decide a miss, or for a witness whose formula is not the last miss's.
+Every width query goes through one `_Oracle`, which `counting.solve`
+creates per solve. It builds inc(F) once; a search node is the vertex set
+of inc(F) its assignment tau leaves, which determines F[tau], and
+inc(F[tau]) is the subgraph that set induces. The oracle keeps (kind,
+bound, count) per (vertex set, t), and of graphs only the last miss's:
+equal reductions reached along different paths are decided once, and a
+witness asked right after its miss shrinks on that miss's graph.
 `counting` passes in the solve's t and its DP, so this module imports
 nothing from it; the oracle counts each AtMost verdict at that t as the
 ladder returns it, and no other. It also keeps the solve's search counts.
@@ -29,9 +29,10 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet
 
-from .formula import Assignment, CnfFormula, FormulaError, assignments, delete_vars, reduce
-from .graphs import Graph, build_incidence, clause_id, is_clause_vertex
+from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, FormulaError, assignments, delete_vars
+from .graphs import Graph, InducedSubgraph, build_incidence, clause_id, is_clause_vertex
 from .treewidth import (
     AT_MOST,
     DEFAULT_VERTEX_CAP,
@@ -83,68 +84,99 @@ class KillerSet:
 
 
 class _Oracle:
-    """The width verdicts of one solve, keyed by (reduced formula, t), and
+    """inc(F) of one solve, its width verdicts keyed by (vertex set, t), and
     the solve's search counts.
 
-    reduce(reduce(f, a), b) equals reduce(f, a | b), so a reduction reached
-    along different paths is one entry, and the ladder decides it once, on
-    inc(F) built for that miss. An entry is (kind, bound, count). A miss at
-    the solve's t that comes back AtMost runs `dp` on the elimination the
-    ladder just returned and keeps the model count; every other entry has no
+    A vertex set (`reduced`) reached along different paths is one entry,
+    and the ladder decides it once, on the subgraph induced for that miss
+    (`induced`). An entry is (kind, bound, count). A miss at the solve's t
+    that comes back AtMost runs `dp` on F and the elimination the ladder
+    just returned and keeps the model count; every other entry has no
     count. Of graphs and eliminations it keeps at most the last miss's
-    (`last`: formula, graph, verdict), and the formula key is one flat bytes
-    object, so a solve's memory stays close to what it was without it. That
-    key is `CnfFormula.packed`, kept on the formula, so a re-ask of the same
-    object (`_approx` at t after the threshold, `_branches` on
-    `reduce(f, {})`, which is f) does not pack it again.
+    (`last`: vertex set, graph, verdict).
     """
 
-    __slots__ = ("vertex_cap", "t", "dp", "stats", "last", "_verdicts")
+    __slots__ = ("f", "graph", "root", "vertex_cap", "t", "dp", "stats", "last", "_verdicts")
 
-    def __init__(self, vertex_cap: int, t: int | None = None, dp=None) -> None:
+    def __init__(self, f: CnfFormula, vertex_cap: int, t: int | None = None, dp=None) -> None:
+        self.f = f
+        self.graph = build_incidence(f)
+        self.root = frozenset(self.graph.vertices())  # the vertex set of inc(F)
         self.vertex_cap = vertex_cap
         self.t = t  # the width whose AtMost verdicts dp counts; None counts none
         self.dp = dp
         self.stats = SearchStats()
-        self.last: tuple[CnfFormula, Graph, TwVerdict] | None = None
-        # (f.packed, t) -> (kind, bound, count)
-        self._verdicts: dict[tuple[bytes, int], tuple[str, int, int | None]] = {}
+        self.last: tuple[frozenset[int], Graph, TwVerdict] | None = None
+        # (vertex set, t) -> (kind, bound, count)
+        self._verdicts: dict[tuple[frozenset[int], int], tuple[str, int, int | None]] = {}
 
-    def verdict(self, f: CnfFormula, t: int) -> tuple[str, int, int | None]:
-        """(kind, bound, count) of tw(inc(f)) <= t; the first ask builds inc(f)
-        and runs the ladder on it."""
-        key = (f.packed, t)
+    def reduced(self, alive: frozenset[int], tau: Assignment) -> frozenset[int]:
+        """The vertex set of inc(F[sigma + tau]), given that of inc(F[sigma]):
+        alive less tau's variables, the clauses tau satisfies, and the
+        variables those clauses leave in no clause of alive. Reads only the
+        neighbourhoods of tau's variables and of the clauses it satisfies."""
+        if not tau:
+            return alive
+        adj, by_id = self.graph.adjacency_view(), self.f.clauses_by_id
+        satisfied = [
+            cv for x, value in tau.items() for cv in adj[x]
+            if cv in alive and (x if value else -x) in by_id[cv - CLAUSE_VERTEX_STRIDE].lits
+        ]
+        left = alive.difference(tau.domain, satisfied)
+        vanished = {y for cv in satisfied for y in adj[cv] if y in left and adj[y].isdisjoint(left)}
+        return left - vanished if vanished else left
+
+    def induced(self, alive: frozenset[int]) -> Graph:
+        """inc(F[tau]) for the vertex set alive that tau leaves; inc(F) itself
+        at the root, the one subset of root as large as root."""
+        if len(alive) == len(self.root):
+            return self.graph
+        return InducedSubgraph(self.graph.adjacency_view(), alive)
+
+    def verdict(self, alive: frozenset[int], t: int) -> tuple[str, int, int | None]:
+        """(kind, bound, count) of tw <= t for the subgraph of inc(F) that
+        alive induces; the first ask runs the ladder on it."""
+        key = (alive, t)
         entry = self._verdicts.get(key)
         if entry is None:
-            self.last = None  # drop the kept graph before building the next
-            g = build_incidence(f)
+            self.last = None  # drop the kept graph before inducing the next
+            g = self.induced(alive)
             verdict = treewidth_at_most(g, t, self.vertex_cap)
-            self.last = (f, g, verdict)
+            self.last = (alive, g, verdict)
             counted = t == self.t and verdict.kind == AT_MOST
-            count = self.dp(f, verdict.elimination) if counted else None
+            count = self.dp(self.f, verdict.elimination) if counted else None
             entry = self._verdicts[key] = (verdict.kind, verdict.bound, count)
         return entry
 
 
-# An assignment tau to a candidate set, F[tau], and the oracle's entry for it.
-_Branch = tuple[Assignment, CnfFormula, tuple[str, int, int | None]]
+# An assignment tau to a candidate set, the vertex set of inc(F[tau]), and
+# the oracle's entry for it.
+_Branch = tuple[Assignment, frozenset[int], tuple[str, int, int | None]]
 
 
-def _branches(f: CnfFormula, b: frozenset[int], t: int, oracle: _Oracle) -> list[_Branch]:
-    """The assignments to b in counting order, each with its reduction and the
-    oracle's entry at t, up to and including the first that exceeds t; each
-    counts as one check. An undecided reduction raises InconclusiveTreewidth."""
+def _branches(alive: frozenset[int], b: frozenset[int], t: int, oracle: _Oracle) -> list[_Branch]:
+    """The assignments to b in counting order, each with the vertex set it
+    leaves of alive and the oracle's entry at t, up to and including the
+    first that exceeds t; each counts as one check. An undecided reduction
+    raises InconclusiveTreewidth."""
     out = []
     for tau in assignments(b, cap=STRONG_CHECK_CAP):
         oracle.stats.checks += 1
-        fr = reduce(f, tau)
-        entry = oracle.verdict(fr, t)
+        left = oracle.reduced(alive, tau)
+        entry = oracle.verdict(left, t)
         if entry[0] == UNKNOWN:
             raise InconclusiveTreewidth(f"treewidth undecided for reduction under {tau}")
-        out.append((tau, fr, entry))
+        out.append((tau, left, entry))
         if entry[0] == EXCEEDS:
             break
     return out
+
+
+def _check_declared(f: CnfFormula, variables) -> None:
+    """Reject an assignment to a variable F does not declare, as `reduce` does."""
+    extra = sorted(frozenset(variables) - f.variables - f.free_vars)
+    if extra:
+        raise FormulaError(f"assignment mentions undeclared variables {extra}")
 
 
 def is_strong_backdoor(
@@ -156,8 +188,8 @@ def is_strong_backdoor(
         raise FormulaError(f"backdoor candidates must occur in the formula: {sorted(bset - f.variables)}")
     if len(bset) > STRONG_CHECK_CAP:
         raise FormulaError(f"backdoor of size {len(bset)} exceeds the check cap {STRONG_CHECK_CAP}")
-    oracle = _Oracle(vertex_cap)
-    tau, _, (kind, bound, _) = _branches(f, bset, t, oracle)[-1]
+    oracle = _Oracle(f, vertex_cap)
+    tau, _, (kind, bound, _) = _branches(oracle.root, bset, t, oracle)[-1]
     if kind == AT_MOST:
         return BackdoorReport(tuple(sorted(bset)), "strong", t, True, stats=oracle.stats)
     return BackdoorReport(
@@ -185,20 +217,26 @@ def is_deletion_backdoor(
 def killer_set(f: CnfFormula, w, t: int) -> KillerSet:
     """Internal killers are w's variable vertices; external killers occur
     positively in one of w's clauses and negatively in another."""
-    wset = frozenset(w)
-    internal = {v for v in wset if not is_clause_vertex(v)}
+    return _killers(f, frozenset(w), f.variables)
+
+
+def _killers(f: CnfFormula, w: frozenset[int], alive: AbstractSet[int]) -> KillerSet:
+    """killer_set of w in F[tau], where alive holds the variables of F[tau]:
+    a clause of F[tau] keeps the literals of F's clause whose variables are
+    alive."""
+    internal = {v for v in w if not is_clause_vertex(v)}
     pos: set[int] = set()
     neg: set[int] = set()
-    for v in wset:
+    for v in w:
         if not is_clause_vertex(v):
             continue
         c = f.clauses_by_id.get(clause_id(v))
         if c is None:
             raise FormulaError(f"obstruction references unknown clause {clause_id(v)}")
         for x in c.lits:
-            if abs(x) not in internal:
+            if abs(x) not in internal and abs(x) in alive:
                 (pos if x > 0 else neg).add(abs(x))
-    return KillerSet(wset, tuple(sorted(internal)), tuple(sorted(pos & neg)))
+    return KillerSet(w, tuple(sorted(internal)), tuple(sorted(pos & neg)))
 
 
 def extract_witness(
@@ -206,18 +244,20 @@ def extract_witness(
 ) -> frozenset[int]:
     """A small vertex set of inc(F[tau]) whose induced subgraph has width
     above t (see `treewidth.witness`); ValueError unless F[tau] has width above t."""
-    fr, oracle = reduce(f, tau), _Oracle(vertex_cap)
-    if oracle.verdict(fr, t)[0] != EXCEEDS:
+    _check_declared(f, tau.domain)
+    oracle = _Oracle(f, vertex_cap)
+    alive = oracle.reduced(oracle.root, tau)
+    if oracle.verdict(alive, t)[0] != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
-    return _witness(fr, t, oracle)
+    return _witness(alive, t, oracle)
 
 
-def _witness(fr: CnfFormula, t: int, oracle: _Oracle) -> frozenset[int]:
-    """extract_witness on a reduction fr the oracle has found above t, at t
-    or at a threshold above it; the shrink runs on the last miss's graph
-    when that miss was fr's."""
-    last_f, g, _ = oracle.last
-    return witness(g if last_f == fr else build_incidence(fr), t, oracle.vertex_cap)
+def _witness(alive: frozenset[int], t: int, oracle: _Oracle) -> frozenset[int]:
+    """extract_witness on a vertex set the oracle has found above t, at t or
+    at a threshold above it; the shrink runs on the last miss's graph when
+    that miss was alive's."""
+    last_alive, g, _ = oracle.last
+    return witness(g if last_alive == alive else oracle.induced(alive), t, oracle.vertex_cap)
 
 
 def find_smallest_strong_backdoor(
@@ -230,39 +270,40 @@ def find_smallest_strong_backdoor(
     """
     if not 0 <= k_max <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k_max must be between 0 and the desk-scale cap {EXACT_SEARCH_CAP}")
-    oracle = _Oracle(vertex_cap)
-    branches = _smallest(f, t, k_max, oracle)
+    oracle = _Oracle(f, vertex_cap)
+    branches = _smallest(oracle.root, t, k_max, oracle)
     if branches is None:
         return None
     return BackdoorReport(_leaf_union(branches), "strong", t, True, stats=oracle.stats)
 
 
-def _smallest(f: CnfFormula, t: int, k_max: int, oracle: _Oracle) -> list[_Branch] | None:
-    """The branches of the set find_smallest_strong_backdoor finds, or None,
-    asking the oracle for every verdict and counting on its stats."""
+def _smallest(alive: frozenset[int], t: int, k_max: int, oracle: _Oracle) -> list[_Branch] | None:
+    """The branches of the set find_smallest_strong_backdoor finds for the
+    reduction whose vertex set is alive, or None, asking the oracle for
+    every verdict and counting on its stats."""
     for size in range(k_max + 1):
-        found = _smallest_from(f, t, frozenset(), size, oracle)
+        found = _smallest_from(alive, t, frozenset(), size, oracle)
         if found is not None:
             return found
     return None
 
 
 def _smallest_from(
-    f: CnfFormula, t: int, b: frozenset[int], size: int, oracle: _Oracle
+    alive: frozenset[int], t: int, b: frozenset[int], size: int, oracle: _Oracle
 ) -> list[_Branch] | None:
     """The branches of the first strong backdoor within size variables that
     extends b, or None. Not a nested closure: its reference cycle would keep
     the oracle, and the oracle's last graph, alive after the solve."""
     oracle.stats.nodes += 1
-    branches = _branches(f, b, t, oracle)
-    _, fr, (kind, _, _) = branches[-1]
+    branches = _branches(alive, b, t, oracle)
+    _, left, (kind, _, _) = branches[-1]
     if kind == AT_MOST:
         return branches
     if len(b) >= size:
         return None
-    killers = killer_set(fr, _witness(fr, t, oracle), t)
+    killers = _killers(oracle.f, _witness(left, t, oracle), left)
     for x in killers.internal + killers.external:
-        res = _smallest_from(f, t, b | {x}, size, oracle)
+        res = _smallest_from(alive, t, b | {x}, size, oracle)
         if res is not None:
             return res
     return None
@@ -287,8 +328,8 @@ def approx_backdoor(
     """
     if not 0 <= k <= EXACT_SEARCH_CAP:
         raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
-    oracle = _Oracle(vertex_cap)
-    branches = _approx(f, t, k, tw_threshold, oracle)
+    oracle = _Oracle(f, vertex_cap)
+    branches = _approx(oracle.root, t, k, tw_threshold, oracle)
     if branches is None:
         return None
     return BackdoorReport(_leaf_union(branches), "strong", t, True, stats=oracle.stats)
@@ -299,31 +340,32 @@ def _leaf_union(branches: list[_Branch]) -> tuple[int, ...]:
 
 
 def _approx(
-    f: CnfFormula, t: int, k: int, tw_threshold: int, oracle: _Oracle, path: Assignment = Assignment()
+    alive: frozenset[int], t: int, k: int, tw_threshold: int, oracle: _Oracle,
+    path: Assignment = Assignment(),
 ) -> list[_Branch] | None:
     """The leaf branches of approx_backdoor's search tree, x = 0 subtree first,
     or None: a path's killer values joined with each assignment to the set the
-    exact search found below it, with F's reduction and its entry at t. path
-    holds the killer values that reduced the root formula to f. A width the
-    caps leave undecided at the threshold is asked again at t, where an
-    Exceeds verdict still lets the search branch."""
+    exact search found below it, with its vertex set and its entry at t. path
+    holds the killer values that left alive of inc(F). A width the caps leave
+    undecided at the threshold is asked again at t, where an Exceeds verdict
+    still lets the search branch."""
     oracle.stats.nodes += 1
-    kind = oracle.verdict(f, max(tw_threshold, t))[0]
+    kind = oracle.verdict(alive, max(tw_threshold, t))[0]
     if kind == UNKNOWN and tw_threshold > t:
-        kind = oracle.verdict(f, t)[0]
+        kind = oracle.verdict(alive, t)[0]
     if kind == UNKNOWN:
         raise InconclusiveTreewidth("treewidth undecided during approximation")
     if kind == AT_MOST:
-        branches = _smallest(f, t, k, oracle)
-        return None if branches is None else [(path.merged(tau), fr, e) for tau, fr, e in branches]
+        branches = _smallest(alive, t, k, oracle)
+        return None if branches is None else [(path.merged(tau), left, e) for tau, left, e in branches]
     if k == 0:
         return None
-    killers = killer_set(f, _witness(f, t, oracle), t)
+    killers = _killers(oracle.f, _witness(alive, t, oracle), alive)
     for x in sorted(set(killers.internal + killers.external)):
         leaves: list[_Branch] = []
         for value in (0, 1):
             tau = Assignment({x: value})
-            half = _approx(reduce(f, tau), t, k - 1, tw_threshold, oracle, path.merged(tau))
+            half = _approx(oracle.reduced(alive, tau), t, k - 1, tw_threshold, oracle, path.merged(tau))
             if half is None:
                 break
             leaves += half

@@ -16,21 +16,22 @@ whose input is a tree decomposition, counts on the min-fill game played on
 the graph with each of its bags made a clique (`treewidth._elimination_of`).
 The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
-come from the formula. Free variables of a formula appear as isolated
-vertices of its incidence graph; the DP therefore doubles the count once
-per free variable without special handling.
+come from the formula: the solve's own F even when it counts F[tau], whose
+elimination covers only the vertices of inc(F[tau]). Free variables of a
+formula appear as isolated vertices of its incidence graph; the DP
+therefore doubles the count once per free variable without special
+handling.
 
 `solve` creates one width oracle (`backdoor._Oracle`) per call, hands it
 t and `_run_dp`, and asks it every width query of the call: the root query
-and the backdoor search. It keeps (kind, bound, count) keyed by the reduced
-formula and t, and builds inc(F) only when it has to run the ladder, so no
-reduction is decided twice and no graph is built for a verdict it already
-holds. It runs the DP on a miss at t that comes back AtMost, on the
-elimination the ladder just returned, and counts no verdict at any other
-width. `solve` counts an AtMost root at the threshold on the elimination
-of that first miss, or, when that elimination is too wide for the table
-budget, searches it as it would a root above the threshold. No tree
-decomposition is built on this path, at any width.
+and the backdoor search. The oracle builds inc(F) once, keeps (kind, bound,
+count) keyed by the vertex set a reduction leaves of it and t, and runs the
+ladder only on a miss, so no reduction is decided twice. It runs the DP on a miss at t that comes back AtMost, on the elimination the
+ladder just returned, and counts no verdict at any other width. `solve`
+counts an AtMost root at the threshold on the elimination of that first
+miss, or, when that elimination is too wide for the table budget, searches
+it as it would a root above the threshold. No tree decomposition is built
+on this path, at any width.
 The search (`backdoor._approx`) returns its leaf branches with the counts
 its own checks made, and `solve` sums them; it reduces nothing and asks the
 oracle nothing of its own.
@@ -122,9 +123,11 @@ def count_bruteforce(f: CnfFormula) -> int:
 # while c must stay unsatisfied. Folding bit 0 gives
 # the bucket's message, over N(v), which goes to the bucket of N(v)'s
 # earliest-eliminated vertex u: the elimination game made N(v) a clique, so
-# N(u) holds the rest of N(v). A message over no vertex multiplies into the
-# count. These scopes are the bags of the elimination's decomposition
-# (`treewidth._decomposition`), but the DP never builds it.
+# N(u) holds the rest of N(v). A message over no vertex, a component's
+# count, is a factor of the count, and the factors are multiplied in
+# pairwise rounds (`_product`). These scopes are the bags of the
+# elimination's decomposition (`treewidth._decomposition`), but the DP
+# never builds it.
 #
 # - A bucket {v, w} or {v} (every bucket of a width-1 elimination) holds its
 #   four entries as ints: its messages are over [v] or [v, w], as N(v) is at
@@ -260,12 +263,16 @@ def _scale(t: list[int], plan: tuple[list[int], int, int, int], off: int, v: int
 
 
 def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
-    """Count the satisfying assignments of f over the variables the
+    """Count the satisfying assignments of F[tau] over the variables the
     elimination covers.
 
-    elimination eliminates all of inc(f). One bucket per vertex, in order:
-    multiplies the bucket's messages, zeroes the edges to its vertex, folds
-    the vertex out and sends the rest on (see above).
+    elimination eliminates inc(F[tau]), the subgraph of inc(f) induced by
+    the vertices tau leaves (all of inc(f) for the empty tau). A clause the
+    elimination does not cover, one tau satisfied, is skipped, and so is a
+    literal whose variable it does not cover, one tau made false. One
+    bucket per vertex, in order: multiplies the bucket's messages, zeroes
+    the edges to its vertex, folds the vertex out and sends the rest on (see
+    above).
     """
     widest = elimination.width + 1
     if 1 << widest > DP_TABLE_CAP:
@@ -276,15 +283,20 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
     edges: dict[int, list[tuple[int, int, int]]] = {}
     for c in f.clauses:
         cv = clause_vertex(c.id)
-        rc = rank[cv]
+        rc = rank.get(cv)
+        if rc is None:
+            continue
         for lit in c.lits:
             x = abs(lit)
-            if rank[x] > rc:
+            rx = rank.get(x)
+            if rx is None:
+                continue
+            if rx > rc:
                 edges.setdefault(cv, []).append((x, lit > 0, 1))
             else:
                 edges.setdefault(x, []).append((cv, 1, lit > 0))
     inbox: defaultdict[int, list[tuple[list[int], list[int]]]] = defaultdict(list)
-    count = 1
+    factors = []
     for v, nbrs in zip(*elimination):
         got = inbox.pop(v, ())
         fold = sub if v >= CLAUSE_VERTEX_STRIDE else add  # is_clause_vertex(v)
@@ -309,7 +321,7 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
             for w in nbrs:
                 inbox[w].append(([fold(a0, a1), fold(b0, b1)], [w]))
             if not nbrs:
-                count *= fold(a0, a1)
+                factors.append(fold(a0, a1))
             continue
         s = [v, *sorted(nbrs, key=rank.__getitem__)]
         n = len(s)
@@ -353,7 +365,15 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
                 p = pos[w]
                 _scale(t, _plan(n, [0, p]), bv | bw << p, 0)
         inbox[s[1]].append((list(map(fold, t[::2], t[1::2])), s[1:]))
-    return count
+    return _product(factors)
+
+
+def _product(factors: list[int]) -> int:
+    """The product of factors, multiplied pairwise in rounds: a running
+    product of n factors of 2, the free variables, costs time quadratic in n."""
+    while len(factors) > 1:
+        factors = [*map(mul, factors[::2], factors[1::2]), *factors[len(factors) & ~1 :]]
+    return factors[0] if factors else 1
 
 
 def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
@@ -394,8 +414,10 @@ def backdoor_branch_counts(
     DP; the first branch above t raises BackdoorInvalidError, an undecided
     one InconclusiveTreewidth.
     """
-    oracle = _backdoor._Oracle(vertex_cap, t, _run_dp)
-    branches = _backdoor._branches(f, frozenset(b), t, oracle)
+    bset = frozenset(b)
+    _backdoor._check_declared(f, bset)
+    oracle = _backdoor._Oracle(f, vertex_cap, t, _run_dp)
+    branches = _backdoor._branches(oracle.root, bset, t, oracle)
     tau, _, (kind, bound, _) = branches[-1]
     if kind == EXCEEDS:
         raise BackdoorInvalidError(tau, bound)
@@ -403,10 +425,11 @@ def backdoor_branch_counts(
 
 
 def _counted(f: CnfFormula, branches: list[_backdoor._Branch]) -> list[BranchCount]:
-    """The BranchCount of each branch the oracle counted at its width bound."""
+    """The BranchCount of each branch the oracle counted at its width bound:
+    F's variables that tau neither assigned nor left alive have vanished."""
     return [
-        BranchCount(tau, bound, len(f.variables - tau.domain - fr.variables), count)
-        for tau, fr, (_, bound, count) in branches
+        BranchCount(tau, bound, len(f.variables - tau.domain - alive), count)
+        for tau, alive, (_, bound, count) in branches
     ]
 
 
@@ -463,8 +486,8 @@ def solve(
     TableBudgetExceeded instead of going to the search.
     """
     _check_parameters(t, k)
-    oracle = _backdoor._Oracle(vertex_cap, t, _run_dp)
-    kind, _, count = oracle.verdict(f, max(tw_threshold, t))
+    oracle = _backdoor._Oracle(f, vertex_cap, t, _run_dp)
+    kind, _, count = oracle.verdict(oracle.root, max(tw_threshold, t))
     if kind == AT_MOST:
         if count is None:  # decided above t, so not counted; the root is the first miss
             elimination = oracle.last[2].elimination
@@ -490,7 +513,7 @@ def solve_by_backdoor(
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
     _check_parameters(t, k)
-    return _solve_by_backdoor(f, t, k, tw_threshold, _backdoor._Oracle(vertex_cap, t, _run_dp))
+    return _solve_by_backdoor(f, t, k, tw_threshold, _backdoor._Oracle(f, vertex_cap, t, _run_dp))
 
 
 def _solve_by_backdoor(
@@ -499,7 +522,7 @@ def _solve_by_backdoor(
     """solve_by_backdoor on the given oracle, summing the search's counted leaf branches."""
     note = _note(f)
     try:
-        leaves = _backdoor._approx(f, t, k, tw_threshold, oracle)
+        leaves = _backdoor._approx(oracle.root, t, k, tw_threshold, oracle)
     except _backdoor.InconclusiveTreewidth:
         return SolveResult("inconclusive", None, None, t, k, note=note)
     if leaves is None:

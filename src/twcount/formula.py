@@ -5,18 +5,16 @@ validated once, by its constructor or by the parser or reduction that
 built it; every hot path reads those ints. `Literal` and the
 `Clause.literals` view are API sugar off those paths. Formulas are
 immutable, so objects are shared rather than rebuilt: the empty assignment
-returns its input, reduction keeps its untouched clauses, and a formula's
-packed form (`CnfFormula.packed`, the width oracle's key) is computed once
-per formula object. Clause ids are assigned in input order and survive
-reduction and deletion, so downstream consumers (witness extraction,
-obstruction templates) can track clauses across derived formulas.
+returns its input, and reduction keeps its untouched clauses. Clause ids
+are assigned in input order and survive reduction and deletion, so
+downstream consumers (witness extraction, obstruction templates) can track
+clauses across derived formulas. The solve path reduces no formula: it
+reduces vertex sets of inc(F) (`backdoor._Oracle.reduced`).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 ASSIGNMENT_CAP = 30
@@ -200,19 +198,6 @@ class CnfFormula:
     @property
     def num_vars(self) -> int:
         return max(self.variables | self.free_vars, default=0)
-
-    @cached_property
-    def packed(self) -> bytes:
-        """The formula packed into one bytes object, built on first request
-        and kept: equal bytes iff equal formulas. Free variables, then each
-        clause as id, length and signed literals."""
-        out = array("q", sorted(self.free_vars))
-        out.append(-1)
-        for c in self.clauses:
-            out.append(c.id)
-            out.append(len(c.lits))
-            out.extend(c.lits)
-        return out.tobytes()
 
 
 def formula_size(f: CnfFormula) -> int:

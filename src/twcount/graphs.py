@@ -116,6 +116,42 @@ class Graph:
         return self._adj
 
 
+class InducedSubgraph(Graph):
+    """The subgraph of the graph with adjacency `parent` induced by the
+    vertex set `keep`, built when first read.
+
+    The first read builds `{v: parent[v] & keep for v in parent if v in keep}`,
+    in the parent's order, and keeps it. `adjacency()` asked before any other
+    read builds that same dict for its caller and keeps nothing, so a graph
+    that is only eliminated (the t <= 2 rung of `treewidth_at_most`) costs
+    one copy, not two.
+    """
+
+    __slots__ = ("_parent", "_keep", "_built")
+
+    def __init__(self, parent: Mapping[int, AbstractSet[int]], keep: AbstractSet[int]) -> None:
+        self._parent = parent
+        self._keep = keep
+        self._built: dict[int, set[int]] | None = None
+
+    def _induce(self) -> dict[int, set[int]]:
+        keep = self._keep
+        return {v: s & keep for v, s in self._parent.items() if v in keep}
+
+    @property
+    def _adj(self) -> dict[int, set[int]]:
+        if self._built is None:
+            self._built = self._induce()
+        return self._built
+
+    @property
+    def _num_edges(self) -> int:
+        return sum(map(len, self._adj.values())) // 2
+
+    def adjacency(self) -> dict[int, set[int]]:
+        return self._induce() if self._built is None else super().adjacency()
+
+
 def build_incidence(f: CnfFormula) -> Graph:
     """Bipartite incidence graph; free variables become isolated vertices.
 

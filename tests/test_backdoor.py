@@ -14,7 +14,8 @@ from twcount.backdoor import (
     is_strong_backdoor,
     killer_set,
 )
-from twcount.formula import Assignment, CnfFormula, FormulaError, assignments, clause_of, reduce
+from twcount.counting import _run_dp, count_bruteforce, count_via_backdoor
+from twcount.formula import Assignment, Clause, CnfFormula, FormulaError, assignments, clause_of, reduce
 from twcount.generators import DetRng, gen_grid_formula, gen_grid_formula_x, gen_planted, gen_random_cnf
 from twcount.graphs import build_incidence, clause_vertex
 from twcount.treewidth import (
@@ -64,6 +65,16 @@ def test_strong_backdoor_rejects_foreign_vars():
     f = CnfFormula((clause_of(1, 1, 2),), free_vars=frozenset({9}))
     with pytest.raises(FormulaError):
         is_strong_backdoor(f, {9}, 1)
+
+
+def test_assignments_to_undeclared_variables_rejected():
+    # As `reduce` does; a free variable may be set.
+    f = CnfFormula((clause_of(1, 1, 2),), free_vars=frozenset({9}))
+    with pytest.raises(FormulaError):
+        extract_witness(f, Assignment({7: 1}), 1)
+    with pytest.raises(FormulaError):
+        count_via_backdoor(f, {7}, 1)
+    assert count_via_backdoor(f, {9}, 1) == count_bruteforce(f) == 6
 
 
 def test_deletion_backdoor_examples():
@@ -375,40 +386,52 @@ def test_approx_reports_every_check(monkeypatch, f, t, k, threshold):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's packed storage
-
-
-def fresh_packing(f):
-    """CnfFormula.packed computed anew, bypassing the value kept on f."""
-    return CnfFormula.packed.func(f)
+# the oracle's vertex sets
 
 
 @given(st.integers(0, 5000))
 @settings(max_examples=60, deadline=None)
 def test_formula_key_is_exact(seed):
-    # Reductions of one formula under random assignments meet often; their
-    # packed forms must agree exactly when the formulas do, and the kept
-    # value is the one a fresh packing gives.
+    # A search node is the vertex set of inc(F) its assignment leaves. On
+    # formulas with zero-literal clauses and free variables, under random
+    # assignments that make variables vanish: the set, and the subgraph it
+    # induces, are those of inc(F[tau]) in its own order; two sets agree
+    # exactly when the reductions do; reducing in two steps gives the same
+    # set; and the DP on F over the induced graph's elimination counts F[tau].
     rng = DetRng(seed)
     n = rng.randint(3, 7)
     f = gen_random_cnf(n, rng.randint(2, 2 * n), rng.randint(1, 3), seed)
+    m = len(f.clauses)
+    extra = tuple(Clause(m + 1 + i, ()) for i in range(rng.randint(0, 1)))
+    f = CnfFormula(f.clauses + extra, f.free_vars | frozenset(range(n + 1, n + 1 + rng.randint(0, 2))))
+    oracle = backdoor._Oracle(f, DEFAULT_VERTEX_CAP)
     vs = sorted(f.variables | f.free_vars)
-    reductions = [
-        reduce(f, Assignment({x: rng.bit() for x in rng.sample(vs, rng.randint(0, len(vs)))}))
-        for _ in range(12)
-    ]
-    for a, b in combinations(reductions, 2):
-        assert (a.packed == b.packed) == (a == b)
-    for fr in reductions:
-        assert fr.packed is fr.packed
-        assert fr.packed == fresh_packing(fr)
-    # A free variable, a clause id or a sign alone tells formulas apart.
-    g = CnfFormula((clause_of(1, 1, -2),))
-    for other in (
-        CnfFormula((clause_of(1, 1, -2),), free_vars=frozenset({3})),
-        CnfFormula((clause_of(2, 1, -2),)),
-        CnfFormula((clause_of(1, 1, 2),)),
-        CnfFormula((clause_of(1, 1), clause_of(2, -2))),
-    ):
-        assert other.packed != g.packed
+    taus = [Assignment({x: rng.bit() for x in rng.sample(vs, rng.randint(0, len(vs)))}) for _ in range(12)]
+    sets = []
+    for tau in taus:
+        fr = reduce(f, tau)
+        alive = oracle.reduced(oracle.root, tau)
+        ref = build_incidence(fr)
+        g = oracle.induced(alive)
+        assert alive == frozenset(ref.vertices())
+        assert list(g.vertices()) == list(ref.vertices())
+        assert g.adjacency_view() == ref.adjacency_view()
+        items = tau.items()
+        cut = rng.randint(0, len(items))
+        first, rest = Assignment(items[:cut]), Assignment(items[cut:])
+        assert oracle.reduced(oracle.reduced(oracle.root, first), rest) == alive
+        _, elimination = upper_bound_heuristic(oracle.induced(alive))
+        assert _run_dp(f, elimination) == count_bruteforce(fr)
+        sets.append((alive, fr))
+    for (a, fa), (b, fb) in combinations(sets, 2):
+        assert (a == b) == (fa == fb)
 
+
+def test_reduced_drops_vanished_variables():
+    # Setting 1 satisfies clause 1, so 2, in no other clause, vanishes; the
+    # zero-literal clause 3 and the free variable 4 stay.
+    f = CnfFormula((clause_of(1, 1, 2), clause_of(2, -1, 3), Clause(3, ())), frozenset({4}))
+    oracle = backdoor._Oracle(f, DEFAULT_VERTEX_CAP)
+    alive = oracle.reduced(oracle.root, Assignment({1: 1}))
+    assert alive == {3, 4, clause_vertex(2), clause_vertex(3)}
+    assert alive == frozenset(build_incidence(reduce(f, Assignment({1: 1}))).vertices())

@@ -2,14 +2,13 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twcount import backdoor, counting, graphs, treewidth
+from twcount import backdoor, counting, formula, graphs, treewidth
 from twcount.backdoor import (
     InconclusiveTreewidth,
     approx_backdoor,
@@ -117,6 +116,19 @@ def test_td_rejects_invalid_decomposition():
 def test_td_zero_literal_clause():
     f = CnfFormula((Clause(1, ()), clause_of(2, 1)))
     assert count_td(f, td_of(f)) == 0
+
+
+def test_many_components_count_in_subquadratic_time():
+    # 500000 free variables, each a component of its own whose factor is 2.
+    # Multiplied into a running product, the count costs time quadratic in
+    # its length (4.3 s on a 2-vCPU host); pairwise rounds take 0.2 s there.
+    n = 500_000
+    f = CnfFormula((), free_vars=frozenset(range(1, n + 1)))
+    elimination = Elimination(list(range(1, n + 1)), [frozenset()] * n)
+    start = time.perf_counter()
+    count = _run_dp(f, elimination)
+    assert time.perf_counter() - start < 2
+    assert count == 1 << n
 
 
 def test_td_counts_free_vars():
@@ -394,51 +406,76 @@ def test_planted_t3_counted_quickly():
 
 class LadderLog:
     """Wraps the width ladder, which the solve's oracle calls under backdoor's
-    name, and build_incidence, reduce and the witness shrink in the modules
-    that call them, and logs each (formula, t) the ladder is asked about.
-    Witness shrink trials for t >= 3 ask `treewidth.treewidth_at_most` about
-    subgraphs from inside `treewidth.witness`, so they are not logged. Also
-    counts the reductions, the graphs built, and the witness shrinks that ran
-    on a graph other than the last ladder call's."""
+    name, build_incidence and the witness shrink in the module that calls
+    them, the oracle's reduction of vertex sets, `formula.reduce`, and the
+    induced subgraphs' construction and copies, and logs each (vertex set,
+    t) the ladder is asked about. Witness shrink trials for t >= 3 ask
+    `treewidth.treewidth_at_most` about subgraphs from inside
+    `treewidth.witness`, so they are not logged. Also counts the witness
+    shrinks that ran on a subgraph induced for them rather than on the last
+    ladder call's graph or on inc(F)."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
-        self.asked: list[tuple[CnfFormula, int]] = []
-        self.reduced = 0
+        self.asked: list[tuple[frozenset[int], int]] = []
+        self.reduced = 0  # the oracle's reductions of a vertex set
+        self.formula_reductions = 0  # calls of formula.reduce: none on the solve path
+        self.roots: list[graphs.Graph] = []  # build_incidence, once per oracle
+        self.induced: list[graphs.InducedSubgraph] = []
+        self.copies = 0  # induced adjacencies built, by the ladder or a witness
+        self.ladder_copies: list[int] = []  # copies made inside each ladder call
         self.fresh_witness_graphs = 0
-        # shrinks on a fresh graph of the formula the last ladder call decided
+        # shrinks on a fresh subgraph of the vertex set the last ladder call decided
         self.missed_reuse = 0
-        # id -> (graph, formula); the graph is kept so ids stay unique
-        self.built: dict[int, tuple] = {}
         last_graph = None
+        induced_class = graphs.InducedSubgraph
+        init, induce = induced_class.__init__, induced_class._induce
 
         def build(f):
-            g = graphs.build_incidence(f)
-            self.built[id(g)] = (g, f)
-            return g
+            self.roots.append(graphs.build_incidence(f))
+            return self.roots[-1]
+
+        def vertex_set(g):
+            return g._keep if isinstance(g, induced_class) else frozenset(g.vertices())
 
         def ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
             nonlocal last_graph
-            if id(g) in self.built:
-                self.asked.append((self.built[id(g)][1], t))
-                last_graph = g
-            return treewidth.treewidth_at_most(g, t, vertex_cap)
+            self.asked.append((vertex_set(g), t))
+            last_graph = g
+            before = self.copies
+            verdict = treewidth.treewidth_at_most(g, t, vertex_cap)
+            self.ladder_copies.append(self.copies - before)
+            return verdict
 
-        def counted_reduce(f, tau):
+        def counted_init(g, parent, keep):
+            self.induced.append(g)
+            init(g, parent, keep)
+
+        def counted_induce(g):
+            self.copies += 1
+            return induce(g)
+
+        def counted_reduced(oracle, alive, tau):
             self.reduced += 1
-            return reduce(f, tau)
+            return reduced(oracle, alive, tau)
+
+        def counted_formula_reduce(f, tau):
+            self.formula_reductions += 1
+            return formula_reduce(f, tau)
 
         def counted_witness(g, t, vertex_cap):
-            if g is not last_graph:
+            if g is not last_graph and isinstance(g, induced_class):
                 self.fresh_witness_graphs += 1
-                self.missed_reuse += self.built[id(g)][1] == self.asked[-1][0]
+                self.missed_reuse += vertex_set(g) == self.asked[-1][0]
             return treewidth.witness(g, t, vertex_cap)
 
-        for module in (backdoor, counting):
-            mp.setattr(module, "build_incidence", build)
-            if hasattr(module, "reduce"):
-                mp.setattr(module, "reduce", counted_reduce)
+        reduced, formula_reduce = backdoor._Oracle.reduced, formula.reduce
+        mp.setattr(backdoor, "build_incidence", build)
         mp.setattr(backdoor, "treewidth_at_most", ladder)
         mp.setattr(backdoor, "witness", counted_witness)
+        mp.setattr(backdoor._Oracle, "reduced", counted_reduced)
+        mp.setattr(formula, "reduce", counted_formula_reduce)
+        mp.setattr(induced_class, "__init__", counted_init)
+        mp.setattr(induced_class, "_induce", counted_induce)
 
     def repeats(self) -> list:
         seen: set = set()
@@ -450,9 +487,17 @@ class LadderLog:
         return out
 
     def assert_graphs_serve_the_ladder(self) -> None:
-        """A graph is built for each ladder call, and for a witness shrink only
-        when its formula is not the one the last ladder call decided."""
-        assert len(self.built) == len(self.asked) + self.fresh_witness_graphs
+        """One root graph is built, and no formula is reduced. Every ladder
+        call but the root's gets a subgraph induced for it, which it copies
+        at most once; a witness shrink gets one only when its vertex set is
+        not the one the last ladder call decided, and builds at most the copy
+        a t <= 2 ladder call consumed."""
+        assert len(self.roots) == 1 and not self.formula_reductions
+        root = frozenset(self.roots[0].vertices())
+        off_root = sum(alive != root for alive, _ in self.asked)
+        assert len(self.induced) == off_root + self.fresh_witness_graphs
+        assert max(self.ladder_copies, default=0) <= 1
+        assert self.copies <= len(self.induced) + off_root
         assert not self.missed_reuse
 
 
@@ -478,13 +523,13 @@ def assert_each_query_once(f, t, k, tw_threshold):
 
 
 def assert_count_is_the_search(f, t, k, tw_threshold):
-    """solve_by_backdoor reduces, builds and asks the ladder exactly as often
-    as approx_backdoor on the same arguments: the search's checks are the
-    count. Returns the result and the count's log."""
+    """solve_by_backdoor reduces, induces and asks the ladder exactly as
+    often as approx_backdoor on the same arguments: the search's checks are
+    the count. Returns the result and the count's log."""
     res, counted = logged(lambda: counting.solve_by_backdoor(f, t, k, tw_threshold=tw_threshold))
     report, searched = logged(lambda: approx_backdoor(f, t, k, tw_threshold=tw_threshold))
     assert res.backdoor == (None if report is None else report.variables)
-    calls = [(log.reduced, len(log.built), len(log.asked)) for log in (counted, searched)]
+    calls = [(log.reduced, len(log.induced), log.copies, len(log.asked)) for log in (counted, searched)]
     assert calls[0] == calls[1]
     counted.assert_graphs_serve_the_ladder()
     return res, counted
@@ -569,9 +614,9 @@ def test_solve_counts_the_search_tree_leaves(monkeypatch):
     # The search tree has 15 leaf branches under a backdoor of 5 variables.
     # Counting them needs neither the 2^5 assignments of the union nor a
     # reduction or width query of the count's own: the search's checks
-    # counted every branch, so solve_by_backdoor reduces, builds and runs the
-    # ladder exactly as often as the search alone, and each witness shrink
-    # reuses the graph its miss built.
+    # counted every branch, so solve_by_backdoor reduces, induces and runs
+    # the ladder exactly as often as the search alone, and each witness
+    # shrink reuses the graph its miss induced.
     f, _ = gen_planted(60, 1, 4, 2)
     res = solve(f, 1, 4, tw_threshold=1)
     assert res.outcome == "counted" and res.mode == "backdoor"
@@ -580,24 +625,24 @@ def test_solve_counts_the_search_tree_leaves(monkeypatch):
 
     counted, log = assert_count_is_the_search(f, 1, 4, 1)
     assert counted == res
-    assert log.asked and len(log.built) == len(log.asked)
+    assert log.asked and not log.fresh_witness_graphs
     # The check cap bounds the search's own sets, not the union.
     monkeypatch.setattr(backdoor, "STRONG_CHECK_CAP", 4)
     assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res
 
 
 def assert_dp_runs_only_for_counts(f, t, k, tw_threshold):
-    """Solve with the DP and the ladder wrapped: the DP runs once per distinct
-    AtMost miss at t and at most once more, for a root counted directly above
-    t; no oracle entry keeps an elimination."""
+    """Solve with the DP and the ladder wrapped: the DP runs on f, once per
+    distinct AtMost miss at t and at most once more, for a root counted
+    directly above t; no oracle entry keeps an elimination."""
     expected = solve(f, t, k, tw_threshold=tw_threshold)
-    dp_runs: list[tuple[CnfFormula, int]] = []
+    dp_runs: list[tuple[CnfFormula, frozenset[int], int]] = []
     at_most_misses = 0
     oracles = []
     oracle_class = backdoor._Oracle
 
     def dp(fr, elimination):
-        dp_runs.append((fr, elimination.width))
+        dp_runs.append((fr, frozenset(elimination.order), elimination.width))
         return _run_dp(fr, elimination)
 
     def ladder(g, tq, vertex_cap=DEFAULT_VERTEX_CAP):
@@ -618,10 +663,11 @@ def assert_dp_runs_only_for_counts(f, t, k, tw_threshold):
     assert res == expected
     root_above_t = res.mode == "td" and tw_threshold > t
     assert len(dp_runs) == at_most_misses + root_above_t
-    keys = [fr.packed for fr, _ in dp_runs]
-    assert len(set(keys)) == len(keys)
-    assert all(width <= t for fr, width in dp_runs if not (root_above_t and fr is f))
     (oracle,) = oracles
+    assert all(fr is f for fr, _, _ in dp_runs)
+    keys = [alive for _, alive, _ in dp_runs]
+    assert len(set(keys)) == len(keys)
+    assert all(width <= t for _, alive, width in dp_runs if not (root_above_t and alive == oracle.root))
     for (_, tq), (kind, bound, count) in oracle._verdicts.items():
         assert isinstance(kind, str) and isinstance(bound, int)
         assert (count is not None) == (kind == AT_MOST and tq == t)
@@ -645,37 +691,29 @@ def test_dp_runs_only_for_counts_on_grid_switch_above_threshold():
     ],
     ids=["grid-x n=8", "planted 40 1 2 0"],
 )
-def test_oracle_packs_each_formula_once(make, t, k, tw_threshold):
-    # The oracle asks about some formula objects more than once (the witness
-    # re-ask, the size-0 branch check on f itself); each is packed on its
-    # first ask only. A fresh f, as f keeps its packing once asked about.
-    # Equal reductions reached along different paths are distinct objects,
-    # each packed once, and share one oracle entry.
+def test_oracle_keys_each_reduction_on_its_vertex_set(make, t, k, tw_threshold):
+    # The oracle asks about some vertex sets more than once (the witness
+    # re-ask, the size-0 branch check on the node itself), and runs the
+    # ladder once per distinct (set, t). The set is the key: no formula is
+    # reduced or packed on the way.
     expected = solve(make(), t, k, tw_threshold=tw_threshold)
     f = make()
-    packed: list[CnfFormula] = []
-    asked: list[CnfFormula] = []
-    pack = CnfFormula.packed.func
+    asked: list[tuple[frozenset[int], int]] = []
     verdict = backdoor._Oracle.verdict
 
-    def counted_pack(fr):
-        packed.append(fr)
-        return pack(fr)
+    def recorded_verdict(oracle, alive, tq):
+        asked.append((alive, tq))
+        return verdict(oracle, alive, tq)
 
-    def recorded_verdict(oracle, fr, tq):
-        asked.append(fr)
-        return verdict(oracle, fr, tq)
-
-    prop = cached_property(counted_pack)
-    prop.__set_name__(CnfFormula, "packed")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CnfFormula, "packed", prop)
+        log = LadderLog(mp)
         mp.setattr(backdoor._Oracle, "verdict", recorded_verdict)
         res = solve(f, t, k, tw_threshold=tw_threshold)
     assert res == expected and res.outcome == "counted"
-    distinct_objects = {id(fr): fr for fr in asked}
-    assert len(asked) > len(distinct_objects)
-    assert sorted(map(id, packed)) == sorted(distinct_objects)
+    assert len(asked) > len(set(asked)) == len(log.asked)
+    assert set(asked) == set(log.asked)
+    assert not log.formula_reductions and not hasattr(CnfFormula, "packed")
+    log.assert_graphs_serve_the_ladder()
 
 
 @given(st.integers(0, 10_000))
@@ -1125,13 +1163,19 @@ def ref_scale(t, n, at, off, v):
 
 
 def ref_bucket_dp(f, elimination):
+    # elimination covers the vertices of inc(F[tau]): a clause it does not
+    # cover is satisfied, a variable it does not cover is assigned.
     rank = {v: r for r, v in enumerate(elimination.order)}
     edges = {}
     for c in f.clauses:
         cv = graphs.clause_vertex(c.id)
+        if cv not in rank:
+            continue
         rc = rank[cv]
         for lit in c.lits:
             x = abs(lit)
+            if x not in rank:
+                continue
             if rank[x] > rc:
                 edges.setdefault(cv, []).append((x, lit > 0, 1))
             else:

@@ -191,9 +191,11 @@ def dimacs_texts(draw):
 @settings(max_examples=200, deadline=None)
 def test_parse_matches_reference_parser(text):
     f = parse_dimacs(text)
-    assert f == ref_parse(text)
+    ref = ref_parse(text)
+    assert f == ref
     assert [c.variables for c in f.clauses] == [{abs(x) for x in c.lits} for c in f.clauses]
-    assert f.packed == ref_parse(text).packed
+    assert [(c.id, c.lits) for c in f.clauses] == [(c.id, c.lits) for c in ref.clauses]
+    assert f.free_vars == ref.free_vars
 
 
 def test_parse_errors():
