@@ -89,19 +89,22 @@ class _Oracle:
 
     A vertex set (`reduced`) reached along different paths is one entry,
     and the ladder decides it once, on the subgraph induced for that miss
-    (`induced`). An entry is (kind, bound, count). A miss at the solve's t
+    (`induced`). The oracle records the edge count of every vertex set
+    `reduced` returns (`edges`), so that subgraph knows its size before it
+    is built. An entry is (kind, bound, count). A miss at the solve's t
     that comes back AtMost runs `dp` on F and the elimination the ladder
     just returned and keeps the model count; every other entry has no
     count. Of graphs and eliminations it keeps at most the last miss's
     (`last`: vertex set, graph, verdict).
     """
 
-    __slots__ = ("f", "graph", "root", "vertex_cap", "t", "dp", "stats", "last", "_verdicts")
+    __slots__ = ("f", "graph", "root", "edges", "vertex_cap", "t", "dp", "stats", "last", "_verdicts")
 
     def __init__(self, f: CnfFormula, vertex_cap: int, t: int | None = None, dp=None) -> None:
         self.f = f
         self.graph = build_incidence(f)
         self.root = frozenset(self.graph.vertices())  # the vertex set of inc(F)
+        self.edges = {self.root: self.graph.num_edges()}  # vertex set -> edges it induces
         self.vertex_cap = vertex_cap
         self.t = t  # the width whose AtMost verdicts dp counts; None counts none
         self.dp = dp
@@ -111,27 +114,45 @@ class _Oracle:
         self._verdicts: dict[tuple[frozenset[int], int], tuple[str, int, int | None]] = {}
 
     def reduced(self, alive: frozenset[int], tau: Assignment) -> frozenset[int]:
-        """The vertex set of inc(F[sigma + tau]), given that of inc(F[sigma]):
-        alive less tau's variables, the clauses tau satisfies, and the
-        variables those clauses leave in no clause of alive. Reads only the
-        neighbourhoods of tau's variables and of the clauses it satisfies."""
+        """The vertex set of inc(F[sigma + tau]), given that of inc(F[sigma])
+        and a tau that assigns no variable of sigma: alive less tau's
+        variables, the clauses tau satisfies, and the variables those
+        clauses leave in no clause of alive. Reads only the neighbourhoods
+        of tau's variables and of the clauses it satisfies, and records the
+        set's edge count: alive's less the edges of tau's variables and of
+        the satisfied clauses (a vanished variable's edges all go to
+        satisfied clauses)."""
         if not tau:
             return alive
         adj, by_id = self.graph.adjacency_view(), self.f.clauses_by_id
-        satisfied = [
-            cv for x, value in tau.items() for cv in adj[x]
-            if cv in alive and (x if value else -x) in by_id[cv - CLAUSE_VERTEX_STRIDE].lits
-        ]
+        m = self.edges[alive]
+        satisfied = set()
+        for x, value in tau.items():
+            lit = x if value else -x
+            for cv in adj[x]:
+                if cv in alive:
+                    m -= 1
+                    if lit in by_id[cv - CLAUSE_VERTEX_STRIDE].lits:
+                        satisfied.add(cv)
         left = alive.difference(tau.domain, satisfied)
-        vanished = {y for cv in satisfied for y in adj[cv] if y in left and adj[y].isdisjoint(left)}
-        return left - vanished if vanished else left
+        vanished = []
+        for cv in satisfied:
+            for y in adj[cv]:
+                if y in left:
+                    m -= 1
+                    if adj[y].isdisjoint(left):
+                        vanished.append(y)
+        if vanished:
+            left = left.difference(vanished)
+        self.edges[left] = m
+        return left
 
     def induced(self, alive: frozenset[int]) -> Graph:
         """inc(F[tau]) for the vertex set alive that tau leaves; inc(F) itself
         at the root, the one subset of root as large as root."""
         if len(alive) == len(self.root):
             return self.graph
-        return InducedSubgraph(self.graph.adjacency_view(), alive)
+        return InducedSubgraph(self.graph.adjacency_view(), alive, self.edges[alive])
 
     def verdict(self, alive: frozenset[int], t: int) -> tuple[str, int, int | None]:
         """(kind, bound, count) of tw <= t for the subgraph of inc(F) that

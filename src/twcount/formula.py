@@ -170,7 +170,15 @@ class Assignment:
         """Union of two assignments with disjoint domains."""
         if self.domain & other.domain:
             raise FormulaError("assignment domains overlap")
-        return Assignment(self._items + other._items)
+        return _assignment(tuple(sorted(self._items + other._items)))
+
+
+def _assignment(items: tuple[tuple[int, int], ...]) -> Assignment:
+    """An assignment from (variable, value) pairs already known to be valid
+    and sorted by variable."""
+    a = object.__new__(Assignment)
+    a._items = items
+    return a
 
 
 @dataclass(frozen=True)
@@ -213,8 +221,10 @@ def assignments(variables: Iterable[int], cap: int = ASSIGNMENT_CAP) -> Iterator
     vs = sorted(set(variables))
     if len(vs) > cap:
         raise FormulaError(f"{len(vs)} variables exceed the enumeration cap {cap}")
+    if vs and vs[0] < 1:
+        raise FormulaError(f"variable ids start at 1, got {vs[0]}")
     for m in range(1 << len(vs)):
-        yield Assignment({v: (m >> i) & 1 for i, v in enumerate(vs)})
+        yield _assignment(tuple((v, (m >> i) & 1) for i, v in enumerate(vs)))
 
 
 def reduce(f: CnfFormula, tau: Assignment) -> CnfFormula:

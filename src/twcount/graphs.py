@@ -118,21 +118,27 @@ class Graph:
 
 class InducedSubgraph(Graph):
     """The subgraph of the graph with adjacency `parent` induced by the
-    vertex set `keep`, built when first read.
+    vertex set `keep`, which has `num_edges` edges, built when first read.
 
-    The first read builds `{v: parent[v] & keep for v in parent if v in keep}`,
-    in the parent's order, and keeps it. `adjacency()` asked before any other
-    read builds that same dict for its caller and keeps nothing, so a graph
-    that is only eliminated (the t <= 2 rung of `treewidth_at_most`) costs
-    one copy, not two.
+    `num_vertices`, `num_edges`, `sorted_vertices` and `neighbors(v)` (as
+    `parent[v] & keep`) answer without building it, so the t <= 2 rung of
+    `treewidth_at_most` can rule a dense graph out, and the t = 1 witness
+    find its cycle, on the parent's adjacency. Any other read builds
+    `{v: parent[v] & keep for v in parent if v in keep}`, in the parent's
+    order, and keeps it. `adjacency()` asked before that builds the same
+    dict for its caller and keeps nothing, so a graph that is only
+    eliminated costs one copy, not two.
     """
 
     __slots__ = ("_parent", "_keep", "_built")
 
-    def __init__(self, parent: Mapping[int, AbstractSet[int]], keep: AbstractSet[int]) -> None:
+    def __init__(
+        self, parent: Mapping[int, AbstractSet[int]], keep: AbstractSet[int], num_edges: int
+    ) -> None:
         self._parent = parent
         self._keep = keep
         self._built: dict[int, set[int]] | None = None
+        self._num_edges = num_edges
 
     def _induce(self) -> dict[int, set[int]]:
         keep = self._keep
@@ -144,9 +150,16 @@ class InducedSubgraph(Graph):
             self._built = self._induce()
         return self._built
 
-    @property
-    def _num_edges(self) -> int:
-        return sum(map(len, self._adj.values())) // 2
+    def num_vertices(self) -> int:
+        return len(self._keep)
+
+    def sorted_vertices(self) -> list[int]:
+        return sorted(self._keep)
+
+    def neighbors(self, v: int) -> AbstractSet[int]:
+        if self._built is None:
+            return self._parent[v] & self._keep
+        return self._built[v]
 
     def adjacency(self) -> dict[int, set[int]]:
         return self._induce() if self._built is None else super().adjacency()

@@ -12,15 +12,19 @@ decomposition, plays the min-fill game on the graph with each bag made a
 clique: a chordal graph, which the game eliminates with no fill, at the
 decomposition's width (`_elimination_of`).
 
-1. for t <= 2, the reduction that eliminates vertices of degree at most t,
-   degree at most 1 first: AtMost with its own elimination if it empties
-   the graph, otherwise Exceeds with bound t + 1; two worklists, O(n+m). This
-   is exact: eliminating a vertex of degree at most 2 leaves a minor of the
-   graph, so the reduction empties every graph of width at most t, and a
-   graph it cannot empty has a minor of minimum degree above t (the
-   reduction rules for partial 2-trees; Arnborg & Proskurowski, 1986; Wald
-   & Colbourn, 1983). Its width is then the treewidth. The rungs below, and
-   the vertex cap, only matter for t >= 3;
+1. for t <= 2, first the edge bound: a graph of width at most t on n > t
+   vertices is a subgraph of a t-tree, so it has at most t*n - t(t+1)/2
+   edges (Bodlaender, 1998), and one with more is Exceeds with bound t + 1,
+   in O(1) and without reading its adjacency. Otherwise the reduction that
+   eliminates vertices of degree at most t, degree at most 1 first: AtMost
+   with its own elimination if it empties the graph, otherwise Exceeds with
+   bound t + 1; two worklists, O(n+m). This is exact: eliminating a vertex
+   of degree at most 2 leaves a minor of the graph, so the reduction
+   empties every graph of width at most t, and a graph it cannot empty has
+   a minor of minimum degree above t (the reduction rules for partial
+   2-trees; Arnborg & Proskurowski, 1986; Wald & Colbourn, 1983). Its width
+   is then the treewidth. The rungs below, and the vertex cap, only matter
+   for t >= 3;
 2. degeneracy above t: Exceeds; a bucket-queue peel, O(n+m);
 3. min-fill width at most t: AtMost, with the min-fill game's elimination;
    a lazy heap whose scores follow each elimination by exact deltas, at one
@@ -49,9 +53,12 @@ of width above t, a small vertex set whose induced subgraph still has width
 above t. It seeds from a cycle for t = 1; otherwise from the (t+1)-core,
 which is nonempty exactly when degeneracy rules t out, or from all of g.
 It then shrinks the seed by greedy vertex deletion, each trial decided by
-the rung that decides t. For t <= 2 a stuck reduction names a certificate,
-a vertex subset of width above t, and a vertex outside the last one is
-deleted without a trial.
+the rung that decides t. A t = 1 seed that induces just its cycle is the
+witness as it stands: deleting any vertex of a chordless cycle leaves a
+path, so every trial would keep it. For t <= 2 a stuck reduction names a
+certificate, a vertex subset of width above t, and a vertex outside the
+last one is deleted without a trial. The t = 1 witness reads g only through
+`neighbors`, so on an induced subgraph it builds no adjacency.
 """
 
 from __future__ import annotations
@@ -664,19 +671,25 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     """Decide tw(g) <= t; always decisive for t <= 2, and for larger t
     decisive at or below the cap and best-effort above.
 
-    For t <= 2 the O(n+m) reduction that eliminates vertices of degree at
-    most t (`_reduce_low_width`) decides alone and exactly: AtMost with its
-    elimination, whose width is the treewidth, when it empties the graph,
-    else Exceeds with bound t + 1. For t >= 3 the rungs run cheapest first:
-    degeneracy above t (O(n+m)) is Exceeds; min-fill width at most t is
-    AtMost with the min-fill elimination; the contraction bound above t is
-    Exceeds; if no connected component exceeds the vertex cap, exact search
-    decides, stopping once width above t is proven, and AtMost carries its
-    elimination; otherwise the answer is Unknown. vertex_cap
-    therefore only matters for t >= 3, and isolated vertices do not count
-    towards it.
+    For t <= 2 a graph on n > t vertices with more than t*n - t(t+1)/2
+    edges is Exceeds with bound t + 1, read off its vertex and edge counts
+    before its adjacency is copied. Otherwise the O(n+m) reduction that
+    eliminates vertices of degree at most t (`_reduce_low_width`) decides
+    alone and exactly: AtMost with its elimination, whose width is the
+    treewidth, when it empties the graph, else Exceeds with bound t + 1.
+    The edge bound only answers early what the reduction would. For t >= 3
+    the rungs run cheapest first: degeneracy above t (O(n+m)) is Exceeds;
+    min-fill width at most t is AtMost with the min-fill elimination; the
+    contraction bound above t is Exceeds; if no connected component exceeds
+    the vertex cap, exact search decides, stopping once width above t is
+    proven, and AtMost carries its elimination; otherwise the answer is
+    Unknown. vertex_cap therefore only matters for t >= 3, and isolated
+    vertices do not count towards it.
     """
     if t <= 2:
+        n = g.num_vertices()
+        if n > t and g.num_edges() > t * n - t * (t + 1) // 2:
+            return TwVerdict(EXCEEDS, t + 1)
         adj = g.adjacency()
         order, bags, _ = _reduce_low_width(adj, t)
         if adj:
@@ -749,22 +762,26 @@ def witness(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> frozenset
 
     Seeded from a cycle for t = 1, otherwise from the (t+1)-core, or all of g
     when that core is empty; then shrunk by greedy vertex deletion, in vertex
-    order, while the width stays above t. For t <= 2 each deletion trial runs
-    the ladder's reduction on the induced adjacency, without building a
-    subgraph. A trial that sticks leaves a certificate inside the trial set
-    (`_certificate`), and a later vertex outside it is deleted without a
-    trial: what remains still holds the certificate, so its width stays
-    above t (the reuse of a model across the deletion-based extraction of a
-    minimal set for a monotone predicate; Marques-Silva, Janota & Belov,
-    2013). The answers are the trials' own, so the witness is the same as
-    with a trial per vertex. For t >= 3 each trial asks treewidth_at_most
-    about the induced subgraph.
+    order, while the width stays above t. A t = 1 seed in which every vertex
+    has exactly two neighbours is a chordless cycle, which loses no vertex
+    to the shrink, so it is returned without a trial. For t <= 2 each
+    deletion trial runs the ladder's reduction on g's neighbourhoods
+    restricted to the trial set, without building a subgraph. A trial that
+    sticks leaves a certificate inside the trial set (`_certificate`), and
+    a later vertex outside it is deleted without a trial: what remains
+    still holds the certificate, so its width stays above t (the reuse of a
+    model across the deletion-based extraction of a minimal set for a
+    monotone predicate; Marques-Silva, Janota & Belov, 2013). The answers
+    are the trials' own, so the witness is the same as with a trial per
+    vertex. For t >= 3 each trial asks treewidth_at_most about the induced
+    subgraph.
     """
     if t == 1:
         seed = _find_cycle(g) or frozenset(g.vertices())
+        if all(len(g.neighbors(v) & seed) == 2 for v in seed):
+            return seed
     else:
         seed = _core_vertices(g, t + 1) or frozenset(g.vertices())
-    adj = g.adjacency_view()
     w = set(seed)
     cert: frozenset[int] | None = None  # t <= 2: a subset of w of width above t
     for u in sorted(seed):
@@ -775,7 +792,7 @@ def witness(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> frozenset
             continue
         trial = w - {u}
         if t <= 2:
-            core = {v: adj[v] & trial for v in trial}
+            core = {v: g.neighbors(v) & trial for v in trial}
             _, _, via = _reduce_low_width(core, t)
             if core:
                 w = trial

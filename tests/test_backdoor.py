@@ -204,6 +204,11 @@ def ref_extract_witness(f, tau, t, vertex_cap=DEFAULT_VERTEX_CAP):
     verdict = ref_treewidth_at_most(g, t, vertex_cap)
     if verdict.kind != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
+    return ref_witness(g, t, vertex_cap)
+
+
+def ref_witness(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
+    """The shrink of ref_extract_witness, on a graph of width above t."""
     if t == 1:
         seed = _find_cycle(g)
         if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
@@ -414,12 +419,25 @@ def test_formula_key_is_exact(seed):
         ref = build_incidence(fr)
         g = oracle.induced(alive)
         assert alive == frozenset(ref.vertices())
+        # The edge count the oracle recorded, and what the subgraph answers
+        # before it is built, are inc(F[tau])'s.
+        assert oracle.edges[alive] == g.num_edges() == ref.num_edges()
+        assert (g.num_vertices(), g.sorted_vertices()) == (ref.num_vertices(), ref.sorted_vertices())
+        assert all(g.neighbors(v) == ref.neighbors(v) for v in alive)
         assert list(g.vertices()) == list(ref.vertices())
         assert g.adjacency_view() == ref.adjacency_view()
+        # and so they are once it is built
+        assert g.num_edges() == ref.num_edges()
+        assert all(g.neighbors(v) == ref.neighbors(v) for v in alive)
+        # A chain of up to three steps reaches the same set, and records each
+        # set it passes through with that reduction's edge count.
         items = tau.items()
-        cut = rng.randint(0, len(items))
-        first, rest = Assignment(items[:cut]), Assignment(items[cut:])
-        assert oracle.reduced(oracle.reduced(oracle.root, first), rest) == alive
+        cuts = sorted(rng.randint(0, len(items)) for _ in range(2))
+        step, done = oracle.root, ()
+        for part in (items[:cuts[0]], items[cuts[0]:cuts[1]], items[cuts[1]:]):
+            step, done = oracle.reduced(step, Assignment(part)), done + part
+            assert oracle.edges[step] == build_incidence(reduce(f, Assignment(done))).num_edges()
+        assert step == alive
         _, elimination = upper_bound_heuristic(oracle.induced(alive))
         assert _run_dp(f, elimination) == count_bruteforce(fr)
         sets.append((alive, fr))

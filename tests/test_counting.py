@@ -446,9 +446,9 @@ class LadderLog:
             self.ladder_copies.append(self.copies - before)
             return verdict
 
-        def counted_init(g, parent, keep):
+        def counted_init(g, parent, keep, num_edges):
             self.induced.append(g)
-            init(g, parent, keep)
+            init(g, parent, keep, num_edges)
 
         def counted_induce(g):
             self.copies += 1

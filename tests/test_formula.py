@@ -350,6 +350,30 @@ def test_assignment_api():
         a.merged(Assignment({1: 1}))
 
 
+@given(
+    st.sets(st.integers(-1, 40), max_size=5),
+    st.dictionaries(st.integers(1, 40), st.integers(0, 1), max_size=6),
+    st.dictionaries(st.integers(1, 40), st.integers(0, 1), max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_built_assignments_equal_validated_ones(vs, a, b):
+    # assignments() and merged skip the validating constructor; what they
+    # build equals what it builds from the same pairs, and a variable id
+    # below 1 or an overlap is still rejected.
+    if min(vs, default=1) < 1:
+        with pytest.raises(FormulaError, match="start at 1"):
+            next(assignments(vs))
+    else:
+        for tau in assignments(vs):
+            assert tau == Assignment(tau.items()) and tau.domain == vs
+    x, y = Assignment(a), Assignment(b)
+    if a.keys() & b.keys():
+        with pytest.raises(FormulaError, match="overlap"):
+            x.merged(y)
+    else:
+        assert x.merged(y) == Assignment({**a, **b}) == y.merged(x)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_parse_write_parse(seed):

@@ -12,7 +12,7 @@ from twcount.generators import (
     gen_planted,
     gen_random_cnf,
 )
-from twcount.graphs import Graph, build_incidence, make_wall
+from twcount.graphs import Graph, InducedSubgraph, build_incidence, make_wall
 from twcount import treewidth as tw
 from twcount.treewidth import (
     AT_MOST,
@@ -940,3 +940,140 @@ def test_low_width_rung_decides_above_cap(monkeypatch):
         assert validate_decomposition(g, td).ok
         v = treewidth_at_most(g, t - 1, vertex_cap=8)
         assert v.kind == EXCEEDS and v.bound == t
+
+
+def random_tree(n, seed):
+    """A random tree on n vertices: n - 1 edges, the most a graph of
+    treewidth 1 has."""
+    g = Graph()
+    for v in range(1, n + 1):
+        g.add_vertex(v)
+        if v > 1:
+            g.add_edge(DetRng(seed + v).randint(1, v - 1), v)
+    return g
+
+
+def two_tree(n, seed):
+    """A random 2-tree on n >= 2 vertices, grown from one edge by joining
+    each new vertex to both ends of an edge: 2n - 3 edges, the most a graph
+    of treewidth 2 has."""
+    rng = DetRng(seed)
+    g = Graph()
+    for v in range(1, n + 1):
+        g.add_vertex(v)
+    g.add_edge(1, 2)
+    edges = [(1, 2)]
+    for v in range(3, n + 1):
+        a, b = edges[rng.randrange(len(edges))]
+        g.add_edge(a, v)
+        g.add_edge(b, v)
+        edges += [(a, v), (b, v)]
+    return g
+
+
+def _edge_bound_graph(family, n, b, seed):
+    """A graph on 0-12 vertices: random, or a tree or 2-tree, which sit
+    exactly at the edge bound of their width."""
+    if family == "tree":
+        return random_tree(n, seed)
+    if family == "2-tree":
+        return two_tree(max(n, 2), seed)
+    return random_gnm(n, b % (n * (n - 1) // 2 + 1), seed)
+
+
+edge_bound_cases = st.builds(
+    _edge_bound_graph,
+    st.sampled_from(("gnm", "tree", "2-tree")),
+    st.integers(0, 12),
+    st.integers(0, 100),
+    st.integers(0, 1000),
+)
+
+
+class CountedInduced(InducedSubgraph):
+    """An induced subgraph that logs each adjacency it builds."""
+
+    __slots__ = ("copies",)
+
+    def _induce(self):
+        self.copies.append(self._keep)
+        return super()._induce()
+
+
+def counted_induced(g):
+    """g as the unbuilt subgraph of itself that all its vertices induce."""
+    h = CountedInduced(g.adjacency_view(), frozenset(g.vertices()), g.num_edges())
+    h.copies = []
+    return h
+
+
+@given(edge_bound_cases)
+@settings(max_examples=200, deadline=None)
+def test_edge_bound_agrees_with_the_reduction(g):
+    # A graph of treewidth at most t on n > t vertices has at most
+    # t*n - t(t+1)/2 edges. The t <= 2 rung rules out a graph above that
+    # before it runs the reduction, and its verdict is still the
+    # reduction's: on trees and 2-trees, which sit at the bound, and on
+    # graphs of at most t vertices, where the bound says nothing. Asked
+    # through an unbuilt induced subgraph, a graph above it costs no copy.
+    n, m = g.num_vertices(), g.num_edges()
+    for t in (0, 1, 2):
+        core = g.adjacency()
+        order, bags, _ = tw._reduce_low_width(core, t)
+        expected = (EXCEEDS, t + 1) if core else (AT_MOST, tw.Elimination(order, bags).width)
+        h = counted_induced(g)
+        for verdict in (treewidth_at_most(g, t), treewidth_at_most(h, t)):
+            assert (verdict.kind, verdict.bound) == expected
+        if n > t and m > t * n - t * (t + 1) // 2:
+            assert core and not h.copies
+
+
+def test_witness_returns_a_chordless_cycle_without_trials(monkeypatch):
+    from test_backdoor import ref_witness
+
+    trials = []
+    reduce_low_width = tw._reduce_low_width
+    monkeypatch.setattr(tw, "_reduce_low_width", lambda adj, t: trials.append(t) or reduce_low_width(adj, t))
+    # A chordless cycle with a tree hung on it: the DFS cycle is the
+    # witness, and greedy deletion would keep every vertex of it.
+    g = cycle_graph(6)
+    for v in range(7, 10):
+        g.add_vertex(v)
+        g.add_edge(v - 5, v)
+    h = counted_induced(g)
+    assert tw._find_cycle(g) == tw.witness(h, 1) == ref_witness(g, 1) == frozenset(range(1, 7))
+    assert not trials and not h.copies
+    # The DFS from 1 closes the cycle 1-2-3-4-5 through the edge 2-1, and
+    # 2-4 is a chord of it: the shrink runs, still on no copy, down to the
+    # triangle 2-3-4.
+    g = cycle_graph(5)
+    g.add_edge(2, 4)
+    h = counted_induced(g)
+    assert tw._find_cycle(g) == frozenset(range(1, 6))
+    assert tw.witness(h, 1) == ref_witness(g, 1) == {2, 3, 4}
+    assert trials and not h.copies
+
+
+@given(low_width_cases)
+@settings(max_examples=100, deadline=None)
+def test_t1_witness_matches_reference(g):
+    # At t = 1 the witness is the reference shrink's, it runs no trial
+    # exactly when the DFS cycle has no chord, and it builds no induced
+    # adjacency.
+    from test_backdoor import ref_witness
+
+    if treewidth_at_most(g, 1).kind != EXCEEDS:
+        return
+    trials = []
+    reduce_low_width = tw._reduce_low_width
+    tw._reduce_low_width = lambda adj, t: trials.append(t) or reduce_low_width(adj, t)
+    try:
+        h = counted_induced(g)
+        w = tw.witness(h, 1)
+    finally:
+        tw._reduce_low_width = reduce_low_width
+    seed = tw._find_cycle(g)
+    chordless = all(len(g.neighbors(v) & seed) == 2 for v in seed)
+    assert w == ref_witness(g, 1)
+    assert (not trials) == chordless and (w == seed) == chordless
+    assert not h.copies
