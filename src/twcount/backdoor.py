@@ -16,14 +16,13 @@ Every width query goes through one `_Oracle`, which `counting.solve`
 creates per solve. It builds inc(F) once; a search node is the vertex set
 of inc(F) its assignment tau leaves, which determines F[tau], and
 inc(F[tau]) is the subgraph that set induces. The oracle keeps (kind,
-bound, count) per (vertex set, t), and of graphs only the last miss's:
-equal reductions reached along different paths are decided once, and a
-witness asked right after its miss shrinks on that miss's graph.
-`counting` passes in the solve's t and its DP, so this module imports
-nothing from it; the oracle counts each AtMost verdict at that t as the
-ladder returns it, and no other. It also keeps the solve's search counts.
-A public function called on its own starts a fresh oracle, which counts
-nothing.
+bound, count) per (vertex set, t), so equal reductions reached along
+different paths are decided once; it keeps no induced graph, and each
+witness shrinks on a subgraph induced for it. `counting` passes in the
+solve's t and its DP, so this module imports nothing from it; the oracle
+counts each AtMost verdict at that t as the ladder returns it, and no
+other. It also keeps the solve's search counts. A public function called
+on its own starts a fresh oracle, which counts nothing.
 """
 
 from __future__ import annotations
@@ -94,11 +93,12 @@ class _Oracle:
     is built. An entry is (kind, bound, count). A miss at the solve's t
     that comes back AtMost runs `dp` on F and the elimination the ladder
     just returned and keeps the model count; every other entry has no
-    count. Of graphs and eliminations it keeps at most the last miss's
-    (`last`: vertex set, graph, verdict).
+    count. Of verdicts it keeps whole only the last on inc(F) itself
+    (`root_verdict`), whose elimination `solve` counts when it was decided
+    at a threshold above t.
     """
 
-    __slots__ = ("f", "graph", "root", "edges", "vertex_cap", "t", "dp", "stats", "last", "_verdicts")
+    __slots__ = ("f", "graph", "root", "edges", "vertex_cap", "t", "dp", "stats", "root_verdict", "_verdicts")
 
     def __init__(self, f: CnfFormula, vertex_cap: int, t: int | None = None, dp=None) -> None:
         self.f = f
@@ -109,7 +109,7 @@ class _Oracle:
         self.t = t  # the width whose AtMost verdicts dp counts; None counts none
         self.dp = dp
         self.stats = SearchStats()
-        self.last: tuple[frozenset[int], Graph, TwVerdict] | None = None
+        self.root_verdict: TwVerdict | None = None
         # (vertex set, t) -> (kind, bound, count)
         self._verdicts: dict[tuple[frozenset[int], int], tuple[str, int, int | None]] = {}
 
@@ -160,10 +160,9 @@ class _Oracle:
         key = (alive, t)
         entry = self._verdicts.get(key)
         if entry is None:
-            self.last = None  # drop the kept graph before inducing the next
-            g = self.induced(alive)
-            verdict = treewidth_at_most(g, t, self.vertex_cap)
-            self.last = (alive, g, verdict)
+            verdict = treewidth_at_most(self.induced(alive), t, self.vertex_cap)
+            if len(alive) == len(self.root):
+                self.root_verdict = verdict
             counted = t == self.t and verdict.kind == AT_MOST
             count = self.dp(self.f, verdict.elimination) if counted else None
             entry = self._verdicts[key] = (verdict.kind, verdict.bound, count)
@@ -270,15 +269,7 @@ def extract_witness(
     alive = oracle.reduced(oracle.root, tau)
     if oracle.verdict(alive, t)[0] != EXCEEDS:
         raise ValueError("witness extraction needs a reduction of width above t")
-    return _witness(alive, t, oracle)
-
-
-def _witness(alive: frozenset[int], t: int, oracle: _Oracle) -> frozenset[int]:
-    """extract_witness on a vertex set the oracle has found above t, at t or
-    at a threshold above it; the shrink runs on the last miss's graph when
-    that miss was alive's."""
-    last_alive, g, _ = oracle.last
-    return witness(g if last_alive == alive else oracle.induced(alive), t, oracle.vertex_cap)
+    return witness(oracle.induced(alive), t, vertex_cap)
 
 
 def find_smallest_strong_backdoor(
@@ -314,7 +305,7 @@ def _smallest_from(
 ) -> list[_Branch] | None:
     """The branches of the first strong backdoor within size variables that
     extends b, or None. Not a nested closure: its reference cycle would keep
-    the oracle, and the oracle's last graph, alive after the solve."""
+    the oracle alive after the solve."""
     oracle.stats.nodes += 1
     branches = _branches(alive, b, t, oracle)
     _, left, (kind, _, _) = branches[-1]
@@ -322,7 +313,7 @@ def _smallest_from(
         return branches
     if len(b) >= size:
         return None
-    killers = _killers(oracle.f, _witness(left, t, oracle), left)
+    killers = _killers(oracle.f, witness(oracle.induced(left), t, oracle.vertex_cap), left)
     for x in killers.internal + killers.external:
         res = _smallest_from(alive, t, b | {x}, size, oracle)
         if res is not None:
@@ -381,7 +372,7 @@ def _approx(
         return None if branches is None else [(path.merged(tau), left, e) for tau, left, e in branches]
     if k == 0:
         return None
-    killers = _killers(oracle.f, _witness(alive, t, oracle), alive)
+    killers = _killers(oracle.f, witness(oracle.induced(alive), t, oracle.vertex_cap), alive)
     for x in sorted(set(killers.internal + killers.external)):
         leaves: list[_Branch] = []
         for value in (0, 1):

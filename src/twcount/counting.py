@@ -26,12 +26,13 @@ handling.
 t and `_run_dp`, and asks it every width query of the call: the root query
 and the backdoor search. The oracle builds inc(F) once, keeps (kind, bound,
 count) keyed by the vertex set a reduction leaves of it and t, and runs the
-ladder only on a miss, so no reduction is decided twice. It runs the DP on a miss at t that comes back AtMost, on the elimination the
-ladder just returned, and counts no verdict at any other width. `solve`
-counts an AtMost root at the threshold on the elimination of that first
-miss, or, when that elimination is too wide for the table budget, searches
-it as it would a root above the threshold. No tree decomposition is built
-on this path, at any width.
+ladder only on a miss, so no reduction is decided twice. It runs the DP
+on a miss at t that comes back AtMost, on the elimination the ladder just
+returned, and counts no verdict at any other width. `solve` counts a root
+AtMost at a threshold above t on the elimination of the oracle's root
+verdict, or, when that elimination is too wide for the table budget,
+searches it as it would a root above the threshold. No tree decomposition
+is built on this path, at any width.
 The search (`backdoor._approx`) returns its leaf branches with the counts
 its own checks made, and `solve` sums them; it reduces nothing and asks the
 oracle nothing of its own.
@@ -489,8 +490,8 @@ def solve(
     oracle = _backdoor._Oracle(f, vertex_cap, t, _run_dp)
     kind, _, count = oracle.verdict(oracle.root, max(tw_threshold, t))
     if kind == AT_MOST:
-        if count is None:  # decided above t, so not counted; the root is the first miss
-            elimination = oracle.last[2].elimination
+        if count is None:  # decided above t, so not counted
+            elimination = oracle.root_verdict.elimination
             if 1 << (elimination.width + 1) <= DP_TABLE_CAP:
                 count = _run_dp(f, elimination)
         if count is not None:

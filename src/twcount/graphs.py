@@ -95,17 +95,13 @@ class Graph:
         return g
 
     def subgraph(self, keep: Iterable[int]) -> "Graph":
-        kset = set(keep)
-        g = Graph()
-        for v in kset:
-            if v not in self._adj:
-                raise ValueError(f"vertex {v} not in graph")
-            g.add_vertex(v)
-        for v in kset:
-            for u in self._adj[v]:
-                if u in kset and v < u:
-                    g.add_edge(v, u)
-        return g
+        """The subgraph keep induces, on this graph's adjacency (see
+        `InducedSubgraph`); ValueError for a vertex outside the graph."""
+        adj, kset = self._adj, frozenset(keep)
+        missing = kset - adj.keys()
+        if missing:
+            raise ValueError(f"vertex {min(missing)} not in graph")
+        return InducedSubgraph(adj, kset, sum(len(adj[v] & kset) for v in kset) // 2)
 
     def adjacency(self) -> dict[int, set[int]]:
         """Mutable adjacency copy for elimination-style algorithms."""
@@ -119,6 +115,7 @@ class Graph:
 class InducedSubgraph(Graph):
     """The subgraph of the graph with adjacency `parent` induced by the
     vertex set `keep`, which has `num_edges` edges, built when first read.
+    `Graph.subgraph` and the width oracle's reductions make these.
 
     `num_vertices`, `num_edges`, `sorted_vertices` and `neighbors(v)` (as
     `parent[v] & keep`) answer without building it, so the t <= 2 rung of

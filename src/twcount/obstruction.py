@@ -324,12 +324,12 @@ def validate_template(f: CnfFormula, template: ObstructionTemplate) -> TemplateR
     disjoint = True
     connected = True
     witness_region = None
+    sub = g.subgraph(template.wall_vertices)
     for idx, region in enumerate(template.regions):
         if union & region:
             disjoint = False
             witness_region = idx
         union |= region
-        sub = g.subgraph(template.wall_vertices)
         seen = set()
         start = min(region)
         stack = [start]

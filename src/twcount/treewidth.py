@@ -50,15 +50,17 @@ structured graphs.
 
 An Exceeds verdict carries only a bound. `witness(g, t)` finds, for a graph
 of width above t, a small vertex set whose induced subgraph still has width
-above t. It seeds from a cycle for t = 1; otherwise from the (t+1)-core,
+above t. It seeds from a cycle for t = 1, the tree path that the first
+back edge of a depth-first search closes; otherwise from the (t+1)-core,
 which is nonempty exactly when degeneracy rules t out, or from all of g.
 It then shrinks the seed by greedy vertex deletion, each trial decided by
 the rung that decides t. A t = 1 seed that induces just its cycle is the
 witness as it stands: deleting any vertex of a chordless cycle leaves a
 path, so every trial would keep it. For t <= 2 a stuck reduction names a
 certificate, a vertex subset of width above t, and a vertex outside the
-last one is deleted without a trial. The t = 1 witness reads g only through
-`neighbors`, so on an induced subgraph it builds no adjacency.
+last one is deleted without a trial. The width oracle hands each witness
+a subgraph induced for it; the t = 1 witness reads it only through
+`neighbors`, so it builds no adjacency.
 """
 
 from __future__ import annotations
@@ -719,40 +721,28 @@ def treewidth_at_most(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
 
 
 def _find_cycle(g: Graph) -> frozenset[int] | None:
-    """Vertex set of some cycle, via a spanning tree plus one non-tree edge."""
-    seen: set[int] = set()
+    """Vertex set of some cycle, or None for a forest. A depth-first search,
+    smallest vertex and smallest neighbour first, stops at the first edge to
+    a reached vertex other than the parent: in an undirected search that
+    vertex is an ancestor (Tarjan, 1972), and the cycle is the tree path up
+    to it."""
+    parent: dict[int, int | None] = {}
     for start in g.sorted_vertices():
-        if start in seen:
+        if start in parent:
             continue
-        parent: dict[int, int | None] = {}
-        depth: dict[int, int] = {}
-        stack: list[tuple[int, int | None, int]] = [(start, None, 0)]
+        stack: list[tuple[int, int | None]] = [(start, None)]
         while stack:
-            u, p, d = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
+            u, p = stack.pop()
             parent[u] = p
-            depth[u] = d
             for x in sorted(g.neighbors(u)):
                 if x == p:
                     continue
-                if x in depth:
-                    # non-tree edge u-x closes a cycle through their meeting point
-                    a, b = u, x
-                    cyc = {a, b}
-                    while depth[a] > depth[b]:
-                        a = parent[a]
-                        cyc.add(a)
-                    while depth[b] > depth[a]:
-                        b = parent[b]
-                        cyc.add(b)
-                    while a != b:
-                        a, b = parent[a], parent[b]
-                        cyc.add(a)
-                        cyc.add(b)
-                    return frozenset(cyc)
-                stack.append((x, u, d + 1))
+                if x in parent:
+                    cycle = [u]
+                    while cycle[-1] != x:
+                        cycle.append(parent[cycle[-1]])
+                    return frozenset(cycle)
+                stack.append((x, u))
     return None
 
 
@@ -785,8 +775,6 @@ def witness(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> frozenset
     w = set(seed)
     cert: frozenset[int] | None = None  # t <= 2: a subset of w of width above t
     for u in sorted(seed):
-        if len(w) <= 2:
-            break
         if cert is not None and u not in cert:
             w.discard(u)
             continue

@@ -25,13 +25,13 @@ from twcount.treewidth import (
     UNKNOWN,
     Elimination,
     TwVerdict,
-    _find_cycle,
     degeneracy,
     exact_treewidth,
     minor_min_width,
     treewidth_at_most,
     upper_bound_heuristic,
 )
+from test_treewidth import ref_find_cycle
 
 
 def exhaustive_smallest(f, t, k_max):
@@ -210,7 +210,7 @@ def ref_extract_witness(f, tau, t, vertex_cap=DEFAULT_VERTEX_CAP):
 def ref_witness(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
     """The shrink of ref_extract_witness, on a graph of width above t."""
     if t == 1:
-        seed = _find_cycle(g)
+        seed = ref_find_cycle(g)
         if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
             seed = frozenset(g.vertices())
     elif degeneracy(g) > t:
@@ -225,6 +225,18 @@ def ref_witness(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
         if ref_treewidth_at_most(g.subgraph(trial), t, vertex_cap).kind == EXCEEDS:
             w = trial
     return frozenset(w)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_t0_witness_is_one_edge(seed):
+    # Width above 0 means an edge. The shrink keeps deleting while a trial
+    # keeps one, so it ends on a single edge of inc(F), the reference's.
+    rng = DetRng(seed)
+    n = rng.randint(2, 10)
+    f = gen_random_cnf(n, rng.randint(1, 2 * n), rng.randint(1, 3), seed)
+    w = extract_witness(f, Assignment(), 0)
+    assert len(w) == 2 and build_incidence(f).has_edge(*w)
+    assert w == ref_extract_witness(f, Assignment(), 0)
 
 
 @given(st.integers(0, 5000))

@@ -11,7 +11,7 @@ from twcount.cli import main
 from twcount.counting import count_bruteforce, count_td
 from twcount.graphs import build_incidence
 from twcount.formula import parse_dimacs
-from twcount.generators import gen_grid_formula, gen_grid_formula_x, gen_random_cnf
+from twcount.generators import gen_grid_formula, gen_grid_formula_x, gen_random_cnf, gen_wall_formula
 from twcount.formula import write_dimacs
 
 
@@ -334,6 +334,25 @@ def test_backdoor_absence_exit_3(capsys, grid_file):
     code, rep = run(capsys, "backdoor", grid_file, "find", "--t", "1", "--kmax", "0")
     assert code == 3
     assert rep["found"] is False
+
+
+def test_backdoor_find_inconclusive_exit_4(capsys, tmp_path):
+    # The 7-wall formula is above width 3 by its contraction bound, but the
+    # reductions the exact search branches to next are not: their min-fill
+    # width is above 3 and their one large component is above an exact
+    # cap of 8, so the ladder leaves them undecided.
+    p = tmp_path / "w7.cnf"
+    p.write_text(write_dimacs(gen_wall_formula(7)))
+    code, rep = run(capsys, "backdoor", str(p), "find", "--t", "3", "--kmax", "1", "--exact-cap", "8")
+    assert code == 4
+    assert rep["verdict"] == "inconclusive" and "undecided" in rep["reason"]
+
+
+def test_backdoor_verify_without_vars_exit_2(capsys, grid_x_file):
+    assert main(["backdoor", grid_x_file, "verify", "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--vars" in captured.err
 
 
 def test_generate_families(capsys, tmp_path):

@@ -407,28 +407,25 @@ def test_planted_t3_counted_quickly():
 class LadderLog:
     """Wraps the width ladder, which the solve's oracle calls under backdoor's
     name, build_incidence and the witness shrink in the module that calls
-    them, the oracle's reduction of vertex sets, `formula.reduce`, and the
-    induced subgraphs' construction and copies, and logs each (vertex set,
-    t) the ladder is asked about. Witness shrink trials for t >= 3 ask
-    `treewidth.treewidth_at_most` about subgraphs from inside
-    `treewidth.witness`, so they are not logged. Also counts the witness
-    shrinks that ran on a subgraph induced for them rather than on the last
-    ladder call's graph or on inc(F)."""
+    them, the oracle's reduction and induction of vertex sets,
+    `formula.reduce`, and the copies of the oracle's induced subgraphs, and
+    logs each (vertex set, t) the ladder is asked about. Witness shrink
+    trials for t >= 3 ask `treewidth.treewidth_at_most` about subgraphs of
+    their own from inside `treewidth.witness`, so they are neither logged
+    nor counted."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
         self.asked: list[tuple[frozenset[int], int]] = []
         self.reduced = 0  # the oracle's reductions of a vertex set
         self.formula_reductions = 0  # calls of formula.reduce: none on the solve path
         self.roots: list[graphs.Graph] = []  # build_incidence, once per oracle
-        self.induced: list[graphs.InducedSubgraph] = []
-        self.copies = 0  # induced adjacencies built, by the ladder or a witness
+        self.induced: set[graphs.InducedSubgraph] = set()  # the oracle's
+        self.copies = 0  # adjacencies of the oracle's induced subgraphs built
         self.ladder_copies: list[int] = []  # copies made inside each ladder call
-        self.fresh_witness_graphs = 0
-        # shrinks on a fresh subgraph of the vertex set the last ladder call decided
-        self.missed_reuse = 0
-        last_graph = None
+        self.witness_copies: list[int] = []  # copies made inside each witness shrink
+        self.witness_graphs = 0  # witness shrinks on an induced subgraph, not on inc(F)
         induced_class = graphs.InducedSubgraph
-        init, induce = induced_class.__init__, induced_class._induce
+        induce = induced_class._induce
 
         def build(f):
             self.roots.append(graphs.build_incidence(f))
@@ -438,20 +435,20 @@ class LadderLog:
             return g._keep if isinstance(g, induced_class) else frozenset(g.vertices())
 
         def ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
-            nonlocal last_graph
             self.asked.append((vertex_set(g), t))
-            last_graph = g
             before = self.copies
             verdict = treewidth.treewidth_at_most(g, t, vertex_cap)
             self.ladder_copies.append(self.copies - before)
             return verdict
 
-        def counted_init(g, parent, keep, num_edges):
-            self.induced.append(g)
-            init(g, parent, keep, num_edges)
+        def counted_induced(oracle, alive):
+            g = induced(oracle, alive)
+            if isinstance(g, induced_class):
+                self.induced.add(g)
+            return g
 
         def counted_induce(g):
-            self.copies += 1
+            self.copies += g in self.induced
             return induce(g)
 
         def counted_reduced(oracle, alive, tau):
@@ -463,18 +460,19 @@ class LadderLog:
             return formula_reduce(f, tau)
 
         def counted_witness(g, t, vertex_cap):
-            if g is not last_graph and isinstance(g, induced_class):
-                self.fresh_witness_graphs += 1
-                self.missed_reuse += vertex_set(g) == self.asked[-1][0]
-            return treewidth.witness(g, t, vertex_cap)
+            self.witness_graphs += isinstance(g, induced_class)
+            before = self.copies
+            w = treewidth.witness(g, t, vertex_cap)
+            self.witness_copies.append(self.copies - before)
+            return w
 
-        reduced, formula_reduce = backdoor._Oracle.reduced, formula.reduce
+        reduced, induced, formula_reduce = backdoor._Oracle.reduced, backdoor._Oracle.induced, formula.reduce
         mp.setattr(backdoor, "build_incidence", build)
         mp.setattr(backdoor, "treewidth_at_most", ladder)
         mp.setattr(backdoor, "witness", counted_witness)
         mp.setattr(backdoor._Oracle, "reduced", counted_reduced)
+        mp.setattr(backdoor._Oracle, "induced", counted_induced)
         mp.setattr(formula, "reduce", counted_formula_reduce)
-        mp.setattr(induced_class, "__init__", counted_init)
         mp.setattr(induced_class, "_induce", counted_induce)
 
     def repeats(self) -> list:
@@ -488,17 +486,16 @@ class LadderLog:
 
     def assert_graphs_serve_the_ladder(self) -> None:
         """One root graph is built, and no formula is reduced. Every ladder
-        call but the root's gets a subgraph induced for it, which it copies
-        at most once; a witness shrink gets one only when its vertex set is
-        not the one the last ladder call decided, and builds at most the copy
-        a t <= 2 ladder call consumed."""
+        call and every witness shrink but those on inc(F) gets a subgraph
+        the oracle induced for it, which the call copies at most once; so
+        the copies are at most the induced graphs plus the off-root ladder
+        calls."""
         assert len(self.roots) == 1 and not self.formula_reductions
         root = frozenset(self.roots[0].vertices())
         off_root = sum(alive != root for alive, _ in self.asked)
-        assert len(self.induced) == off_root + self.fresh_witness_graphs
-        assert max(self.ladder_copies, default=0) <= 1
+        assert len(self.induced) == off_root + self.witness_graphs
+        assert max(self.ladder_copies + self.witness_copies, default=0) <= 1
         assert self.copies <= len(self.induced) + off_root
-        assert not self.missed_reuse
 
 
 def logged(run):
@@ -610,13 +607,31 @@ def test_shared_oracle_matches_unshared_composition(seed):
     assert len(res.branch_widths) <= 2 ** len(res.backdoor)
 
 
+def test_t0_solves_equal_bruteforce():
+    # At t = 0 a leaf branch must leave no edge: every clause satisfied or
+    # emptied. Whatever solve counts is the brute-force count, and both a
+    # count and a conclusive negative occur.
+    outcomes = Counter()
+    for seed in range(180):
+        rng = DetRng(seed)
+        n = rng.randint(3, 9)
+        f = gen_random_cnf(n, rng.randint(1, 2 * n), rng.randint(1, 3), seed)
+        res = solve(f, 0, rng.randint(0, 3), tw_threshold=0)
+        outcomes[res.outcome] += 1
+        if res.outcome == "counted":
+            assert res.count == count_bruteforce(f), seed
+    assert outcomes["counted"] and outcomes["sb_exceeded"]
+    assert outcomes["counted"] + outcomes["sb_exceeded"] == 180
+
+
 def test_solve_counts_the_search_tree_leaves(monkeypatch):
     # The search tree has 15 leaf branches under a backdoor of 5 variables.
     # Counting them needs neither the 2^5 assignments of the union nor a
     # reduction or width query of the count's own: the search's checks
     # counted every branch, so solve_by_backdoor reduces, induces and runs
-    # the ladder exactly as often as the search alone, and each witness
-    # shrink reuses the graph its miss induced.
+    # the ladder exactly as often as the search alone, and each t = 1
+    # witness shrink finds its cycle on a subgraph induced for it without
+    # building its adjacency.
     f, _ = gen_planted(60, 1, 4, 2)
     res = solve(f, 1, 4, tw_threshold=1)
     assert res.outcome == "counted" and res.mode == "backdoor"
@@ -625,7 +640,7 @@ def test_solve_counts_the_search_tree_leaves(monkeypatch):
 
     counted, log = assert_count_is_the_search(f, 1, 4, 1)
     assert counted == res
-    assert log.asked and not log.fresh_witness_graphs
+    assert log.asked and log.witness_graphs and not any(log.witness_copies)
     # The check cap bounds the search's own sets, not the union.
     monkeypatch.setattr(backdoor, "STRONG_CHECK_CAP", 4)
     assert counting.solve_by_backdoor(f, 1, 4, tw_threshold=1) == res

@@ -6,6 +6,7 @@ from twcount.formula import Assignment, Clause, CnfFormula, Literal, clause_of, 
 from twcount.generators import DetRng, gen_grid_formula, gen_random_cnf
 from twcount.graphs import (
     Graph,
+    InducedSubgraph,
     build_incidence,
     clause_vertex,
     dissolve_degree_two,
@@ -211,6 +212,105 @@ def test_incidence_of_reduction_is_induced_subgraph():
         for v in vs[i + 1:]:
             if g.has_edge(u, v):
                 assert gr.has_edge(u, v)
+
+
+def ref_subgraph(g, keep):
+    """Graph.subgraph as it was: a new Graph built edge by edge through
+    add_vertex / add_edge and their checks."""
+    kset = set(keep)
+    h = Graph()
+    for v in sorted(kset):
+        if not g.has_vertex(v):
+            raise ValueError(f"vertex {v} not in graph")
+        h.add_vertex(v)
+    for u, v in g.edges():
+        if u in kset and v in kset:
+            h.add_edge(u, v)
+    return h
+
+
+def sparse_random_graph(n, m, seed):
+    """A random graph with n vertices on ids scattered over 1..5n and up to
+    m edges."""
+    rng = DetRng(seed)
+    ids = rng.sample(range(1, 5 * n + 1), n)
+    g = Graph()
+    for v in ids:
+        g.add_vertex(v)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    for a, b in rng.sample(pairs, min(m, len(pairs))):
+        g.add_edge(a, b)
+    return g
+
+
+@given(st.integers(0, 25), st.integers(0, 80), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_subgraph_matches_reference(n, m, seed):
+    # The induced subgraph on the parent's adjacency answers as the one
+    # built edge by edge: vertices, edges, edge count, and a copy that is a
+    # plain Graph. A subgraph of a subgraph, which builds its parent's
+    # adjacency first, does too.
+    g = sparse_random_graph(n, m, seed)
+    rng = DetRng(seed + 1)
+    keep = rng.sample(g.sorted_vertices(), rng.randint(0, n))
+    sub, ref = g.subgraph(keep), ref_subgraph(g, keep)
+    assert isinstance(sub, InducedSubgraph)
+    for h in (sub, sub.copy()):
+        assert set(h.vertices()) == set(ref.vertices())
+        assert h.sorted_vertices() == ref.sorted_vertices()
+        assert list(h.edges()) == list(ref.edges())
+        assert h.num_vertices() == ref.num_vertices() and h.num_edges() == ref.num_edges()
+    assert type(sub.copy()) is Graph
+    inner = rng.sample(keep, rng.randint(0, len(keep)))
+    assert list(sub.subgraph(inner).edges()) == list(ref_subgraph(ref, inner).edges())
+    assert sub.subgraph(inner).num_edges() == ref_subgraph(ref, inner).num_edges()
+
+
+def test_subgraph_rejects_a_vertex_outside_the_graph():
+    g, _ = make_wall(3)
+    for keep in ([1, 2, 10], [0], [5, 99, 100]):
+        with pytest.raises(ValueError, match="not in graph"):
+            g.subgraph(keep)
+        with pytest.raises(ValueError, match="not in graph"):
+            ref_subgraph(g, keep)
+    with pytest.raises(ValueError, match="vertex 99 not in graph"):
+        g.subgraph([1, 2]).subgraph([1, 99])
+
+
+def petersen():
+    """The Petersen graph: outer 5-cycle 0-4, inner pentagram 5-9, spokes."""
+    g = Graph()
+    for v in range(10):
+        g.add_vertex(v)
+    for i in range(5):
+        g.add_edge(i, (i + 1) % 5)
+        g.add_edge(5 + i, 5 + (i + 2) % 5)
+        g.add_edge(i, 5 + i)
+    return g
+
+
+def test_isomorphism_backtracks_where_refinement_cannot_tell():
+    # Two triangles and a 6-cycle are both 2-regular on 6 vertices, so
+    # colour refinement gives every vertex one colour and only the search
+    # can tell them apart: it must try candidates, undo them and give up.
+    two_triangles = read_gr("p tw 6 6\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n")
+    c6 = read_gr("p tw 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n")
+    assert find_isomorphism(two_triangles, c6) is None
+    assert find_isomorphism(c6, two_triangles) is None
+    # The Petersen graph is vertex-transitive: refinement splits nothing,
+    # and the search must map a seeded relabelling of it back edge for edge.
+    g = petersen()
+    for seed in range(5):
+        rng = DetRng(seed)
+        relabel = dict(zip(range(10), rng.sample(range(100, 200), 10)))
+        h = Graph()
+        for v in rng.sample(range(10), 10):
+            h.add_vertex(relabel[v])
+        for u, v in g.edges():
+            h.add_edge(relabel[u], relabel[v])
+        phi = find_isomorphism(g, h)
+        assert phi is not None and sorted(phi.values()) == h.sorted_vertices()
+        assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges())
 
 
 def test_gr_roundtrip():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from twcount.formula import Clause, CnfFormula, FormulaError, Literal, assignments
 from twcount.generators import DetRng, gen_wall_formula, wall_formula_model
+from twcount import obstruction as obstruction_module
 from twcount.graphs import build_incidence, clause_vertex, identity_wall_model, is_wall_subdivision
 from twcount.obstruction import (
     MergedTemplateGraph,
@@ -167,6 +168,25 @@ def test_template_properties_on_synthetic_instances(seed):
     tpl = build_template(f, obstruction, killers, 1)
     report = validate_template(f, tpl)
     assert report.ok, {k: v for k, v in report.checks.items() if not v[0]}
+    assert set().union(*tpl.regions) == tpl.wall_vertices
+
+
+@given(st.integers(0, 10_000), st.sampled_from((4, 6, 8)), st.integers(4, 10))
+@settings(max_examples=60, deadline=None)
+def test_template_peels_many_killers_into_regions(seed, r, budgets):
+    # With more than three budgets of killers the whole tree is too heavy
+    # for one representative: build_template re-roots it (_select_root) and
+    # peels off subtrees of weight at least the budget, region by region,
+    # and the template stays valid.
+    f, obstruction, killers = synthetic_wall_instance(seed, budgets * NB1, r=r)
+    roots = []
+    with pytest.MonkeyPatch.context() as mp:
+        select_root = obstruction_module._select_root
+        mp.setattr(obstruction_module, "_select_root", lambda *args: roots.append(args) or select_root(*args))
+        tpl = build_template(f, obstruction, killers, 1)
+    report = validate_template(f, tpl)
+    assert report.ok, {k: v for k, v in report.checks.items() if not v[0]}
+    assert roots and len(tpl.regions) >= 2
     assert set().union(*tpl.regions) == tpl.wall_vertices
 
 

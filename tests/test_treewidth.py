@@ -31,6 +31,7 @@ from twcount.treewidth import (
     validate_decomposition,
     write_td,
 )
+from test_graphs import ref_subgraph
 
 
 def complete_graph(n):
@@ -1026,6 +1027,99 @@ def test_edge_bound_agrees_with_the_reduction(g):
             assert (verdict.kind, verdict.bound) == expected
         if n > t and m > t * n - t * (t + 1) // 2:
             assert core and not h.copies
+
+
+def ref_find_cycle(g):
+    """_find_cycle as it was: a depth-first search, smallest vertex and
+    smallest neighbour first, that records each vertex's depth and closes
+    a cycle at the first non-tree edge by climbing from both of its ends to
+    their meeting point."""
+    seen = set()
+    for start in g.sorted_vertices():
+        if start in seen:
+            continue
+        parent, depth = {}, {}
+        stack = [(start, None, 0)]
+        while stack:
+            u, p, d = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            parent[u] = p
+            depth[u] = d
+            for x in sorted(g.neighbors(u)):
+                if x == p:
+                    continue
+                if x in depth:
+                    a, b = u, x
+                    cyc = {a, b}
+                    while depth[a] > depth[b]:
+                        a = parent[a]
+                        cyc.add(a)
+                    while depth[b] > depth[a]:
+                        b = parent[b]
+                        cyc.add(b)
+                    while a != b:
+                        a, b = parent[a], parent[b]
+                        cyc.add(a)
+                        cyc.add(b)
+                    return frozenset(cyc)
+                stack.append((x, u, d + 1))
+    return None
+
+
+def _cycle_case_graph(family, sizes, extra, seed):
+    """A disjoint union of random trees, one per size, each with up to
+    extra more edges unless family is "forest", on scattered vertex ids;
+    "connected" keeps only the first tree."""
+    rng = DetRng(seed)
+    if family == "connected":
+        sizes = sizes[:1]
+    ids = rng.sample(range(1, 10 * sum(sizes) + 1), sum(sizes))
+    g = Graph()
+    for v in ids:
+        g.add_vertex(v)
+    offset = 0
+    for n in sizes:
+        part = ids[offset:offset + n]
+        offset += n
+        for i in range(1, n):
+            g.add_edge(part[rng.randrange(i)], part[i])
+        if family != "forest":
+            for _ in range(extra):
+                a, b = rng.sample(part, 2) if n > 1 else (part[0], part[0])
+                if a != b:
+                    g.add_edge(a, b)
+    return g
+
+
+cycle_cases = st.builds(
+    _cycle_case_graph,
+    st.sampled_from(("connected", "disconnected", "forest")),
+    st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    st.integers(0, 4),
+    st.integers(0, 10_000),
+)
+
+
+@given(cycle_cases, st.integers(0, 1000))
+@settings(max_examples=300, deadline=None)
+def test_find_cycle_matches_reference(g, seed):
+    # The one-dict search returns the reference's cycle, on g and on
+    # unbuilt induced subgraphs, which it reads only through neighbors and
+    # never builds; it returns None exactly on forests.
+    expected = ref_find_cycle(g)
+    forest = g.num_edges() == g.num_vertices() - len(ref_components(g))
+    assert (expected is None) == forest
+    h = counted_induced(g)
+    assert tw._find_cycle(g) == tw._find_cycle(h) == expected
+    rng = DetRng(seed)
+    keep = frozenset(rng.sample(g.sorted_vertices(), rng.randint(0, g.num_vertices())))
+    ref = ref_subgraph(g, keep)
+    sub = CountedInduced(g.adjacency_view(), keep, ref.num_edges())
+    sub.copies = []
+    assert tw._find_cycle(sub) == ref_find_cycle(ref)
+    assert not h.copies and not sub.copies
 
 
 def test_witness_returns_a_chordless_cycle_without_trials(monkeypatch):
