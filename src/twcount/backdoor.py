@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet
 
-from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, FormulaError, assignments, delete_vars
+from .formula import (
+    CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, FormulaError, _check_declared, assignments, delete_vars
+)
 from .graphs import Graph, InducedSubgraph, build_incidence, clause_id, is_clause_vertex
 from .treewidth import (
     AT_MOST,
@@ -192,17 +194,20 @@ def _branches(alive: frozenset[int], b: frozenset[int], t: int, oracle: _Oracle)
     return out
 
 
-def _check_declared(f: CnfFormula, variables) -> None:
-    """Reject an assignment to a variable F does not declare, as `reduce` does."""
-    extra = sorted(frozenset(variables) - f.variables - f.free_vars)
-    if extra:
-        raise FormulaError(f"assignment mentions undeclared variables {extra}")
+def _check_parameters(t: int, k: int = 0) -> None:
+    """Reject a width t below 0 or a backdoor size k outside 0..EXACT_SEARCH_CAP;
+    every public search, verify and count entry calls this first."""
+    if t < 0:
+        raise FormulaError(f"t must be at least 0, got {t}")
+    if not 0 <= k <= EXACT_SEARCH_CAP:
+        raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}, got {k}")
 
 
 def is_strong_backdoor(
     f: CnfFormula, b, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> BackdoorReport:
     """Check every assignment to b; invalid verdicts carry the first failing one."""
+    _check_parameters(t)
     bset = frozenset(b)
     if not bset <= f.variables:
         raise FormulaError(f"backdoor candidates must occur in the formula: {sorted(bset - f.variables)}")
@@ -222,6 +227,7 @@ def is_deletion_backdoor(
     f: CnfFormula, b, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> BackdoorReport:
     """Single treewidth check on the literal-deleted formula."""
+    _check_parameters(t)
     bset = frozenset(b)
     stats = SearchStats(checks=1)
     verdict = treewidth_at_most(build_incidence(delete_vars(f, bset)), t, vertex_cap)
@@ -264,6 +270,7 @@ def extract_witness(
 ) -> frozenset[int]:
     """A small vertex set of inc(F[tau]) whose induced subgraph has width
     above t (see `treewidth.witness`); ValueError unless F[tau] has width above t."""
+    _check_parameters(t)
     _check_declared(f, tau.domain)
     oracle = _Oracle(f, vertex_cap)
     alive = oracle.reduced(oracle.root, tau)
@@ -280,13 +287,9 @@ def find_smallest_strong_backdoor(
     Iterative deepening over target sizes; each node branches on the killer
     set of a witness extracted from its first failing assignment.
     """
-    if not 0 <= k_max <= EXACT_SEARCH_CAP:
-        raise FormulaError(f"k_max must be between 0 and the desk-scale cap {EXACT_SEARCH_CAP}")
+    _check_parameters(t, k_max)
     oracle = _Oracle(f, vertex_cap)
-    branches = _smallest(oracle.root, t, k_max, oracle)
-    if branches is None:
-        return None
-    return BackdoorReport(_leaf_union(branches), "strong", t, True, stats=oracle.stats)
+    return _found(_smallest(oracle.root, t, k_max, oracle), t, oracle)
 
 
 def _smallest(alive: frozenset[int], t: int, k_max: int, oracle: _Oracle) -> list[_Branch] | None:
@@ -338,10 +341,13 @@ def approx_backdoor(
     branch, and width is monotone under the subgraphs more assignments leave.
     Stats count every node and check, nested exact searches included.
     """
-    if not 0 <= k <= EXACT_SEARCH_CAP:
-        raise FormulaError(f"k must be between 0 and {EXACT_SEARCH_CAP}")
+    _check_parameters(t, k)
     oracle = _Oracle(f, vertex_cap)
-    branches = _approx(oracle.root, t, k, tw_threshold, oracle)
+    return _found(_approx(oracle.root, t, k, tw_threshold, oracle), t, oracle)
+
+
+def _found(branches: list[_Branch] | None, t: int, oracle: _Oracle) -> BackdoorReport | None:
+    """The report of the set a search found, or None if it found none."""
     if branches is None:
         return None
     return BackdoorReport(_leaf_union(branches), "strong", t, True, stats=oracle.stats)

@@ -155,8 +155,6 @@ def cmd_backdoor(args) -> int:
         f = _load_formula(args.path)
     except (OSError, UnicodeDecodeError, FormulaError) as exc:
         return _fail(str(exc))
-    if args.t < 0:
-        return _fail(f"--t must be at least 0, got {args.t}")
     try:
         if args.action == "verify":
             if not args.vars:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 
 from . import backdoor as _backdoor
-from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, FormulaError
+from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, _check_declared
 from .graphs import build_incidence, clause_vertex
 from .treewidth import (
     AT_MOST,
@@ -415,8 +415,9 @@ def backdoor_branch_counts(
     DP; the first branch above t raises BackdoorInvalidError, an undecided
     one InconclusiveTreewidth.
     """
+    _backdoor._check_parameters(t)
     bset = frozenset(b)
-    _backdoor._check_declared(f, bset)
+    _check_declared(f, bset)
     oracle = _backdoor._Oracle(f, vertex_cap, t, _run_dp)
     branches = _backdoor._branches(oracle.root, bset, t, oracle)
     tau, _, (kind, bound, _) = branches[-1]
@@ -461,13 +462,6 @@ def _note(f: CnfFormula) -> str | None:
     return None
 
 
-def _check_parameters(t: int, k: int) -> None:
-    if t < 0:
-        raise FormulaError(f"t must be at least 0, got {t}")
-    if not 0 <= k <= _backdoor.EXACT_SEARCH_CAP:
-        raise FormulaError(f"k must be between 0 and {_backdoor.EXACT_SEARCH_CAP}, got {k}")
-
-
 def solve(
     f: CnfFormula,
     t: int,
@@ -486,7 +480,7 @@ def solve(
     elimination too wide for the table budget there raises
     TableBudgetExceeded instead of going to the search.
     """
-    _check_parameters(t, k)
+    _backdoor._check_parameters(t, k)
     oracle = _backdoor._Oracle(f, vertex_cap, t, _run_dp)
     kind, _, count = oracle.verdict(oracle.root, max(tw_threshold, t))
     if kind == AT_MOST:
@@ -513,7 +507,7 @@ def solve_by_backdoor(
     width query left undecided in the search ends 'inconclusive'.
     Raises FormulaError unless t >= 0 and 0 <= k <= EXACT_SEARCH_CAP.
     """
-    _check_parameters(t, k)
+    _backdoor._check_parameters(t, k)
     return _solve_by_backdoor(f, t, k, tw_threshold, _backdoor._Oracle(f, vertex_cap, t, _run_dp))
 
 

@@ -227,6 +227,13 @@ def assignments(variables: Iterable[int], cap: int = ASSIGNMENT_CAP) -> Iterator
         yield _assignment(tuple((v, (m >> i) & 1) for i, v in enumerate(vs)))
 
 
+def _check_declared(f: CnfFormula, variables: Iterable[int]) -> None:
+    """Reject an assignment to a variable F does not declare."""
+    extra = sorted(frozenset(variables) - f.variables - f.free_vars)
+    if extra:
+        raise FormulaError(f"assignment mentions undeclared variables {extra}")
+
+
 def reduce(f: CnfFormula, tau: Assignment) -> CnfFormula:
     """Apply a partial assignment: drop satisfied clauses, strip false literals.
 
@@ -239,9 +246,7 @@ def reduce(f: CnfFormula, tau: Assignment) -> CnfFormula:
     if not tau:
         return f
     values = dict(tau.items())
-    extra = sorted(v for v in values if v not in f.variables and v not in f.free_vars)
-    if extra:
-        raise FormulaError(f"assignment mentions undeclared variables {extra}")
+    _check_declared(f, values)
     assigned = values.keys()
     new_clauses: list[Clause] = []
     for c in f.clauses:

@@ -254,11 +254,10 @@ def dissolve_degree_two(g: Graph, protected: Iterable[int] = ()) -> Graph:
             h.add_edge(a, b)
 
 
-def _joint_refine(adj_g: Mapping[int, AbstractSet[int]],
-                  adj_h: Mapping[int, AbstractSet[int]],
-                  init_g: dict[int, int], init_h: dict[int, int]):
-    """Iterated neighborhood-color refinement with a palette shared by both graphs."""
-    cg, ch = dict(init_g), dict(init_h)
+def _joint_refine(adj_g: Mapping[int, AbstractSet[int]], adj_h: Mapping[int, AbstractSet[int]]):
+    """Iterated neighborhood-color refinement from one color, with a palette
+    shared by both graphs."""
+    cg, ch = dict.fromkeys(adj_g, 0), dict.fromkeys(adj_h, 0)
     while True:
         palette: dict[object, int] = {}
 
@@ -280,14 +279,13 @@ def _joint_refine(adj_g: Mapping[int, AbstractSet[int]],
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """An isomorphism g -> h, or None.
 
-    Color refinement narrows candidates; ties are resolved by backtracking.
+    Color refinement narrows candidates to the vertex's refined color, which
+    implies its degree; ties are resolved by backtracking.
     """
     if g.num_vertices() != h.num_vertices() or g.num_edges() != h.num_edges():
         return None
     adj_g, adj_h = g.adjacency_view(), h.adjacency_view()
-    init_g = {v: 0 for v in adj_g}
-    init_h = {v: 0 for v in adj_h}
-    cg, ch = _joint_refine(adj_g, adj_h, init_g, init_h)
+    cg, ch = _joint_refine(adj_g, adj_h)
     from collections import Counter
 
     if Counter(cg.values()) != Counter(ch.values()):
@@ -316,15 +314,12 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
         if v is None:
             return True
         mapped_nbrs = [mapping[u] for u in adj_g[v] if u in mapping]
-        n_mapped = sum(1 for u in adj_g[v] if u in mapping)
         for cand in sorted(by_color_h[cg[v]]):
             if cand in used:
                 continue
-            if len(adj_h[cand]) != len(adj_g[v]):
-                continue
             if any(m not in adj_h[cand] for m in mapped_nbrs):
                 continue
-            if sum(1 for u in adj_h[cand] if u in used) != n_mapped:
+            if sum(1 for u in adj_h[cand] if u in used) != len(mapped_nbrs):
                 continue
             mapping[v] = cand
             used.add(cand)

@@ -25,7 +25,7 @@ decomposition's width (`_elimination_of`).
    2-trees; Arnborg & Proskurowski, 1986; Wald & Colbourn, 1983). Its width
    is then the treewidth. The rungs below, and the vertex cap, only matter
    for t >= 3;
-2. degeneracy above t: Exceeds; a bucket-queue peel, O(n+m);
+2. degeneracy above t: Exceeds; a smallest-degree-first peel, O(n+m);
 3. min-fill width at most t: AtMost, with the min-fill game's elimination;
    a lazy heap whose scores follow each elimination by exact deltas, at one
    set intersection per neighbour and one per fill edge, plus a heap push
@@ -52,7 +52,8 @@ An Exceeds verdict carries only a bound. `witness(g, t)` finds, for a graph
 of width above t, a small vertex set whose induced subgraph still has width
 above t. It seeds from a cycle for t = 1, the tree path that the first
 back edge of a depth-first search closes; otherwise from the (t+1)-core,
-which is nonempty exactly when degeneracy rules t out, or from all of g.
+the vertices whose core number the degeneracy peel puts above t, which is
+nonempty exactly when degeneracy rules t out, or from all of g.
 It then shrinks the seed by greedy vertex deletion, each trial decided by
 the rung that decides t. A t = 1 seed that induces just its cycle is the
 witness as it stands: deleting any vertex of a chordless cycle leaves a
@@ -199,45 +200,44 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
 # bounds
 
 
-def _degeneracy_adj(adj: Mapping[int, AbstractSet[int]]) -> int:
-    """Largest degree at removal in a smallest-degree-first peel; O(n+m).
+def _core_numbers(adj: Mapping[int, AbstractSet[int]]) -> dict[int, int]:
+    """Each vertex's core number, the largest k whose k-core holds it, from
+    one smallest-degree-first peel (Batagelj & Zaversnik, 2003); O(n+m). The
+    degeneracy is the largest.
 
-    Vertices sit in buckets by current degree. A removal lowers the minimum
-    degree by at most one, so the scan pointer steps back at most once per
-    removal.
+    Level k starts at the least degree left and peels every vertex of degree
+    at most k, those whose degree the removals bring down to k included;
+    each gets core number k. The scan that starts a level reads each vertex
+    left, and a vertex is left at most once per level up to its core number,
+    which is at most its degree.
     """
-    if not adj:
-        return -1
-    deg = {v: len(s) for v, s in adj.items()}
-    buckets: list[set[int]] = [set() for _ in range(max(deg.values()) + 1)]
-    for v, d in deg.items():
-        buckets[d].add(v)
-    best = d = 0
-    for _ in range(len(adj)):
-        while not buckets[d]:
-            d += 1
-        v = buckets[d].pop()
-        best = max(best, d)
-        del deg[v]
-        for u in adj[v]:
-            du = deg.get(u)
-            if du is not None:
-                buckets[du].remove(u)
-                buckets[du - 1].add(u)
-                deg[u] = du - 1
-        d = max(d - 1, 0)
-    return best
+    deg = {v: len(s) for v, s in adj.items()}  # of the vertices not yet peeled
+    core: dict[int, int] = {}
+    while deg:
+        k = min(deg.values())
+        stack = [v for v, d in deg.items() if d == k]
+        while stack:
+            v = stack.pop()
+            core[v] = k
+            del deg[v]
+            for u in adj[v]:
+                du = deg.get(u)
+                if du is not None:
+                    deg[u] = du - 1
+                    if du == k + 1:
+                        stack.append(u)
+    return core
 
 
 def degeneracy(g: Graph) -> int:
     """Max over peeling steps of the min degree; a valid treewidth lower bound."""
-    return _degeneracy_adj(g.adjacency_view())
+    return max(_core_numbers(g.adjacency_view()).values(), default=-1)
 
 
 def lower_bound(g: Graph) -> int:
     """The larger of degeneracy and the contraction bound; -1 on the empty graph."""
     adj = g.adjacency_view()
-    return max(_degeneracy_adj(adj), _mmw_adj(adj)) if adj else -1
+    return max(max(_core_numbers(adj).values()), _mmw_adj(adj)) if adj else -1
 
 
 def minor_min_width(g: Graph) -> int:
@@ -275,21 +275,6 @@ def _mmw_adj(adj: Mapping[int, AbstractSet[int]]) -> int:
         for w in nbrs:
             heapq.heappush(heap, (len(work[w]), w))
     return best
-
-
-def _core_vertices(g: Graph, k: int) -> frozenset[int]:
-    """The k-core: repeatedly strip vertices of degree below k; O(n+m)."""
-    deg = {v: g.degree(v) for v in g.vertices()}
-    stack = [v for v, d in deg.items() if d < k]
-    stripped = set(stack)
-    while stack:
-        for u in g.neighbors(stack.pop()):
-            if u not in stripped:
-                deg[u] -= 1
-                if deg[u] < k:
-                    stripped.add(u)
-                    stack.append(u)
-    return frozenset(deg.keys() - stripped)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +637,7 @@ def exact_treewidth(
     for part in sorted(parts, key=lambda ps: min(order[i] for i in ps)):
         game = Elimination([order[i] for i in part[::-1]], [nbrs[i] for i in part[::-1]])
         adj = {v: set(g.neighbors(v)) for v in game.order}
-        lb = max(_degeneracy_adj(adj), _mmw_adj(adj))
+        lb = max(max(_core_numbers(adj).values()), _mmw_adj(adj))
         top = game.width if limit is None else min(game.width, limit + 1)
         for w in range(lb, top):
             found = _decide(adj, w)
@@ -771,7 +756,8 @@ def witness(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> frozenset
         if all(len(g.neighbors(v) & seed) == 2 for v in seed):
             return seed
     else:
-        seed = _core_vertices(g, t + 1) or frozenset(g.vertices())
+        core = _core_numbers(g.adjacency_view())
+        seed = frozenset(v for v, c in core.items() if c > t) or frozenset(core)
     w = set(seed)
     cert: frozenset[int] | None = None  # t <= 2: a subset of w of width above t
     for u in sorted(seed):

@@ -14,7 +14,7 @@ from twcount.backdoor import (
     is_strong_backdoor,
     killer_set,
 )
-from twcount.counting import _run_dp, count_bruteforce, count_via_backdoor
+from twcount.counting import _run_dp, count_bruteforce, count_via_backdoor, solve, solve_by_backdoor
 from twcount.formula import Assignment, Clause, CnfFormula, FormulaError, assignments, clause_of, reduce
 from twcount.generators import DetRng, gen_grid_formula, gen_grid_formula_x, gen_planted, gen_random_cnf
 from twcount.graphs import build_incidence, clause_vertex
@@ -31,7 +31,7 @@ from twcount.treewidth import (
     treewidth_at_most,
     upper_bound_heuristic,
 )
-from test_treewidth import ref_find_cycle
+from test_treewidth import ref_core_vertices, ref_find_cycle
 
 
 def exhaustive_smallest(f, t, k_max):
@@ -75,6 +75,28 @@ def test_assignments_to_undeclared_variables_rejected():
     with pytest.raises(FormulaError):
         count_via_backdoor(f, {7}, 1)
     assert count_via_backdoor(f, {9}, 1) == count_bruteforce(f) == 6
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f: solve(f, -1, 1),
+        lambda f: solve_by_backdoor(f, -1, 1),
+        lambda f: approx_backdoor(f, -1, 1),
+        lambda f: find_smallest_strong_backdoor(f, -1, 1),
+        lambda f: is_strong_backdoor(f, {10}, -1),
+        lambda f: is_deletion_backdoor(f, {10}, -1),
+        lambda f: extract_witness(f, Assignment(), -1),
+        lambda f: count_via_backdoor(f, {10}, -1),
+    ],
+    ids=[
+        "solve", "solve_by_backdoor", "approx_backdoor", "find_smallest_strong_backdoor",
+        "is_strong_backdoor", "is_deletion_backdoor", "extract_witness", "count_via_backdoor",
+    ],
+)
+def test_every_entry_that_takes_t_rejects_a_negative_t(entry):
+    with pytest.raises(FormulaError, match="t must be at least 0, got -1"):
+        entry(gen_grid_formula_x(3))
 
 
 def test_deletion_backdoor_examples():
@@ -213,10 +235,8 @@ def ref_witness(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
         seed = ref_find_cycle(g)
         if seed is None:  # pragma: no cover - Exceeds at t=1 implies a cycle
             seed = frozenset(g.vertices())
-    elif degeneracy(g) > t:
-        seed = tw._core_vertices(g, t + 1)
     else:
-        seed = frozenset(g.vertices())
+        seed = ref_core_vertices(g, t + 1) or frozenset(g.vertices())
     w = set(seed)
     for u in sorted(seed):
         if len(w) <= 2:
@@ -268,7 +288,7 @@ def test_witness_skips_vertices_outside_the_certificate(monkeypatch):
     # trial, and the witness is still the one the reference shrink finds.
     f, _ = gen_planted(20, 2, 3, 2)
     g = build_incidence(f)
-    seed = tw._core_vertices(g, 3)
+    seed = ref_core_vertices(g, 3)
     assert seed
     trials = []
     reduce_low_width = tw._reduce_low_width

@@ -312,6 +312,7 @@ def test_backdoor_verify_malformed_vars_exit_2(capsys, grid_x_file, bad):
         ("find", "--t", "-1", "--kmax", "1"),
         ("find", "--t", "-1", "--kmax", "1", "--mode", "approx"),
         ("verify", "--t", "-1", "--vars", "10"),
+        ("verify", "--t", "-1", "--vars", "10", "--deletion"),
         ("find", "--t", "1", "--kmax", "-1"),
     ],
 )

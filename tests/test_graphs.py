@@ -313,6 +313,15 @@ def test_isomorphism_backtracks_where_refinement_cannot_tell():
         assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges())
 
 
+def test_isomorphism_rejects_unequal_colour_classes():
+    # Equal vertex and edge counts, but refinement splits the two graphs
+    # into different colour classes (degrees 2, 2, 2, 0 against 3, 1, 1, 1).
+    triangle_and_point = read_gr("p tw 4 3\n1 2\n2 3\n3 1\n")
+    star = read_gr("p tw 4 3\n1 2\n1 3\n1 4\n")
+    assert find_isomorphism(triangle_and_point, star) is None
+    assert find_isomorphism(star, triangle_and_point) is None
+
+
 def test_gr_roundtrip():
     g, _ = make_wall(4)
     text, id_map = write_gr(g)

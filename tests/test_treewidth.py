@@ -234,6 +234,30 @@ def test_exact_isolated_vertices():
     assert validate_decomposition(g, elimination.decomposition()).ok
 
 
+def test_decide_on_a_graph_with_no_almost_simplicial_vertex():
+    # The octahedron K_{2,2,2} has treewidth 4, and no vertex is almost
+    # simplicial: each neighbourhood is a 4-cycle. At w = 5 no forced move
+    # applies and all 6 <= w + 1 vertices go in vertex order; at w = 4 the
+    # search branches; at w = 3 it fails and restores the graph.
+    g = Graph()
+    for v in range(1, 7):
+        g.add_vertex(v)
+    for a in range(1, 7):
+        for b in range(a + 1, 7):
+            if (a + 1) // 2 != (b + 1) // 2:  # antipodes are 1-2, 3-4, 5-6
+                g.add_edge(a, b)
+    assert not any(tw._almost_simplicial(g.adjacency(), v) for v in g.vertices())
+    for w in (5, 4):
+        adj = g.adjacency()
+        elimination = tw._decide(adj, w)
+        assert not adj and elimination.width == 4
+        assert validate_decomposition(g, elimination.decomposition()).ok
+        if w == 5:
+            assert elimination.order == [1, 2, 3, 4, 5, 6]
+    adj = g.adjacency()
+    assert tw._decide(adj, 3) is None and adj == g.adjacency()
+
+
 def test_at_most_verdicts():
     forest = Graph()
     for v in range(1, 7):
@@ -561,10 +585,11 @@ graph_cases = st.builds(
 @settings(max_examples=120, deadline=None)
 def test_bounds_match_reference(g):
     adj = g.adjacency()
-    assert degeneracy(g) == ref_degeneracy_adj(adj)
+    core = tw._core_numbers(adj)
+    assert degeneracy(g) == max(core.values(), default=-1) == ref_degeneracy_adj(adj)
     assert minor_min_width(g) == ref_mmw_adj(adj)
-    for k in range(0, 5):
-        assert tw._core_vertices(g, k) == ref_core_vertices(g, k)
+    for k in range(max(core.values(), default=0) + 2):
+        assert frozenset(v for v, c in core.items() if c >= k) == ref_core_vertices(g, k)
 
 
 def _fill_heavy_graph(n, extra, seed):
