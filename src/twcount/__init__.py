@@ -1,96 +1,81 @@
 """Model counting for CNF formulas through strong backdoors into bounded
-incidence treewidth, plus the combinatorial machinery for detecting them."""
+incidence treewidth, plus the combinatorial machinery for detecting them.
 
-from .backdoor import (
-    BackdoorReport,
-    KillerSet,
-    approx_backdoor,
-    extract_witness,
-    find_smallest_strong_backdoor,
-    is_deletion_backdoor,
-    is_strong_backdoor,
-    killer_set,
-)
-from .counting import (
-    count_bruteforce,
-    count_td,
-    count_via_backdoor,
-    solve,
-)
-from .formula import (
-    Assignment,
-    Clause,
-    CnfFormula,
-    Literal,
-    assignments,
-    delete_vars,
-    formula_size,
-    parse_dimacs,
-    reduce,
-    write_dimacs,
-)
-from .graphs import Graph, build_incidence, dissolve_degree_two, is_wall_subdivision, make_wall
-from .obstruction import (
-    FptConstants,
-    ObstructionTemplate,
-    apply_rules,
-    build_template,
-    common_external_killers,
-    fpt_constants,
-    merge_and_dedupe,
-    tile_obstructions,
-    validate_template,
-)
-from .treewidth import (
-    TreeDecomposition,
-    exact_treewidth,
-    lower_bound,
-    treewidth_at_most,
-    upper_bound_heuristic,
-    validate_decomposition,
-)
+`import twcount` loads a module when one of its names is first used
+(PEP 562): `twcount.solve` imports counting and what it needs, while
+obstruction, generators and cli stay unloaded until something asks for them.
+A submodule reached as an attribute (`twcount.counting`) is imported too.
+"""
 
-__all__ = [
-    "Assignment",
-    "BackdoorReport",
-    "Clause",
-    "CnfFormula",
-    "FptConstants",
-    "Graph",
-    "KillerSet",
-    "Literal",
-    "ObstructionTemplate",
-    "TreeDecomposition",
-    "apply_rules",
-    "approx_backdoor",
-    "assignments",
-    "build_incidence",
-    "build_template",
-    "common_external_killers",
-    "count_bruteforce",
-    "count_td",
-    "count_via_backdoor",
-    "delete_vars",
-    "dissolve_degree_two",
-    "exact_treewidth",
-    "extract_witness",
-    "find_smallest_strong_backdoor",
-    "formula_size",
-    "fpt_constants",
-    "is_deletion_backdoor",
-    "is_strong_backdoor",
-    "is_wall_subdivision",
-    "killer_set",
-    "lower_bound",
-    "make_wall",
-    "merge_and_dedupe",
-    "parse_dimacs",
-    "reduce",
-    "solve",
-    "tile_obstructions",
-    "treewidth_at_most",
-    "upper_bound_heuristic",
-    "validate_decomposition",
-    "validate_template",
-    "write_dimacs",
-]
+import sys
+
+# Each public name, by the module that defines it.
+_HOMES = {
+    "backdoor": (
+        "BackdoorReport",
+        "KillerSet",
+        "approx_backdoor",
+        "extract_witness",
+        "find_smallest_strong_backdoor",
+        "is_deletion_backdoor",
+        "is_strong_backdoor",
+        "killer_set",
+    ),
+    "counting": ("count_bruteforce", "count_td", "count_via_backdoor", "solve"),
+    "formula": (
+        "Assignment",
+        "Clause",
+        "CnfFormula",
+        "Literal",
+        "assignments",
+        "delete_vars",
+        "formula_size",
+        "parse_dimacs",
+        "reduce",
+        "write_dimacs",
+    ),
+    "graphs": ("Graph", "build_incidence", "dissolve_degree_two", "is_wall_subdivision", "make_wall"),
+    "obstruction": (
+        "FptConstants",
+        "ObstructionTemplate",
+        "apply_rules",
+        "build_template",
+        "common_external_killers",
+        "fpt_constants",
+        "merge_and_dedupe",
+        "tile_obstructions",
+        "validate_template",
+    ),
+    "treewidth": (
+        "TreeDecomposition",
+        "exact_treewidth",
+        "lower_bound",
+        "treewidth_at_most",
+        "upper_bound_heuristic",
+        "validate_decomposition",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def _submodule(name: str):
+    # __import__ rather than importlib.import_module: -X importtime reports
+    # only imports made through the former.
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return _submodule(name)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(_HOME[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

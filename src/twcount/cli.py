@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import backdoor as bd
-from . import counting, generators, graphs, treewidth
+from . import counting, graphs, treewidth
 from .formula import CnfFormula, DimacsError, FormulaError, parse_dimacs, write_dimacs
 
 EXIT_OK = 0
@@ -188,6 +188,8 @@ def cmd_backdoor(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generators  # here, so count, tw and backdoor do not load it
+
     try:
         if args.family == "grid":
             text = write_dimacs(generators.gen_grid_formula(args.n))

@@ -435,13 +435,18 @@ def _counted(f: CnfFormula, branches: list[_backdoor._Branch]) -> list[BranchCou
     ]
 
 
+def _weighted_sum(branches: list[BranchCount]) -> int:
+    """Sum 2^vanished * count over the branches: each vanished variable is free."""
+    return sum((1 << br.vanished) * br.count for br in branches)
+
+
 def count_via_backdoor(f: CnfFormula, b, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Sum 2^vanished * count(F[tau]) over all assignments tau to the backdoor.
 
     The check of is_strong_backdoor counts the branches: an invalid b raises
     BackdoorInvalidError at its first failing assignment.
     """
-    return sum((1 << br.vanished) * br.count for br in backdoor_branch_counts(f, b, t, vertex_cap))
+    return _weighted_sum(backdoor_branch_counts(f, b, t, vertex_cap))
 
 
 @dataclass(frozen=True)
@@ -525,7 +530,7 @@ def _solve_by_backdoor(
     branches = _counted(f, leaves)
     return SolveResult(
         "counted",
-        sum((1 << br.vanished) * br.count for br in branches),
+        _weighted_sum(branches),
         "backdoor",
         t,
         k,
