@@ -13,14 +13,9 @@ import time
 
 sys.path.insert(0, "src")
 
-from twcount.graphs import make_wall
-from twcount.treewidth import (
-    degeneracy,
-    exact_treewidth,
-    minor_min_width,
-    upper_bound_heuristic,
-    validate_decomposition,
-)
+from twcount.pace import validate_decomposition
+from twcount.treewidth import degeneracy, exact_treewidth, minor_min_width, upper_bound_heuristic
+from twcount.walls import make_wall
 
 
 def main() -> int:

@@ -3,7 +3,8 @@ incidence treewidth, plus the combinatorial machinery for detecting them.
 
 `import twcount` loads a module when one of its names is first used
 (PEP 562): `twcount.solve` imports counting and what it needs, while
-obstruction, generators and cli stay unloaded until something asks for them.
+obstruction, walls, pace, generators and cli stay unloaded until something
+asks for them.
 A submodule reached as an attribute (`twcount.counting`) is imported too.
 """
 
@@ -34,7 +35,7 @@ _HOMES = {
         "reduce",
         "write_dimacs",
     ),
-    "graphs": ("Graph", "build_incidence", "dissolve_degree_two", "is_wall_subdivision", "make_wall"),
+    "graphs": ("Graph", "build_incidence"),
     "obstruction": (
         "FptConstants",
         "ObstructionTemplate",
@@ -46,14 +47,9 @@ _HOMES = {
         "tile_obstructions",
         "validate_template",
     ),
-    "treewidth": (
-        "TreeDecomposition",
-        "exact_treewidth",
-        "lower_bound",
-        "treewidth_at_most",
-        "upper_bound_heuristic",
-        "validate_decomposition",
-    ),
+    "pace": ("TreeDecomposition", "validate_decomposition"),
+    "treewidth": ("exact_treewidth", "lower_bound", "treewidth_at_most", "upper_bound_heuristic"),
+    "walls": ("dissolve_degree_two", "is_wall_subdivision", "make_wall"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -27,11 +27,17 @@ on its own starts a fresh oracle, which counts nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .formula import (
-    CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, FormulaError, _check_declared, assignments, delete_vars
+    CLAUSE_VERTEX_STRIDE,
+    Assignment,
+    CnfFormula,
+    FormulaError,
+    _check_declared,
+    _Record,
+    assignments,
+    delete_vars,
 )
 from .graphs import Graph, InducedSubgraph, build_incidence, clause_id, is_clause_vertex
 from .treewidth import (
@@ -54,29 +60,41 @@ class InconclusiveTreewidth(RuntimeError):
     """A treewidth query came back Unknown where the search needed a decision."""
 
 
-@dataclass
-class SearchStats:
-    nodes: int = 0
-    checks: int = 0
+class SearchStats(_Record):
+    """A search's counts, which it updates in place: unlike the other
+    records, assignable, and so not hashable."""
+
+    __slots__ = _fields = ("nodes", "checks")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, nodes: int = 0, checks: int = 0) -> None:
+        self.nodes = nodes
+        self.checks = checks
 
 
-@dataclass(frozen=True)
-class BackdoorReport:
-    variables: tuple[int, ...]
-    kind: str  # strong / deletion
-    t: int
-    valid: bool
-    failing_assignment: Assignment | None = None
-    failing_bound: int | None = None
-    stats: SearchStats | None = None
+class BackdoorReport(_Record):
+    __slots__ = _fields = ("variables", "kind", "t", "valid", "failing_assignment", "failing_bound", "stats")
+
+    def __init__(
+        self,
+        variables: tuple[int, ...],
+        kind: str,  # strong / deletion
+        t: int,
+        valid: bool,
+        failing_assignment: Assignment | None = None,
+        failing_bound: int | None = None,
+        stats: SearchStats | None = None,
+    ) -> None:
+        self._set(variables, kind, t, valid, failing_assignment, failing_bound, stats)
 
     @property
     def size(self) -> int:
         return len(self.variables)
 
 
-@dataclass(frozen=True)
-class KillerSet:
+class KillerSet(NamedTuple):
     """Variables able to destroy an obstruction: members, and sign-flippers."""
 
     obstruction: frozenset[int]

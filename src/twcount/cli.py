@@ -51,11 +51,13 @@ def _load_formula(path: str) -> CnfFormula:
 def cmd_tw(args) -> int:
     """A .gr file is the graph itself; any other file is read as DIMACS, and
     its formula's incidence graph is the graph."""
+    from . import pace  # here, so count and backdoor do not load it
+
     raw = args.path.endswith(".gr")
     try:
         with open(args.path) as fh:
             text = fh.read()
-        g = graphs.read_gr(text) if raw else graphs.build_incidence(parse_dimacs(text))
+        g = pace.read_gr(text) if raw else graphs.build_incidence(parse_dimacs(text))
     except (OSError, FormulaError, ValueError) as exc:
         return _fail(str(exc))
     lower = treewidth.lower_bound(g)
@@ -80,9 +82,9 @@ def cmd_tw(args) -> int:
         "width": exact if exact is not None else upper,
     }
     if args.out_td:
-        _, id_map = graphs.write_gr(g)
+        _, id_map = pace.write_gr(g)
         with open(args.out_td, "w") as fh:
-            fh.write(treewidth.write_td(elimination.decomposition(), id_map))
+            fh.write(pace.write_td(elimination.decomposition(), id_map))
         with open(args.out_td + ".map.json", "w") as fh:
             json.dump({str(k): v for k, v in id_map.items()}, fh, sort_keys=True)
         report["td"] = args.out_td
@@ -188,7 +190,7 @@ def cmd_backdoor(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from . import generators  # here, so count, tw and backdoor do not load it
+    from . import generators, pace, walls  # here, so count, tw and backdoor do not load them
 
     try:
         if args.family == "grid":
@@ -204,8 +206,8 @@ def cmd_generate(args) -> int:
             comment = "c planted " + " ".join(str(v) for v in sorted(planted))
             text = comment + "\n" + write_dimacs(f)
         elif args.family == "wall":
-            g, _ = graphs.make_wall(args.n)
-            text, id_map = graphs.write_gr(g)
+            g, _ = walls.make_wall(args.n)
+            text, id_map = pace.write_gr(g)
             if args.out:
                 with open(args.out + ".map.json", "w") as fh:
                     json.dump({str(k): v for k, v in id_map.items()}, fh, sort_keys=True)

@@ -41,21 +41,16 @@ oracle nothing of its own.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import add, mul, sub
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import backdoor as _backdoor
-from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, _check_declared
+from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, _check_declared, _Record
 from .graphs import build_incidence, clause_vertex
-from .treewidth import (
-    AT_MOST,
-    DEFAULT_VERTEX_CAP,
-    EXCEEDS,
-    Elimination,
-    TreeDecomposition,
-    _elimination_of,
-    validate_decomposition,
-)
+from .treewidth import AT_MOST, DEFAULT_VERTEX_CAP, EXCEEDS, Elimination, _elimination_of
+
+if TYPE_CHECKING:
+    from .pace import TreeDecomposition
 
 BRUTE_FORCE_CAP = 22
 
@@ -127,7 +122,7 @@ def count_bruteforce(f: CnfFormula) -> int:
 # N(u) holds the rest of N(v). A message over no vertex, a component's
 # count, is a factor of the count, and the factors are multiplied in
 # pairwise rounds (`_product`). These scopes are the bags of the
-# elimination's decomposition (`treewidth._decomposition`), but the DP
+# elimination's decomposition (`pace._decomposition`), but the DP
 # never builds it.
 #
 # - A bucket {v, w} or {v} (every bucket of a width-1 elimination) holds its
@@ -383,9 +378,11 @@ def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
     (`treewidth._elimination_of`), whose width is td's.
 
     Raises ValueError if td is not a decomposition of inc(F)
-    (`validate_decomposition`), and TableBudgetExceeded, before that graph
-    is built, if its widest bag is too wide for the table budget.
+    (`pace.validate_decomposition`), and TableBudgetExceeded, before that
+    graph is built, if its widest bag is too wide for the table budget.
     """
+    from .pace import validate_decomposition
+
     report = validate_decomposition(build_incidence(f), td)
     if not report.ok:
         raise ValueError(f"invalid decomposition: {report.violations[0]}")
@@ -398,8 +395,7 @@ def count_td(f: CnfFormula, td: TreeDecomposition) -> int:
 # backdoor-driven counting
 
 
-@dataclass(frozen=True)
-class BranchCount:
+class BranchCount(NamedTuple):
     assignment: Assignment
     width: int
     vanished: int  # variables gone from the reduction without being assigned
@@ -449,16 +445,21 @@ def count_via_backdoor(f: CnfFormula, b, t: int, vertex_cap: int = DEFAULT_VERTE
     return _weighted_sum(backdoor_branch_counts(f, b, t, vertex_cap))
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    outcome: str  # counted / sb_exceeded / inconclusive
-    count: int | None
-    mode: str | None  # td / backdoor
-    t: int
-    k: int
-    backdoor: tuple[int, ...] | None = None
-    branch_widths: tuple[int, ...] | None = None
-    note: str | None = None
+class SolveResult(_Record):
+    __slots__ = _fields = ("outcome", "count", "mode", "t", "k", "backdoor", "branch_widths", "note")
+
+    def __init__(
+        self,
+        outcome: str,  # counted / sb_exceeded / inconclusive
+        count: int | None,
+        mode: str | None,  # td / backdoor
+        t: int,
+        k: int,
+        backdoor: tuple[int, ...] | None = None,
+        branch_widths: tuple[int, ...] | None = None,
+        note: str | None = None,
+    ) -> None:
+        self._set(outcome, count, mode, t, k, backdoor, branch_widths, note)
 
 
 def _note(f: CnfFormula) -> str | None:

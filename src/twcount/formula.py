@@ -14,7 +14,7 @@ reduces vertex sets of inc(F) (`backdoor._Oracle.reduced`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Iterable, Iterator, Mapping
 
 ASSIGNMENT_CAP = 30
@@ -32,16 +32,61 @@ class DimacsError(FormulaError):
     """Malformed DIMACS CNF input."""
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A signed occurrence of a variable."""
+class _Record:
+    """A read-only record on its `__slots__`, as a frozen dataclass is: equal
+    to a record of its own class with equal `_fields` (never to a tuple),
+    hashed on them and shown by them in its repr. Assigning or deleting an
+    attribute raises AttributeError, so `__init__` fills the slots past
+    `__setattr__`: through `_set`, or, on Clause's hot path, through the
+    slots' own descriptors. Pickling and copying call the class on the
+    `_fields`, so `__init__` takes them first, in order."""
 
-    var: int
-    positive: bool = True
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.var < 1:
-            raise FormulaError(f"variable ids start at 1, got {self.var}")
+    def _set(self, *values) -> None:
+        """Set the slots, in `__slots__` order, past `__setattr__`."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+@total_ordering
+class Literal(_Record):
+    """A signed occurrence of a variable; literals order by (var, positive)."""
+
+    __slots__ = _fields = ("var", "positive")
+
+    def __init__(self, var: int, positive: bool = True) -> None:
+        if isinstance(var, bool) or not isinstance(var, int):
+            raise FormulaError(f"a variable id is an int, got {var!r}")
+        if var < 1:
+            raise FormulaError(f"variable ids start at 1, got {var}")
+        self._set(var, positive)
+
+    def __lt__(self, other):
+        return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_int(cls, lit: int) -> "Literal":
@@ -56,34 +101,34 @@ class Literal:
         return str(self.to_int())
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class Clause(_Record):
     """A disjunction of literals over pairwise distinct variables.
 
     `lits` is the data: the signed ints, in order. `variables` is the set of
     their variables, and `literals` a view that builds `Literal`s on demand.
-    `Clause(id, lits)` takes signed ints or `Literal`s and rejects 0, a
-    repeated literal and a complementary pair. A clause may be empty: it is
-    unsatisfiable but legal, so reduction stays total.
+    `Clause(id, lits)` takes ints (not bools) or `Literal`s and rejects any
+    other element, 0, a repeated literal and a complementary pair. A clause
+    may be empty: it is unsatisfiable but legal, so reduction stays total.
+    Two clauses are equal when their ids and lits are.
     """
 
-    id: int
-    lits: tuple[int, ...]
-    variables: frozenset[int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("id", "lits", "variables")
+    _fields = ("id", "lits")
 
-    def __post_init__(self) -> None:
-        lits = tuple(self.lits)
+    def __init__(self, id: int, lits: Iterable[int | Literal]) -> None:
+        lits = tuple(lits)
         if not set(map(type, lits)) <= {int}:
-            lits = tuple(x if type(x) is int else x.to_int() for x in lits)
+            lits = tuple(x if type(x) is int else _signed_int(id, x) for x in lits)
         variables = frozenset(map(abs, lits))
         if len(variables) != len(lits) or 0 in variables:  # name the first bad literal
             for i, x in enumerate(lits):
                 if x == 0:
                     raise FormulaError("0 is not a literal")
                 if x in lits[:i]:
-                    raise FormulaError(f"clause {self.id} repeats literal {x}")
+                    raise FormulaError(f"clause {id} repeats literal {x}")
                 if -x in lits[:i]:
-                    raise FormulaError(f"clause {self.id} contains a complementary pair on {abs(x)}")
+                    raise FormulaError(f"clause {id} contains a complementary pair on {abs(x)}")
+        _set_id(self, id)
         _set_lits(self, lits)
         _set_variables(self, variables)
 
@@ -96,6 +141,15 @@ class Clause:
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
+
+
+def _signed_int(cid: int, x) -> int:
+    """A clause element as a signed int: a Literal or an int that is not a bool."""
+    if isinstance(x, Literal):
+        return x.to_int()
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    raise FormulaError(f"clause {cid}: {x!r} is not a literal (an int or a Literal)")
 
 
 _set_id, _set_lits, _set_variables = Clause.id.__set__, Clause.lits.__set__, Clause.variables.__set__
@@ -181,27 +235,28 @@ def _assignment(items: tuple[tuple[int, int], ...]) -> Assignment:
     return a
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """A CNF formula plus the declared-but-unused (free) variables."""
+class CnfFormula(_Record):
+    """A CNF formula plus the declared-but-unused (free) variables.
 
-    clauses: tuple[Clause, ...]
-    free_vars: frozenset[int] = frozenset()
-    variables: frozenset[int] = field(init=False, compare=False, repr=False)
-    clauses_by_id: Mapping[int, Clause] = field(init=False, compare=False, repr=False)
+    Stores its clauses as a tuple and its free variables as a frozenset,
+    whatever iterables it is given. Two formulas are equal when those are.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("clauses", "free_vars", "variables", "clauses_by_id")
+    _fields = ("clauses", "free_vars")
+
+    def __init__(self, clauses: Iterable[Clause], free_vars: Iterable[int] = frozenset()) -> None:
+        clauses, free_vars = tuple(clauses), frozenset(free_vars)
         by_id: dict[int, Clause] = {}
         used: set[int] = set()
-        for c in self.clauses:
+        for c in clauses:
             if c.id in by_id:
                 raise FormulaError(f"duplicate clause id {c.id}")
             by_id[c.id] = c
             used |= c.variables
-        if used & self.free_vars:
+        if used & free_vars:
             raise FormulaError("free_vars overlap occurring variables")
-        object.__setattr__(self, "variables", frozenset(used))
-        object.__setattr__(self, "clauses_by_id", by_id)
+        self._set(clauses, free_vars, frozenset(used), by_id)
 
     @property
     def num_vars(self) -> int:

@@ -1,13 +1,19 @@
 """Instance generators: grid formulas, planted backdoors, random CNF, walls.
 
 All randomness flows through a counter-based generator so the same seed gives
-byte-identical instances on every platform.
+byte-identical instances on every platform. The wall generators import
+`walls` when called, so generating the other families does not load it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .formula import Clause, CnfFormula
-from .graphs import WallModel, clause_vertex, make_wall, wall_edges, wall_vertex_id
+from .graphs import clause_vertex
+
+if TYPE_CHECKING:
+    from .walls import WallModel
 
 _MASK64 = (1 << 64) - 1
 
@@ -185,6 +191,8 @@ def gen_planted(base_n: int, t: int, k: int, seed: int) -> tuple[CnfFormula, fro
 def gen_wall_formula(r: int) -> CnfFormula:
     """Variables on wall positions, one positive binary clause per wall edge,
     so the incidence graph subdivides the r-wall."""
+    from .walls import wall_edges, wall_vertex_id
+
     clauses = []
     for cid, (a, b) in enumerate(wall_edges(r), start=1):
         clauses.append(Clause(cid, (wall_vertex_id(r, *a), wall_vertex_id(r, *b))))
@@ -194,6 +202,7 @@ def gen_wall_formula(r: int) -> CnfFormula:
 def wall_formula_model(r: int) -> tuple[CnfFormula, WallModel]:
     """The wall formula plus the model of the r-wall inside its incidence graph."""
     from .graphs import build_incidence
+    from .walls import WallModel, make_wall, wall_edges, wall_vertex_id
 
     f = gen_wall_formula(r)
     host = build_incidence(f)

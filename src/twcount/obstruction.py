@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backdoor import killer_set
 from .formula import CnfFormula, FormulaError
-from .graphs import WallModel, build_incidence
+from .graphs import build_incidence
+from .walls import WallModel
 
 
 def degree_budget(t: int) -> int:

@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, bounds, exact solving, PACE .td io.
+"""Treewidth: bounds, the decision ladder, exact solving, witnesses.
 
 `treewidth_at_most(g, t)` climbs a ladder of rungs, cheapest first, and
 stops at the first that decides (n vertices, m edges, d the degree at
@@ -7,10 +7,12 @@ order they were eliminated, each with its neighbours at that moment. Every
 rung that decides AtMost hands over the elimination its own game built, and
 that is what the counting DP reads. The tree decomposition an elimination
 describes (`Elimination.decomposition`) is built only when asked for: for
-PACE output or for validation. `counting.count_td`, whose input is a
-decomposition, plays the min-fill game on the graph with each bag made a
-clique: a chordal graph, which the game eliminates with no fill, at the
-decomposition's width (`_elimination_of`).
+PACE output or for validation. Both live in `pace`, with
+`TreeDecomposition`, and stay importable from here (`__getattr__`).
+`counting.count_td`, whose input is a decomposition, plays the min-fill
+game on the graph with each bag made a clique: a chordal graph, which the
+game eliminates with no fill, at the decomposition's width
+(`_elimination_of`).
 
 1. for t <= 2, first the edge bound: a graph of width at most t on n > t
    vertices is a subgraph of a t-tree, so it has at most t*n - t(t+1)/2
@@ -67,10 +69,12 @@ a subgraph induced for it; the t = 1 witness reads it only through
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import AbstractSet, Mapping, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Mapping, NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, _moved_names
+
+if TYPE_CHECKING:
+    from .pace import TreeDecomposition
 
 DEFAULT_VERTEX_CAP = 48
 
@@ -82,18 +86,6 @@ UNKNOWN = "unknown"
 class VertexCapExceeded(RuntimeError):
     """Exact treewidth was asked for a graph with a connected component
     above the configured cap."""
-
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Bags indexed by int, plus tree edges between bag indices."""
-
-    bags: Mapping[int, frozenset[int]]
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags.values()), default=0) - 1
 
 
 class Elimination(NamedTuple):
@@ -112,21 +104,13 @@ class Elimination(NamedTuple):
         return max(map(len, self.nbrs), default=-1)
 
     def decomposition(self) -> TreeDecomposition:
-        """The tree decomposition this elimination describes (`_decomposition`)."""
+        """The tree decomposition this elimination describes (`pace._decomposition`)."""
+        from .pace import _decomposition
+
         return _decomposition(self.order, self.nbrs)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[tuple[str, object], ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class TwVerdict:
+class TwVerdict(NamedTuple):
     """Outcome of a treewidth-at-most query.
 
     kind 'at_most' carries a witnessing elimination and its width as bound.
@@ -139,61 +123,6 @@ class TwVerdict:
     kind: str
     bound: int
     elimination: Elimination | None = None
-
-
-def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """Check tree-ness, that every bag vertex is a vertex of g, vertex
-    coverage, edge coverage, and occurrence connectivity.
-
-    Near-linear: each vertex's bags are indexed once. In a tree, the bags holding
-    v are connected iff one fewer tree edge than bags has v at both ends.
-    """
-    violations: list[tuple[str, object]] = []
-    idx = set(td.bags)
-    for (i, j) in td.edges:
-        if i not in idx or j not in idx:
-            violations.append(("tree", (i, j)))
-    if not violations and idx:
-        adj: dict[int, set[int]] = {i: set() for i in idx}
-        for (i, j) in td.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        root = min(idx)
-        stack = [root]
-        seen = {root}
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(idx) or len(td.edges) != len(idx) - 1:
-            violations.append(("tree", "not a connected acyclic index set"))
-    holding: dict[int, set[int]] = {v: set() for v in g.vertices()}
-    foreign: set[int] = set()
-    for i, b in td.bags.items():
-        for v in b:
-            if v in holding:
-                holding[v].add(i)
-            else:
-                foreign.add(v)
-    violations.extend(("vertex-foreign", v) for v in sorted(foreign))
-    for v in g.sorted_vertices():
-        if not holding[v]:
-            violations.append(("vertex-coverage", v))
-    for (u, v) in g.edges():
-        if holding[u].isdisjoint(holding[v]):
-            violations.append(("edge-coverage", (u, v)))
-    if not any(code == "tree" for code, _ in violations):
-        shared = dict.fromkeys(holding, 0)
-        for (i, j) in td.edges:
-            for v in td.bags[i] & td.bags[j]:
-                if v in shared:
-                    shared[v] += 1
-        for v in g.sorted_vertices():
-            if holding[v] and shared[v] != len(holding[v]) - 1:
-                violations.append(("connectivity", v))
-    return ValidationReport(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -465,29 +394,6 @@ def _certificate(core: dict[int, set[int]], via: dict[tuple[int, int], int]) -> 
             stack.append((a, v) if a < v else (v, a))
             stack.append((v, b) if v < b else (b, v))
     return frozenset(cert)
-
-
-def _decomposition(order: list[int], bags: list[AbstractSet[int]]) -> TreeDecomposition:
-    """Tree decomposition from an elimination order and each vertex's
-    neighbours at its elimination.
-
-    Bag i is order[i-1] plus those neighbours; the bag attaches to the bag of
-    its earliest-eliminated such neighbor. Roots of separate components get
-    chained so the index set forms one tree. So rooted at the highest-numbered
-    bag, bag i's parent has a higher number and holds all of it but order[i-1].
-    """
-    pos = {v: i for i, v in enumerate(order)}
-    out: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
-    roots: list[int] = []
-    for i, (v, nbrs) in enumerate(zip(order, bags), start=1):
-        out[i] = frozenset(nbrs) | {v}
-        if nbrs:
-            edges.append((i, pos[min(nbrs, key=pos.__getitem__)] + 1))
-        else:
-            roots.append(i)
-    edges.extend(zip(roots, roots[1:]))
-    return TreeDecomposition(out, tuple(edges))
 
 
 def _elimination_of(td: TreeDecomposition) -> Elimination:
@@ -776,47 +682,12 @@ def witness(g: Graph, t: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> frozenset
     return frozenset(w)
 
 
-# ---------------------------------------------------------------------------
-# PACE .td io
-
-
-def write_td(td: TreeDecomposition, id_map: Mapping[int, int]) -> str:
-    """PACE .td text; vertex ids are translated through id_map (1-based, contiguous)."""
-    n = len(id_map)
-    keys = sorted(td.bags)
-    renum = {k: i + 1 for i, k in enumerate(keys)}
-    lines = [f"s td {len(keys)} {max((len(td.bags[k]) for k in keys), default=0)} {n}"]
-    for k in keys:
-        body = " ".join(str(id_map[v]) for v in sorted(td.bags[k]))
-        lines.append(f"b {renum[k]} {body}".rstrip())
-    for (i, j) in td.edges:
-        a, b = renum[i], renum[j]
-        lines.append(f"{min(a, b)} {max(a, b)}")
-    return "\n".join(lines) + "\n"
-
-
-def read_td(text: str) -> TreeDecomposition:
-    bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if line.startswith("s"):
-            if len(parts) != 5 or parts[1] != "td":
-                raise ValueError(f"line {lineno}: malformed .td header")
-            header_seen = True
-            continue
-        try:
-            if line.startswith("b"):
-                bags[int(parts[1])] = frozenset(int(x) for x in parts[2:])
-            else:
-                i, j = map(int, parts)
-                edges.append((i, j))
-        except (IndexError, ValueError):
-            raise ValueError(f"line {lineno}: malformed .td line {line!r}") from None
-    if not header_seen:
-        raise ValueError("missing 's td' header")
-    return TreeDecomposition(bags, tuple(edges))
+# The tree decomposition, its validator and .td I/O live in pace; they are
+# still importable from here, and a solve never loads pace.
+__getattr__ = _moved_names(
+    globals(),
+    dict.fromkeys(
+        ("TreeDecomposition", "ValidationReport", "_decomposition", "read_td", "validate_decomposition", "write_td"),
+        "pace",
+    ),
+)

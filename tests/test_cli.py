@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from twcount import treewidth
+from twcount import pace, treewidth
 from twcount.cli import main
 from twcount.counting import count_bruteforce, count_td
 from twcount.graphs import build_incidence
@@ -261,7 +261,7 @@ def test_count_td_mode_counts_on_the_min_fill_elimination(capsys, monkeypatch, t
     def no_decomposition(*args):
         raise AssertionError("a tree decomposition was built")
 
-    monkeypatch.setattr(treewidth, "_decomposition", no_decomposition)
+    monkeypatch.setattr(pace, "_decomposition", no_decomposition)
     code, rep = run(capsys, "count", str(p), "--mode", "td")
     assert code == 0 and rep["mode"] == "td"
     assert rep["count"] == str(expected) and rep["branch_widths"] == [width]

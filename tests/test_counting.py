@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twcount import backdoor, counting, formula, graphs, treewidth
+from twcount import backdoor, counting, formula, graphs, pace, treewidth
 from twcount.backdoor import (
     InconclusiveTreewidth,
     approx_backdoor,
@@ -1527,7 +1527,7 @@ def test_low_width_solve_builds_no_decomposition(monkeypatch, f, t, threshold, m
     def no_decomposition(*args):
         raise AssertionError("a tree decomposition was built")
 
-    monkeypatch.setattr(treewidth, "_decomposition", no_decomposition)
+    monkeypatch.setattr(pace, "_decomposition", no_decomposition)
     res = solve(f, t, 1, tw_threshold=threshold)
     assert (res.outcome, res.mode, res.backdoor) == ("counted", mode, backdoor)
     assert res.count == expected

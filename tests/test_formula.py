@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,36 @@ def test_parse_errors():
 def test_comments_ignored_anywhere():
     f = parse_dimacs("c hello\np cnf 2 1\nc mid\n1 2 0\nc end\n")
     assert len(f.clauses) == 1
+
+
+@pytest.mark.parametrize("bad", [1.0, True, False, "1", None], ids=repr)
+def test_only_an_int_that_is_not_a_bool_is_a_literal(bad):
+    # A bool is an int to isinstance, but neither a literal nor a variable id.
+    with pytest.raises(FormulaError, match=rf"clause 3: {re.escape(repr(bad))} is not a literal"):
+        Clause(3, (2, bad))
+    with pytest.raises(FormulaError, match=rf"clause 3: {re.escape(repr(bad))} is not a literal"):
+        Clause(3, (Literal(2), bad))
+    with pytest.raises(FormulaError, match=rf"a variable id is an int, got {re.escape(repr(bad))}"):
+        Literal(bad)
+
+
+def test_clause_takes_ints_and_literals_together():
+    c = Clause(2, (Literal(1, False), 3, Literal(2)))
+    assert c.lits == (-1, 3, 2) and all(type(x) is int for x in c.lits)
+    assert c == Clause(2, (-1, 3, 2)) and c.variables == {1, 2, 3}
+
+
+def test_formula_stores_its_clauses_as_a_tuple_and_free_vars_as_a_frozenset():
+    clauses = [Clause(1, (1, -2)), Clause(2, (2,))]
+    f = CnfFormula(clauses, {3, 4})
+    expected = CnfFormula(tuple(clauses), frozenset({3, 4}))
+    assert type(f.clauses) is tuple and type(f.free_vars) is frozenset
+    assert f == expected and hash(f) == hash(expected)
+    clauses.append(Clause(3, (5,)))  # the formula does not see a later change to the list
+    assert f == expected and f.variables == {1, 2} and sorted(f.clauses_by_id) == [1, 2]
+    assert f.num_vars == 4
+    with pytest.raises(FormulaError, match="duplicate clause id 1"):
+        CnfFormula(iter([Clause(1, (1,)), Clause(1, (2,))]))
 
 
 def test_clause_invariants():
