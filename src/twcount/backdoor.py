@@ -258,7 +258,7 @@ def is_deletion_backdoor(
     )
 
 
-def killer_set(f: CnfFormula, w, t: int) -> KillerSet:
+def killer_set(f: CnfFormula, w) -> KillerSet:
     """Internal killers are w's variable vertices; external killers occur
     positively in one of w's clauses and negatively in another."""
     return _killers(f, frozenset(w), f.variables)

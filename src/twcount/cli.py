@@ -14,7 +14,7 @@ import time
 
 from . import backdoor as bd
 from . import counting, graphs, treewidth
-from .formula import CnfFormula, DimacsError, FormulaError, parse_dimacs, write_dimacs
+from .formula import CnfFormula, FormulaError, parse_dimacs, write_dimacs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -269,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except DimacsError as exc:
-        return _fail(str(exc))
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -175,12 +175,15 @@ class Assignment:
     __slots__ = ("_items",)
 
     def __init__(self, values: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = sorted(values.items() if isinstance(values, Mapping) else values)
+        pairs = list(values.items() if isinstance(values, Mapping) else values)
         for var, val in pairs:
+            if isinstance(var, bool) or not isinstance(var, int):
+                raise FormulaError(f"a variable id is an int, got {var!r}")
             if var < 1:
                 raise FormulaError(f"variable ids start at 1, got {var}")
-            if val not in (0, 1):
-                raise FormulaError(f"assignment value must be 0 or 1, got {val}")
+            if isinstance(val, bool) or not isinstance(val, int) or val not in (0, 1):
+                raise FormulaError(f"assignment value must be 0 or 1, got {val!r}")
+        pairs.sort()
         if len({v for v, _ in pairs}) != len(pairs):
             raise FormulaError("assignment repeats a variable")
         self._items: tuple[tuple[int, int], ...] = tuple(pairs)

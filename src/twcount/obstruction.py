@@ -108,7 +108,7 @@ def common_external_killers(f: CnfFormula, obstructions: Sequence[WallObstructio
         raise ValueError("need at least one obstruction")
     common: set[int] | None = None
     for w in obstructions:
-        ext = set(killer_set(f, w.vertices, t).external)
+        ext = set(killer_set(f, w.vertices).external)
         common = ext if common is None else common & ext
     return frozenset(common)
 

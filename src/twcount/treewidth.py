@@ -418,17 +418,6 @@ def _elimination_of(td: TreeDecomposition) -> Elimination:
     return _greedy_order(adj)
 
 
-def elimination_from_order(g: Graph, order: list[int]) -> Elimination:
-    """Run the elimination game on g along `order`."""
-    adj = g.adjacency()
-    if set(order) != set(adj):
-        raise ValueError("order must cover the graph's vertices exactly")
-    journal: list = []
-    for v in order:
-        _eliminate(adj, v, journal)
-    return _journal_elimination(journal)
-
-
 def upper_bound_heuristic(g: Graph) -> tuple[int, Elimination]:
     """The min-fill elimination and its width."""
     elimination = _greedy_order(g.adjacency_view())

@@ -110,7 +110,7 @@ def test_deletion_backdoor_examples():
 def test_killer_set_signs():
     f = CnfFormula((clause_of(1, 1, 2), clause_of(2, -1, 2)))
     w = {2, clause_vertex(1), clause_vertex(2)}
-    ks = killer_set(f, w, 1)
+    ks = killer_set(f, w)
     assert ks.internal == (2,)
     assert ks.external == (1,)
 
@@ -118,7 +118,7 @@ def test_killer_set_signs():
 def test_killer_set_needs_both_signs():
     f = CnfFormula((clause_of(1, 1, 2), clause_of(2, 1, 3)))
     w = {2, 3, clause_vertex(1), clause_vertex(2)}
-    ks = killer_set(f, w, 1)
+    ks = killer_set(f, w)
     assert 1 not in ks.external
 
 
@@ -400,7 +400,7 @@ def test_approx_absence_is_correct(seed):
 
 def test_killer_union_candidates_hit_all_backdoors():
     f = gen_grid_formula_x(3)
-    killers = killer_set(f, extract_witness(f, Assignment(), 1), 1)
+    killers = killer_set(f, extract_witness(f, Assignment(), 1))
     assert 10 in killers.internal + killers.external  # the switch kills every obstruction externally
 
 

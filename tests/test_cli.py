@@ -94,6 +94,22 @@ def test_tw_parse_error_exit_2(capsys, tmp_path):
     assert main(["tw", str(p)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("count", "dup.cnf", "p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+        ("tw", "early.gr", "1 2\np tw 2 1\n", "line 1: edge before header"),
+    ],
+    ids=["count", "tw"],
+)
+def test_malformed_input_exit_2_naming_the_line(capsys, tmp_path, command, name, text, message):
+    p = tmp_path / name
+    p.write_text(text)
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["count"], ["backdoor", "find"], ["tw"]], ids=lambda c: c[0])
 def test_undecodable_file_exit_2(capsys, tmp_path, command):
     data = random.Random(0).randbytes(200)

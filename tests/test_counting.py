@@ -48,13 +48,14 @@ from twcount.treewidth import (
     TreeDecomposition,
     TwVerdict,
     _elimination_of,
-    elimination_from_order,
     exact_treewidth,
     read_td,
     upper_bound_heuristic,
     validate_decomposition,
     write_td,
 )
+from bench_copies import WORKLOADS, pass0, solve_copy
+from test_treewidth import elimination_from_order
 
 
 def td_of(f):
@@ -408,24 +409,29 @@ class LadderLog:
     """Wraps the width ladder, which the solve's oracle calls under backdoor's
     name, build_incidence and the witness shrink in the module that calls
     them, the oracle's reduction and induction of vertex sets,
-    `formula.reduce`, and the copies of the oracle's induced subgraphs, and
-    logs each (vertex set, t) the ladder is asked about. Witness shrink
-    trials for t >= 3 ask `treewidth.treewidth_at_most` about subgraphs of
-    their own from inside `treewidth.witness`, so they are neither logged
-    nor counted."""
+    `formula.reduce`, the copies of the oracle's induced subgraphs and
+    `Graph.adjacency`, and logs each (vertex set, t) the ladder is asked
+    about and the graph it was asked on. Witness shrink trials for t >= 3
+    ask `treewidth.treewidth_at_most` about subgraphs of their own from
+    inside `treewidth.witness`, so they are neither logged nor counted."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
         self.asked: list[tuple[frozenset[int], int]] = []
+        self.graphs: list[graphs.Graph] = []  # the graph of each ladder call, with its edge count
         self.reduced = 0  # the oracle's reductions of a vertex set
         self.formula_reductions = 0  # calls of formula.reduce: none on the solve path
         self.roots: list[graphs.Graph] = []  # build_incidence, once per oracle
         self.induced: set[graphs.InducedSubgraph] = set()  # the oracle's
         self.copies = 0  # adjacencies of the oracle's induced subgraphs built
-        self.ladder_copies: list[int] = []  # copies made inside each ladder call
-        self.witness_copies: list[int] = []  # copies made inside each witness shrink
+        self.adjacency_copies = 0  # Graph.adjacency copies, of any graph
+        self.ladder_copies: list[int] = []  # copies of either kind made inside each ladder call
+        self.witness_copies: list[int] = []  # copies of either kind made inside each witness shrink
         self.witness_graphs = 0  # witness shrinks on an induced subgraph, not on inc(F)
         induced_class = graphs.InducedSubgraph
-        induce = induced_class._induce
+        induce, adjacency = induced_class._induce, graphs.Graph.adjacency
+
+        def copied():
+            return self.copies + self.adjacency_copies
 
         def build(f):
             self.roots.append(graphs.build_incidence(f))
@@ -436,9 +442,10 @@ class LadderLog:
 
         def ladder(g, t, vertex_cap=DEFAULT_VERTEX_CAP):
             self.asked.append((vertex_set(g), t))
-            before = self.copies
+            self.graphs.append(g)
+            before = copied()
             verdict = treewidth.treewidth_at_most(g, t, vertex_cap)
-            self.ladder_copies.append(self.copies - before)
+            self.ladder_copies.append(copied() - before)
             return verdict
 
         def counted_induced(oracle, alive):
@@ -451,6 +458,10 @@ class LadderLog:
             self.copies += g in self.induced
             return induce(g)
 
+        def counted_adjacency(g):
+            self.adjacency_copies += 1
+            return adjacency(g)
+
         def counted_reduced(oracle, alive, tau):
             self.reduced += 1
             return reduced(oracle, alive, tau)
@@ -461,9 +472,9 @@ class LadderLog:
 
         def counted_witness(g, t, vertex_cap):
             self.witness_graphs += isinstance(g, induced_class)
-            before = self.copies
+            before = copied()
             w = treewidth.witness(g, t, vertex_cap)
-            self.witness_copies.append(self.copies - before)
+            self.witness_copies.append(copied() - before)
             return w
 
         reduced, induced, formula_reduce = backdoor._Oracle.reduced, backdoor._Oracle.induced, formula.reduce
@@ -474,6 +485,7 @@ class LadderLog:
         mp.setattr(backdoor._Oracle, "induced", counted_induced)
         mp.setattr(formula, "reduce", counted_formula_reduce)
         mp.setattr(induced_class, "_induce", counted_induce)
+        mp.setattr(graphs.Graph, "adjacency", counted_adjacency)
 
     def repeats(self) -> list:
         seen: set = set()
@@ -551,6 +563,31 @@ def planted_bases():
 def test_solve_decides_each_reduction_once_on_bench_bases(bases):
     for f, t, k, threshold in bases():
         assert_each_query_once(f, t, k, threshold)
+
+
+@pytest.mark.parametrize("workload, misses", [("grid-switch", 23), ("planted", 270)])
+def test_bench_pass_decides_each_reduction_once(workload, misses):
+    # The benchmark's seed-1 pass-0 copies, solved as it solves them, under
+    # one log. Each (vertex set, t) is a ladder miss once, on one graph:
+    # inc(F) once per solve, and otherwise an induced subgraph of its own.
+    copies = pass0(workload)
+    with pytest.MonkeyPatch.context() as mp:
+        log = LadderLog(mp)
+        for spec, text in copies:
+            solve_copy(spec, text)
+    assert len(log.asked) == len(set(log.asked)) == misses
+    off_root = [g for g in log.graphs if isinstance(g, graphs.InducedSubgraph)]
+    assert len(log.roots) == len(copies) and len(log.asked) == len(off_root) + len(log.roots)
+    assert len({id(g) for g in off_root}) == len(off_root) <= len(log.induced)
+    assert not log.formula_reductions and not hasattr(CnfFormula, "packed")
+    # A graph of width at most t on n > t vertices has at most
+    # t*n - t(t+1)/2 edges; a t <= 2 miss above that copies no adjacency.
+    dense = [
+        made
+        for (alive, t), g, made in zip(log.asked, log.graphs, log.ladder_copies)
+        if t <= 2 and len(alive) > t and g.num_edges() > t * len(alive) - t * (t + 1) // 2
+    ]
+    assert dense and not any(dense)
 
 
 def random_solve_instance(seed):
@@ -1407,6 +1444,29 @@ def test_dp_matches_dense_reference_beyond_brute_force(seed):
         assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination) == expected == ref_tree_dp(f, td)
 
 
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_dp_equals_the_reference_on_the_bench_pass(monkeypatch, workload):
+    # Every elimination the benchmark's seed-1 pass 0 counts, as the solve
+    # hands it to the DP. grid-switch counts only forests: buckets of at
+    # most 2 vertices.
+    copies = pass0(workload)
+    runs = []
+
+    def recorded(f, elimination):
+        count = _run_dp(f, elimination)
+        runs.append((f, elimination, count))
+        return count
+
+    monkeypatch.setattr(counting, "_run_dp", recorded)
+    for spec, text in copies:
+        solve_copy(spec, text)
+    assert runs
+    for f, elimination, count in runs:
+        assert count == ref_bucket_dp(f, elimination)
+    buckets = max(len(nbrs) + 1 for _, elimination, _ in runs for nbrs in elimination.nbrs)
+    assert workload != "grid-switch" or buckets <= 2
+
+
 def test_one_sub_cube_plan_per_message(monkeypatch):
     # A wide bucket plans the slicing of a small message's sub-cubes once
     # for the message, and an edge's once for the edge, not once per entry.
@@ -1506,20 +1566,25 @@ def test_width_one_elimination_reads_no_index_list(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "f, t, threshold, mode, backdoor",
+    "f, t, k, threshold, mode, backdoor, count",
     [
         # t <= 2: every branch is counted on the reduction's own elimination.
-        (gen_grid_formula_x(8), 1, 1, "backdoor", (65,)),
+        (gen_grid_formula_x(8), 1, 1, 1, "backdoor", (65,), 167467875781250),
+        # A deep t = 2 search tree of 16 leaves; the count is also that of
+        # perfbench/check.py's independent counter.
+        (gen_planted(40, 2, 4, 3)[0], 2, 4, 2, "backdoor", (12, 20, 28, 34, 41, 42, 43, 44), 439812052992),
         # The root at the threshold, decided by min-fill (width 10).
-        (gen_random_cnf(30, 40, 3, 2), 1, 16, "td", None),
+        (gen_random_cnf(30, 40, 3, 2), 1, 1, 16, "td", None, 4510606),
+        # The same rung at min-fill width 13.
+        (gen_random_cnf(20, 60, 3, 4), 1, 1, 16, "td", None, 294),
         # The root at the threshold, decided under the cap by the exact
         # search: degeneracy 2, contraction bound 4, treewidth 5, min-fill
         # width 6.
-        (gen_random_cnf(10, 12, 3, 2), 1, 5, "td", None),
+        (gen_random_cnf(10, 12, 3, 2), 1, 1, 5, "td", None, 127),
     ],
-    ids=["reduction", "min_fill", "exact"],
+    ids=["reduction", "deep_t2", "min_fill", "min_fill_13", "exact"],
 )
-def test_low_width_solve_builds_no_decomposition(monkeypatch, f, t, threshold, mode, backdoor):
+def test_low_width_solve_builds_no_decomposition(monkeypatch, f, t, k, threshold, mode, backdoor, count):
     # Every rung that decides AtMost hands the DP its own game's
     # elimination: no tree decomposition is built anywhere in the solve.
     expected = count_td(f, td_of(f))  # taken before _decomposition is patched
@@ -1528,6 +1593,6 @@ def test_low_width_solve_builds_no_decomposition(monkeypatch, f, t, threshold, m
         raise AssertionError("a tree decomposition was built")
 
     monkeypatch.setattr(pace, "_decomposition", no_decomposition)
-    res = solve(f, t, 1, tw_threshold=threshold)
+    res = solve(f, t, k, tw_threshold=threshold, vertex_cap=64)
     assert (res.outcome, res.mode, res.backdoor) == ("counted", mode, backdoor)
-    assert res.count == expected
+    assert res.count == expected == count

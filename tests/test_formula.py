@@ -29,6 +29,7 @@ from twcount.generators import (
     gen_wall_formula,
     grid_clause_orientations,
 )
+import bench_copies
 
 
 def test_parse_basic():
@@ -80,19 +81,23 @@ def count_literal_builds(monkeypatch) -> list[tuple]:
 
 
 def test_parse_and_solve_build_no_literal(monkeypatch):
-    # One base of each benchmark family, parsed and solved as the benchmark
-    # does: clauses hold signed ints from the parser to the DP.
+    # One base of each benchmark family, and the benchmark's seed-1 pass-0
+    # copies of all three workloads, parsed and solved as the benchmark
+    # does: clauses hold signed ints from the parser to the DP. The copies
+    # are made first, since the benchmark's set-up reads the Literal view.
     cases = [
         (gen_grid_formula_x(8), 1, 1, 1),
         (gen_planted(40, 1, 2, 0)[0], 1, 2, 1),
         (gen_random_cnf(30, 40, 3, 2), 1, 1, 16),
     ]
     texts = [(write_dimacs(f), t, k, thr) for f, t, k, thr in cases]
+    copies = [copy for w in bench_copies.WORKLOADS for copy in bench_copies.pass0(w)]
     calls = count_literal_builds(monkeypatch)
     results = [
         solve(parse_dimacs(text), t, k, tw_threshold=thr, vertex_cap=64) for text, t, k, thr in texts
-    ]
-    assert [r.outcome for r in results] == ["counted"] * 3
+    ] + [bench_copies.solve_copy(spec, text) for spec, text in copies]
+    assert len(copies) == 43
+    assert [r.outcome for r in results] == ["counted"] * (3 + 43)
     assert calls == []
     # The view still builds them, on request.
     view = parse_dimacs(texts[0][0]).clauses[0].literals
@@ -213,6 +218,22 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n1 2\n")  # unterminated
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 1000000 1\n1 0\n")  # ids would reach clause vertices
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 2 1\np cnf 2 1\n1 0\n", "line 2: duplicate header"),
+        ("c\np cnf 2\n1 0\n", "line 2: malformed header 'p cnf 2'"),
+        ("p cnf -1 0\n", "line 1: negative variable count"),
+        ("1 2 0\np cnf 2 1\n", "line 1: clause data before header"),
+        ("p cnf 2 1\n1 x 0\n", "line 2: bad token 'x'"),
+    ],
+    ids=["duplicate-header", "malformed-header", "negative-count", "clause-before-header", "bad-token"],
+)
+def test_parse_errors_name_the_line(text, message):
+    with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
+        parse_dimacs(text)
 
 
 def test_comments_ignored_anywhere():
@@ -380,6 +401,27 @@ def test_assignment_api():
     assert b.domain == {1, 2, 3}
     with pytest.raises(FormulaError):
         a.merged(Assignment({1: 1}))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({True: 1}, "a variable id is an int, got True"),
+        ({1.5: 0}, "a variable id is an int, got 1.5"),
+        ({"a": 0}, "a variable id is an int, got 'a'"),
+        ({2: 1, "a": 0}, "a variable id is an int, got 'a'"),
+        ({0: 1}, "variable ids start at 1, got 0"),
+        ({1: True}, "assignment value must be 0 or 1, got True"),
+        ({1: 1.0}, "assignment value must be 0 or 1, got 1.0"),
+        ({1: 2}, "assignment value must be 0 or 1, got 2"),
+        ([(1, 0), (1, 1)], "assignment repeats a variable"),
+    ],
+    ids=["bool-var", "float-var", "str-var", "str-among-ints", "var-0", "bool-value", "float-value", "value-2", "repeat"],
+)
+def test_assignment_rejects_a_bad_element(values, message):
+    # A bool is an int to isinstance, but neither a variable id nor a value.
+    with pytest.raises(FormulaError, match=f"^{re.escape(message)}$"):
+        Assignment(values)
 
 
 @given(

@@ -19,6 +19,7 @@ from twcount.graphs import (
     wall_vertex_id,
     write_gr,
 )
+from twcount.pace import read_td
 
 
 def test_incidence_small():
@@ -342,8 +343,9 @@ def test_gr_roundtrip():
         "p tw x 1\n",
         "p tw 3 1\n1 4\n",
         "p tw 3 1\n1 1\n",
+        "1 2\n",
     ],
-    ids=["three-ids", "one-id", "non-integer-id", "non-integer-count", "id-above-n", "loop"],
+    ids=["three-ids", "one-id", "non-integer-id", "non-integer-count", "id-above-n", "loop", "edge-before-header"],
 )
 def test_read_gr_rejects_malformed_lines(text):
     # Each raises ValueError naming the line, not a message from Python's
@@ -351,6 +353,21 @@ def test_read_gr_rejects_malformed_lines(text):
     line = 1 + text.count("\n")
     with pytest.raises(ValueError, match=f"^line {line}: "):
         read_gr("c comment\n" + text)
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (read_gr, "", "missing 'p tw' header"),
+        (read_gr, "c a comment\n", "missing 'p tw' header"),
+        (read_td, "", "missing 's td' header"),
+        (read_td, "b 1 1 2\n", "missing 's td' header"),
+    ],
+    ids=["gr-empty", "gr-comment", "td-empty", "td-bag"],
+)
+def test_pace_readers_need_a_header(read, text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(text)
 
 
 def test_clause_vertex_helpers():
