@@ -17,10 +17,13 @@ the graph with each of its bags made a clique (`treewidth._elimination_of`).
 The DP reads the formula, not a graph: a vertex is a clause when its id
 says so (`is_clause_vertex`), and the clause's literals, with their polarity,
 come from the formula: the solve's own F even when it counts F[tau], whose
-elimination covers only the vertices of inc(F[tau]). Free variables of a
-formula appear as isolated vertices of its incidence graph; the DP
-therefore doubles the count once per free variable without special
-handling.
+elimination covers only the vertices of inc(F[tau]). A bucket finds the
+edges of its scope in the literals of their clause ends, a set built once
+per DP for a clause of more than LONG_CLAUSE literals: no DP walks F's
+clauses, and a long clause costs time linear in its length. A fill pair
+matches no literal. Free variables of a formula appear as
+isolated vertices of its incidence graph; the DP therefore doubles the
+count once per free variable without special handling.
 
 `solve` creates one width oracle (`backdoor._Oracle`) per call, hands it
 t and `_run_dp`, and asks it every width query of the call: the root query
@@ -46,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import backdoor as _backdoor
 from .formula import CLAUSE_VERTEX_STRIDE, Assignment, CnfFormula, _check_declared, _Record
-from .graphs import build_incidence, clause_vertex
+from .graphs import build_incidence
 from .treewidth import AT_MOST, DEFAULT_VERTEX_CAP, EXCEEDS, Elimination, _elimination_of
 
 if TYPE_CHECKING:
@@ -114,9 +117,17 @@ def count_bruteforce(f: CnfFormula) -> int:
 # stand for the scope's vertices in elimination order, so v is bit 0 and
 # only N(v) needs sorting. A bucket's table is the product of the messages it
 # received; each edge between a variable x and a clause c is zeroed in the
-# bucket of its earlier-eliminated end (the later one is in that bucket's
-# scope), on the entries where x takes the value its literal in c makes true
-# while c must stay unsatisfied. Folding bit 0 gives
+# bucket of its earlier-eliminated end, on the entries where x takes the
+# value its literal in c makes true while c must stay unsatisfied. The
+# bucket finds those edges in the literals of F's clauses
+# (`CnfFormula.clauses_by_id`): a clause's bucket keeps each of its literals
+# whose variable is in N(v), and a variable's bucket looks itself up, with
+# both signs, in each clause in N(v). A fill pair, and a clause that lacks
+# the variable, match none. A clause's own bucket runs once, but a clause is
+# read from as many variable buckets as it has literals, so a variable
+# bucket reads a clause of more than LONG_CLAUSE literals as a set, built on
+# its first such read in the DP: a clause of L literals whose variables go
+# first would otherwise cost L^2 / 2 literal reads. Folding bit 0 gives
 # the bucket's message, over N(v), which goes to the bucket of N(v)'s
 # earliest-eliminated vertex u: the elimination game made N(v) a clique, so
 # N(u) holds the rest of N(v). A message over no vertex, a component's
@@ -162,6 +173,9 @@ DP_TABLE_CAP = 1 << 22  # entries of one table; a few live tables stay well unde
 # The widest bucket read through index lists, and the widest message a wider
 # bucket applies sub-cube by sub-cube (see above).
 SMALL_MESSAGE_BITS = 4
+# The longest clause a variable's bucket scans as a tuple (see above). Every
+# clause of the benchmark's workloads has at most 7 literals.
+LONG_CLAUSE = 8
 
 
 def _pick(k: int, at: int) -> list[int]:
@@ -265,37 +279,23 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
     elimination eliminates inc(F[tau]), the subgraph of inc(f) induced by
     the vertices tau leaves (all of inc(f) for the empty tau). A clause the
     elimination does not cover, one tau satisfied, is skipped, and so is a
-    literal whose variable it does not cover, one tau made false. One
-    bucket per vertex, in order: multiplies the bucket's messages, zeroes
-    the edges to its vertex, folds the vertex out and sends the rest on (see
-    above).
+    literal whose variable it does not cover, one tau made false: a bucket
+    reads only the clauses and variables of its scope. One bucket per
+    vertex, in order: multiplies the bucket's messages, zeroes the edges to
+    its vertex, folds the vertex out and sends the rest on (see above).
     """
     widest = elimination.width + 1
     if 1 << widest > DP_TABLE_CAP:
         raise TableBudgetExceeded(widest)
     rank = {v: r for r, v in enumerate(elimination.order)}
-    # Each edge, under its earlier-eliminated end: (the later end, the bit of
-    # each end in the entries it zeroes).
-    edges: dict[int, list[tuple[int, int, int]]] = {}
-    for c in f.clauses:
-        cv = clause_vertex(c.id)
-        rc = rank.get(cv)
-        if rc is None:
-            continue
-        for lit in c.lits:
-            x = abs(lit)
-            rx = rank.get(x)
-            if rx is None:
-                continue
-            if rx > rc:
-                edges.setdefault(cv, []).append((x, lit > 0, 1))
-            else:
-                edges.setdefault(x, []).append((cv, 1, lit > 0))
+    by_id = f.clauses_by_id
+    long_sets: dict[int, frozenset[int]] = {}  # each long clause's literals, once a variable reads them
     inbox: defaultdict[int, list[tuple[list[int], list[int]]]] = defaultdict(list)
     factors = []
     for v, nbrs in zip(*elimination):
         got = inbox.pop(v, ())
-        fold = sub if v >= CLAUSE_VERTEX_STRIDE else add  # is_clause_vertex(v)
+        is_clause = v >= CLAUSE_VERTEX_STRIDE  # is_clause_vertex(v)
+        fold = sub if is_clause else add
         if len(nbrs) < 2:  # four scalars: entry (v, w) is a_v for w = 0, b_v for w = 1
             a0 = a1 = b0 = b1 = 1
             for m, _ in got:  # over [v], or over [v, w]
@@ -307,20 +307,43 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
                 a1 *= x1
                 b0 *= y0
                 b1 *= y1
-            for _, bw, bv in edges.get(v, ()):  # the one edge to w zeroes (bv, bw), never (0, 0)
-                if not bw:
-                    a1 = 0
-                elif bv:
-                    b1 = 0
-                else:
-                    b0 = 0
-            for w in nbrs:
+            for w in nbrs:  # an edge to w zeroes (1, 1), or (1, 0) if v is its clause, (0, 1) if w is
+                if is_clause:
+                    if w < CLAUSE_VERTEX_STRIDE:
+                        lits = by_id[v - CLAUSE_VERTEX_STRIDE].lits
+                        if w in lits:
+                            b1 = 0
+                        elif -w in lits:
+                            a1 = 0
+                elif w >= CLAUSE_VERTEX_STRIDE:
+                    lits = by_id[w - CLAUSE_VERTEX_STRIDE].lits
+                    if len(lits) > LONG_CLAUSE:
+                        lits = long_sets.get(w) or long_sets.setdefault(w, frozenset(lits))
+                    if v in lits:
+                        b1 = 0
+                    elif -v in lits:
+                        b0 = 0
                 inbox[w].append(([fold(a0, a1), fold(b0, b1)], [w]))
             if not nbrs:
                 factors.append(fold(a0, a1))
             continue
         s = [v, *sorted(nbrs, key=rank.__getitem__)]
         n = len(s)
+        # The edges to v, each as (w, the bit of w and the bit of v in the
+        # entries it zeroes).
+        if is_clause:  # to the variables of v's literals in its scope
+            edges = [(abs(x), x > 0, 1) for x in by_id[v - CLAUSE_VERTEX_STRIDE].lits if abs(x) in nbrs]
+        else:  # to the clauses in its scope that hold v or -v
+            edges = []
+            for w in nbrs:
+                if w >= CLAUSE_VERTEX_STRIDE:
+                    lits = by_id[w - CLAUSE_VERTEX_STRIDE].lits
+                    if len(lits) > LONG_CLAUSE:
+                        lits = long_sets.get(w) or long_sets.setdefault(w, frozenset(lits))
+                    if v in lits:
+                        edges.append((w, 1, 1))
+                    elif -v in lits:
+                        edges.append((w, 1, 0))
         if n <= SMALL_MESSAGE_BITS:
             picks = _PICK[n]
             t = None
@@ -332,7 +355,7 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
                     m = map(m.__getitem__, picks[at]) if at & at + 1 else m * (1 << n >> len(ws))
                 t = m if t is None else map(mul, t, m)
             t = [1] * (1 << n) if t is None else t if type(t) is list else list(t)
-            for w, bw, bv in edges.get(v, ()):
+            for w, bw, bv in edges:
                 for e in _ZEROS[n][s.index(w)][bv | bw << 1]:
                     t[e] = 0
         else:
@@ -357,7 +380,7 @@ def _run_dp(f: CnfFormula, elimination: Elimination) -> int:
                 for off, x in zip(offs, m):
                     if x != 1:
                         _scale(t, plan, off, x)
-            for w, bw, bv in edges.get(v, ()):
+            for w, bw, bv in edges:
                 p = pos[w]
                 _scale(t, _plan(n, [0, p]), bv | bw << p, 0)
         inbox[s[1]].append((list(map(fold, t[::2], t[1::2])), s[1:]))
@@ -463,7 +486,7 @@ class SolveResult(_Record):
 
 
 def _note(f: CnfFormula) -> str | None:
-    if any(len(c) == 0 for c in f.clauses):
+    if not all(c.lits for c in f.clauses):
         return "zero-literal clause present; formula unsatisfiable"
     return None
 

@@ -15,7 +15,7 @@ reduces vertex sets of inc(F) (`backdoor._Oracle.reduced`).
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 ASSIGNMENT_CAP = 30
 
@@ -339,18 +339,95 @@ def delete_vars(f: CnfFormula, b: Iterable[int]) -> CnfFormula:
 def parse_dimacs(source) -> CnfFormula:
     """Parse DIMACS CNF text (or a file-like object yielding it).
 
-    Comment lines starting with 'c' are ignored anywhere; duplicate literals
-    inside a clause collapse silently. A clause with a complementary pair is
-    true under every assignment, so it is dropped and takes no clause id.
-    Variables declared in the header but occurring in no clause (including
-    one that occurred only in dropped clauses) are recorded as free
-    variables. A header declaring CLAUSE_VERTEX_STRIDE variables or more is
-    an error.
+    Lines are those of `str.splitlines`. A line whose first token starts
+    with 'c' is a comment and a blank line is nothing, wherever either
+    stands. The first other line is the header 'p cnf <vars> <clauses>',
+    and the clause data after it is one stream of int tokens, each clause
+    ended by a 0, split across lines or joined on one as it comes.
+    Duplicate literals inside a clause collapse silently. A clause with a
+    complementary pair is true under every assignment, so it is dropped
+    and takes no clause id. Variables declared in the header but occurring
+    in no clause (including one that occurred only in dropped clauses) are
+    recorded as free variables. A header declaring CLAUSE_VERTEX_STRIDE
+    variables or more is an error.
+
+    The text is read in bulk (`_read_dimacs`). Text it rejects is scanned
+    line by line for its first error (`_raise_dimacs_error`), so a
+    DimacsError names the line it found.
     """
     text = source.read() if hasattr(source, "read") else source
+    f = _read_dimacs(text)
+    if f is None:
+        _raise_dimacs_error(text)
+    return f
+
+
+def _read_dimacs(text: str) -> CnfFormula | None:
+    """The formula of valid DIMACS text, read with the work per token in C:
+    one `map(int, ...)` over the clause tokens, clause ends found by
+    `tuple.index`, and one `max` over the union of the clauses' variables
+    for the range check. None for any text that has an error, which this
+    reader does not locate."""
+    lines = text.splitlines(keepends=True)
+    head = 0  # characters up to the end of the header line
+    for raw in lines:
+        head += len(raw)
+        toks = raw.split()
+        if toks and toks[0][0] != "c":
+            break
+    else:
+        return None
+    if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
+        return None
+    try:
+        num_vars, _declared_clauses = int(toks[2]), int(toks[3])
+    except ValueError:
+        return None
+    if not 0 <= num_vars < CLAUSE_VERTEX_STRIDE:
+        return None
+    body = text[head:]
+    if "c" in body:  # no int token holds a 'c', so only now can a comment line follow the header
+        body = "".join(line for line in body.splitlines(keepends=True) if line.lstrip()[:1] != "c")
+    try:
+        lits = tuple(map(int, body.split()))
+    except ValueError:
+        return None
+    if lits and lits[-1]:  # an unterminated final clause
+        return None
+    chunks: list[tuple[int, ...]] = []
+    index, start = lits.index, 0
+    while start < len(lits):
+        end = index(0, start)
+        if end == start:  # a 0 with no literals
+            return None
+        chunks.append(lits[start:end])
+        start = end + 1
+    varsets = [frozenset(map(abs, c)) for c in chunks]
+    used = frozenset().union(*varsets)
+    if max(used, default=0) > num_vars:
+        return None
+    if list(map(len, varsets)) != list(map(len, chunks)):  # a repeated literal or a complementary pair
+        kept: list[tuple[int, ...]] = []
+        kept_vars: list[frozenset[int]] = []
+        for c, vs in zip(chunks, varsets):
+            c = tuple(dict.fromkeys(c))
+            if len(c) == len(vs):  # else a complementary pair: true under every assignment
+                kept.append(c)
+                kept_vars.append(vs)
+        chunks, varsets = kept, kept_vars
+        used = frozenset().union(*varsets)
+    clauses = tuple(map(_clause, range(1, len(chunks) + 1), chunks, varsets))
+    f = object.__new__(CnfFormula)
+    f._set(clauses, frozenset(range(1, num_vars + 1)) - used, used, dict(enumerate(clauses, start=1)))
+    return f
+
+
+def _raise_dimacs_error(text: str) -> NoReturn:
+    """Raise the first error of DIMACS text that `_read_dimacs` rejected,
+    naming its line: the line-by-line reading of `parse_dimacs`, which
+    tracks only whether a clause is open and builds none."""
     num_vars = None
-    clauses: list[Clause] = []
-    pending: list[int] = []
+    pending = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split()
         if not toks or toks[0][0] == "c":
@@ -382,21 +459,16 @@ def parse_dimacs(source) -> CnfFormula:
             if lit:
                 if abs(lit) > num_vars:
                     raise DimacsError(f"line {lineno}: variable {abs(lit)} exceeds declared {num_vars}")
-                pending.append(lit)
+                pending = True
             elif not pending:
                 raise DimacsError(f"line {lineno}: empty clause (0 with no literals)")
             else:
-                lits = tuple(dict.fromkeys(pending))
-                variables = frozenset(map(abs, lits))
-                if len(variables) == len(lits):  # else a complementary pair: always true
-                    clauses.append(_clause(len(clauses) + 1, lits, variables))
-                pending = []
+                pending = False
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header")
     if pending:
         raise DimacsError("unterminated final clause (missing 0)")
-    used = frozenset().union(*(c.variables for c in clauses))
-    return CnfFormula(tuple(clauses), frozenset(range(1, num_vars + 1)) - used)
+    raise AssertionError("the bulk DIMACS reader rejected text with no error")
 
 
 def write_dimacs(f: CnfFormula) -> str:

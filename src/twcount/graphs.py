@@ -183,11 +183,9 @@ def build_incidence(f: CnfFormula) -> Graph:
         cv = clause_vertex(c.id)
         if cv in adj:
             raise ValueError(f"clause {c.id} has vertex {cv}, already a variable vertex")
-        nbrs = adj[cv] = set()
-        for x in c.lits:
-            v = abs(x)
+        adj[cv] = set(c.variables)
+        for v in c.variables:
             adj[v].add(cv)
-            nbrs.add(v)
         edges += len(c.lits)
     g._num_edges = edges
     return g

@@ -1,6 +1,6 @@
-"""The benchmark's seed-1 pass-0 copies, for the tests that check the solve
-path's invariants on the inputs the benchmark times. It imports
-`perfbench/suite.py` and changes nothing there."""
+"""The benchmark's base instances and seed-1 pass-0 copies, for the tests
+that check the solve path's invariants on the inputs the benchmark times. It
+imports `perfbench/suite.py` and changes nothing there."""
 
 import sys
 from pathlib import Path
@@ -11,6 +11,19 @@ import suite  # noqa: E402  the benchmark's frozen bases and seeded copies
 from twcount import counting, formula  # noqa: E402
 
 WORKLOADS = tuple(suite.WORKLOADS)
+
+
+def bases(workload: str) -> list:
+    """(formula, t, k, tw_threshold) of each base instance of workload, in
+    the suite's order: its clauses as the suite generates them, ids 1..m,
+    and free the declared variables no clause uses."""
+    out = []
+    for spec in suite.WORKLOADS[workload]:
+        num_vars, clauses = suite.generate(spec)
+        cs = tuple(formula.Clause(i, lits) for i, lits in enumerate(clauses, start=1))
+        used = frozenset().union(*(c.variables for c in cs))
+        out.append((formula.CnfFormula(cs, frozenset(range(1, num_vars + 1)) - used), spec.t, spec.k, spec.tw_threshold))
+    return out
 
 
 def pass0(workload: str) -> list:

@@ -19,6 +19,7 @@ from twcount.cli import main
 from twcount.counting import (
     BackdoorInvalidError,
     DP_TABLE_CAP,
+    LONG_CLAUSE,
     SMALL_MESSAGE_BITS,
     TableBudgetExceeded,
     VariableCapExceeded,
@@ -54,6 +55,7 @@ from twcount.treewidth import (
     validate_decomposition,
     write_td,
 )
+import bench_copies
 from bench_copies import WORKLOADS, pass0, solve_copy
 from test_treewidth import elimination_from_order
 
@@ -544,19 +546,14 @@ def assert_count_is_the_search(f, t, k, tw_threshold):
     return res, counted
 
 
-# The base instances of the benchmark's grid-switch and planted workloads
-# (perfbench/suite.py), as (formula, t, k, tw_threshold).
+# The base instances of the benchmark's grid-switch and planted workloads,
+# as (formula, t, k, tw_threshold), read from perfbench/suite.py.
 def grid_switch_bases():
-    return [(gen_grid_formula_x(n), 1, 1, 1) for n in range(6, 13)]
+    return bench_copies.bases("grid-switch")
 
 
 def planted_bases():
-    return [
-        (gen_planted(n, t, k, s)[0], t, k, t)
-        for t, bases, ks in ((1, (40, 50, 60), (1, 2, 3, 4)), (2, (12, 16, 20), (1, 2, 3)))
-        for n, s in zip(bases, (0, 1, 2))
-        for k in ks
-    ]
+    return bench_copies.bases("planted")
 
 
 @pytest.mark.parametrize("bases", [grid_switch_bases, planted_bases])
@@ -1289,6 +1286,10 @@ def ref_bucket_dp(f, elimination):
 # min-fill does not produce.
 
 
+def formula_of(*clauses):
+    return CnfFormula(tuple(clause_of(i, *lits) for i, lits in enumerate(clauses, start=1)))
+
+
 @st.composite
 def small_formulas(draw, n_max=7, max_len=3):
     n = draw(st.integers(1, n_max))
@@ -1405,16 +1406,41 @@ def test_dense_dp_matches_reference(f):
         assert count_td(f, td) == expected
 
 
-@given(small_formulas(n_max=8, max_len=5))
+@st.composite
+def with_long_clauses(draw):
+    """A small formula, and in about half the draws one more clause of
+    LONG_CLAUSE - 1 to LONG_CLAUSE + 2 literals over its variables and a few
+    more: clause ends on both sides of the cut-off."""
+    f = draw(small_formulas(n_max=8, max_len=5))
+    if not draw(st.booleans()):
+        return f
+    vs = draw(st.lists(st.integers(1, 10), min_size=LONG_CLAUSE - 1, max_size=LONG_CLAUSE + 2, unique=True))
+    lits = [draw(st.sampled_from((v, -v))) for v in vs]
+    clauses = (*f.clauses, clause_of(len(f.clauses) + 1, *lits))
+    return CnfFormula(clauses, f.free_vars - set(vs))
+
+
+@given(with_long_clauses())
 @example(CnfFormula((clause_of(1, 1, -2, 3, -4, 5), clause_of(2, -1, 6)), frozenset({9})))
 @example(CnfFormula((clause_of(1, 1, 2, 3), clause_of(2, -3, 4, -5), Clause(3, ()))))
+# A clause of LONG_CLAUSE + 1 literals, read as a set, and one of
+# LONG_CLAUSE, read as a tuple, meeting in four variables of both signs.
+@example(
+    formula_of(
+        tuple(v if v % 2 else -v for v in range(1, LONG_CLAUSE + 2)),
+        (-1, 2, -3, 4, *range(LONG_CLAUSE + 2, 2 * LONG_CLAUSE - 2)),
+        (-LONG_CLAUSE - 1, -LONG_CLAUSE - 2),
+    )
+)
 @settings(max_examples=150, deadline=None)
 def test_small_bucket_boundary(f):
     # Clauses of up to 5 literals give buckets of 1 to 6 vertices, on both
-    # sides of SMALL_MESSAGE_BITS. Empty clauses and free variables give
-    # buckets of one vertex, whose message multiplies into the count. Both
-    # decompositions come from an elimination order, so the forget-order walk
-    # makes each nonempty bag the scope of exactly one bucket.
+    # sides of SMALL_MESSAGE_BITS. An added clause, on either side of
+    # LONG_CLAUSE, has its edges read in its tuple or its literal set. Empty
+    # clauses and free variables give buckets of one vertex, whose message
+    # multiplies into the count. Both decompositions come from an elimination
+    # order, so the forget-order walk makes each nonempty bag the scope of
+    # exactly one bucket.
     g = build_incidence(f)
     expected = count_bruteforce(f)
     tds = [upper_bound_heuristic(g)[1].decomposition()]
@@ -1427,6 +1453,20 @@ def test_small_bucket_boundary(f):
         assert scopes == Counter(filter(None, td.bags.values()))
         for elimination in (_elimination_of(td), walked):
             assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination) == expected
+
+
+def test_a_long_clause_counts_in_linear_time():
+    # One clause of 50 000 literals of alternating signs, through solve and
+    # through count_td on its star decomposition. Each variable's bucket
+    # reads its edge's polarity in the clause's literal set: a scan of the
+    # tuple from every bucket would read about 1.25e9 literals.
+    n = 50_000
+    f = formula_of(tuple(v if v % 2 else -v for v in range(1, n + 1)))
+    cv = clause_vertex(1)
+    td = TreeDecomposition({v: frozenset({cv, v}) for v in range(1, n + 1)}, tuple((1, v) for v in range(2, n + 1)))
+    start = time.perf_counter()
+    assert solve(f, 1, 1).count == count_td(f, td) == (1 << n) - 1
+    assert time.perf_counter() - start < 10
 
 
 @given(st.integers(0, 10_000))
@@ -1494,10 +1534,6 @@ def test_one_sub_cube_plan_per_message(monkeypatch):
     monkeypatch.setattr(counting, "_scale", lambda *args: scaled.append(args[2]) or scale(*args))
     assert _run_dp(f, elimination) == ref_bucket_dp(f, elimination)
     assert len(plans) == expected < len(scaled)
-
-
-def formula_of(*clauses):
-    return CnfFormula(tuple(clause_of(i, *lits) for i, lits in enumerate(clauses, start=1)))
 
 
 @given(small_formulas(n_max=8, max_len=4), st.integers(0, 3))

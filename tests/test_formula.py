@@ -1,11 +1,14 @@
+import io
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twcount import formula
 from twcount.counting import count_bruteforce, solve
 from twcount.formula import (
+    CLAUSE_VERTEX_STRIDE,
     Assignment,
     Clause,
     CnfFormula,
@@ -172,37 +175,167 @@ def ref_parse(text: str) -> CnfFormula:
     return CnfFormula(tuple(clauses), frozenset(range(1, num_vars + 1)) - used)
 
 
+def ref_parse_dimacs(source) -> CnfFormula:
+    """The reference for parse_dimacs and its messages: the line-by-line
+    reader it replaced, one token at a time, each clause built and checked
+    by the validating constructors."""
+    text = source.read() if hasattr(source, "read") else source
+    num_vars = None
+    clauses: list[Clause] = []
+    pending: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if not toks or toks[0][0] == "c":
+            continue
+        if toks[0][0] == "p":
+            if num_vars is not None:
+                raise DimacsError(f"line {lineno}: duplicate header")
+            if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
+                raise DimacsError(f"line {lineno}: malformed header {raw.strip()!r}")
+            try:
+                num_vars, _declared_clauses = int(toks[2]), int(toks[3])
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: malformed header {raw.strip()!r}") from exc
+            if num_vars < 0:
+                raise DimacsError(f"line {lineno}: negative variable count")
+            if num_vars >= CLAUSE_VERTEX_STRIDE:
+                raise DimacsError(
+                    f"line {lineno}: variable count {num_vars} reaches the id limit "
+                    f"{CLAUSE_VERTEX_STRIDE}; variable ids must stay below it"
+                )
+            continue
+        if num_vars is None:
+            raise DimacsError(f"line {lineno}: clause data before header")
+        for tok in toks:
+            try:
+                lit = int(tok)
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: bad token {tok!r}") from exc
+            if lit:
+                if abs(lit) > num_vars:
+                    raise DimacsError(f"line {lineno}: variable {abs(lit)} exceeds declared {num_vars}")
+                pending.append(lit)
+            elif not pending:
+                raise DimacsError(f"line {lineno}: empty clause (0 with no literals)")
+            else:
+                lits = tuple(dict.fromkeys(pending))
+                if len({abs(x) for x in lits}) == len(lits):  # else a complementary pair: always true
+                    clauses.append(Clause(len(clauses) + 1, lits))
+                pending = []
+    if num_vars is None:
+        raise DimacsError("missing 'p cnf' header")
+    if pending:
+        raise DimacsError("unterminated final clause (missing 0)")
+    used = frozenset().union(*(c.variables for c in clauses))
+    return CnfFormula(tuple(clauses), frozenset(range(1, num_vars + 1)) - used)
+
+
+# Every line boundary of str.splitlines, and whitespace that is none.
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "  ", "\t", " \xa0", "\x1f"]
+# Lines that read as nothing: comments, and blanks.
+SKIPPED = ["c", "c 1 2 0", "cnf", "  c p cnf 2 1", "c\t0 0", "", "   ", "\t"]
+# Each DIMACS error, made in a valid text by one edit (see dimacs_texts).
+ERRORS = [
+    "no-header", "duplicate-header", "malformed-header", "negative-count", "id-limit",
+    "data-before-header", "bad-token", "exceeds", "empty-clause", "unterminated",
+]
+
+
 @st.composite
-def dimacs_texts(draw):
+def dimacs_texts(draw, error=None):
+    """DIMACS text: a header over n variables, then clauses over at most
+    n of them (so duplicate literals, tautologies and free variables come
+    up), their tokens cut into lines anywhere or one clause a line, with
+    comment and blank lines anywhere, before the header too, and lines ended
+    by every boundary str.splitlines knows. A named error adds one edit
+    meant to make a DimacsError of that kind; a bad token or a line start
+    it lands on can make another, or none."""
     n = draw(st.integers(1, 8))
     lit = st.integers(-n, n).filter(bool)
     clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=5), max_size=8))
-    tokens = [str(x) for c in clauses for x in (*c, 0)]
-    lines = ["c a comment", f"p cnf {n} {len(clauses)}"]
-    # Break the token stream into lines anywhere, or one clause per line,
-    # with comment lines and stray blanks between them.
+    # int() reads "+3", "03" and "-0" too, and so must the reader.
+    spell = {0: ["0", "-0", "00"]}
+    tokens = [
+        draw(st.sampled_from(spell.get(x, [str(x), f"+{x}" if x > 0 else f"-0{-x}"]))) if draw(st.integers(0, 5)) == 0 else str(x)
+        for c in clauses
+        for x in (*c, 0)
+    ]
+    header = f"p cnf {n} {len(clauses)}"
+    if error == "bad-token":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(["x", "1.5", "c", "--1", "0x1", "p"])))
+    elif error == "exceeds":
+        tokens.insert(draw(st.integers(0, len(tokens))), str(draw(st.sampled_from([n + 1, -n - 1, 10**9]))))
+    elif error == "empty-clause":
+        zeros = [i + 1 for i, tok in enumerate(tokens) if int(tok) == 0]
+        tokens.insert(draw(st.sampled_from([0, *zeros])), "0")
+    elif error == "unterminated":
+        tokens.append(str(draw(lit)))
+    elif error == "malformed-header":
+        header = draw(st.sampled_from([f"p cnf {n}", f"p dnf {n} 1", "p cnf x 1", f"p cnf {n} y", f"pcnf {n} 1", f"p cnf {n} 1 1", "p"]))
+    elif error == "negative-count":
+        header = "p cnf -1 0"
+    elif error == "id-limit":
+        header = f"p cnf {CLAUSE_VERTEX_STRIDE + draw(st.integers(0, 1))} 1"
+    lines = [draw(st.sampled_from(SKIPPED)) for _ in range(draw(st.integers(0, 2)))]
+    if error == "data-before-header":
+        lines.append(draw(st.sampled_from(["1 0", "-2", "0", "x"])))
+    if error != "no-header":
+        lines.append(header)
     one_per_line = draw(st.booleans())
     line: list[str] = []
     for tok in tokens:
         line.append(tok)
         if (tok == "0" and one_per_line) or (not one_per_line and draw(st.booleans())):
-            lines.append(draw(st.sampled_from([" ", "  ", "\t"])).join(line))
+            lines.append(draw(st.sampled_from(SPACES)).join(line))
             line = []
-            if draw(st.integers(0, 4)) == 0:
-                lines.append(draw(st.sampled_from(["c", "c 1 2 0", "", "   "])))
+            if draw(st.integers(0, 3)) == 0:
+                lines.append(draw(st.sampled_from(SKIPPED)))
     lines.append(" ".join(line))
-    return "\n".join(lines) + "\n"
+    if error == "duplicate-header":
+        lines.insert(draw(st.integers(lines.index(header) + 1, len(lines))), header)
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
 
 
-@given(dimacs_texts())
-@settings(max_examples=200, deadline=None)
-def test_parse_matches_reference_parser(text):
-    f = parse_dimacs(text)
-    ref = ref_parse(text)
+def parsed_or_message(parse, text):
+    try:
+        return parse(text)
+    except DimacsError as exc:
+        return "DimacsError: " + str(exc)
+
+
+@pytest.mark.parametrize("error", [None, *ERRORS], ids=["valid", *ERRORS])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_parse_matches_reference_parser(error, data):
+    # The bulk reader parses every text the line reader parses, to an equal
+    # formula with equal derived slots, and raises the same message on
+    # every other. A valid text also reads as the token-stream reference
+    # reads it.
+    text = data.draw(dimacs_texts(error))
+    f, ref = parsed_or_message(parse_dimacs, text), parsed_or_message(ref_parse_dimacs, text)
     assert f == ref
-    assert [c.variables for c in f.clauses] == [{abs(x) for x in c.lits} for c in f.clauses]
-    assert [(c.id, c.lits) for c in f.clauses] == [(c.id, c.lits) for c in ref.clauses]
-    assert f.free_vars == ref.free_vars
+    if isinstance(ref, str):
+        return
+    assert f.variables == ref.variables and f.free_vars == ref.free_vars
+    assert f.clauses_by_id == ref.clauses_by_id
+    assert [c.variables for c in f.clauses] == [c.variables for c in ref.clauses]
+    assert f == ref_parse(text)
+    assert parse_dimacs(io.StringIO(text)) == f
+
+
+def test_bench_copies_are_read_in_bulk(monkeypatch):
+    # The benchmark's seed-1 pass-0 copies all parse without the line scan
+    # that only names an error, and as the line reader parses them.
+    copies = [text for w in bench_copies.WORKLOADS for _, text in bench_copies.pass0(w)]
+
+    def no_scan(text):
+        raise AssertionError("the bulk reader rejected a valid text")
+
+    monkeypatch.setattr(formula, "_raise_dimacs_error", no_scan)
+    for text in copies:
+        assert parse_dimacs(text) == ref_parse_dimacs(text)
 
 
 def test_parse_errors():
